@@ -1,5 +1,6 @@
-"""Command-line orchestration: validation, limit curves, single solves,
-epsilon sweeps, and report regeneration.
+"""Command-line front end: hypothesis validation, persistence of results,
+and dispatch to the solver for limit curves, single solves, epsilon sweeps
+(solver.sweep_epsilon), and report regeneration.
 
 Exit codes: 0 success, 1 validation failure, 2 solver error, 3 I/O error.
 Every failure also leaves a machine-readable error.json in the output
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -19,17 +19,17 @@ import numpy as np
 
 from . import __version__, _kernels
 from .config import ExperimentConfig, load_config
-from .diagnostics import SweepRecord, build_sweep_record, concentration_report
+from .diagnostics import SweepRecord, concentration_row, concentration_table
 from .errors import ConfigError, FracstatesError
 from .grid import Field, make_grid
-from .localization import barycenter_h, classify, seed_field, solve_branches
-from .models import sample_potential, validate_nonlinearity, validate_potential
+from .localization import barycenter_h, classify, seed_field
+from .models import validate_nonlinearity, validate_potential
 from .solver import (
-    Problem,
     energy_curve,
-    grid_for_epsilon,
+    limit_state,
+    problem_for_epsilon,
     solve_constrained,
-    solve_limit,
+    sweep_epsilon,
 )
 
 EXIT_OK = 0
@@ -105,47 +105,67 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def _summary_rows(records):
-    rows = []
-    for rec in records:
-        for br, diag in zip(rec.branches, rec.diagnostics):
-            rows.append(
-                {
-                    "eps": rec.eps,
-                    "branch": br.j,
-                    "label": br.label.kind,
-                    "converged": br.result.converged,
-                    "energy": br.alpha_energy,
-                    "alpha_bar": br.alpha_bar,
-                    "c_eps": rec.c_eps,
-                    "c_v0": rec.c_v0,
-                    "nehari_residual": br.result.report.nehari_residual,
-                    "residual": br.result.residual,
-                    "negative_mass": br.result.negative_mass,
-                    "barycenter": ";".join(repr(float(x)) for x in br.barycenter),
-                    "max_point": ";".join(repr(float(x)) for x in diag.max_point),
-                    "v_at_max": diag.v_at_max,
-                    "v_gap": diag.v_at_max - rec.v0,
-                    "c_gap": rec.c_eps - rec.c_v0,
-                    "profile_error": diag.profile_err,
-                    "decay_exponent": diag.decay_exponent,
-                    "decay_r2": diag.decay_r2,
-                    "boundary_mass": diag.boundary_mass,
-                    "sigma_member": br.j in rec.sigma_members,
-                    "trusted": rec.trusted,
-                }
-            )
-    return rows
+def _summary_rows(stored: dict):
+    for rec in stored["records"]:
+        for br in rec["branches"]:
+            yield {
+                "eps": rec["eps"],
+                "branch": br["branch"],
+                "label": br["label"],
+                "converged": br["converged"],
+                "energy": br["energy"],
+                "alpha_bar": br["alpha_bar"],
+                "c_eps": rec["c_eps"],
+                "c_v0": rec["c_v0"],
+                "nehari_residual": br["nehari_residual"],
+                "residual": br["residual"],
+                "negative_mass": br["negative_mass"],
+                "barycenter": ";".join(repr(float(x)) for x in br["barycenter"]),
+                "max_point": ";".join(repr(float(x)) for x in br["max_point"]),
+                "v_at_max": br["v_at_max"],
+                "v_gap": br["v_at_max"] - rec["v0"],
+                "c_gap": rec["c_eps"] - rec["c_v0"],
+                "profile_error": br["profile_error"],
+                "decay_exponent": br["decay_exponent"],
+                "decay_r2": br["decay_r2"],
+                "boundary_mass": br["boundary_mass"],
+                "sigma_member": br["branch"] in rec["sigma_members"],
+                "trusted": rec["trusted"],
+            }
 
 
-def write_summary_csv(path: Path, records):
-    rows = _summary_rows(records)
+def write_summary_csv(path: Path, stored: dict):
+    """summary.csv from a records.json payload."""
     lines = [f"# schema: {SUMMARY_SCHEMA}", ",".join(SUMMARY_COLUMNS)]
-    for row in rows:
+    for row in _summary_rows(stored):
         lines.append(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _concentration(stored: dict) -> dict:
+    rows = []
+    for rec in stored["records"]:
+        best = min(rec["branches"], key=lambda br: br["energy"])
+        rows.append(
+            concentration_row(
+                eps=rec["eps"], c_eps=rec["c_eps"], c_v0=stored["c_v0"],
+                v_at_max=best["v_at_max"], v0=stored["v0"],
+                profile_err=best["profile_error"],
+                decay_exponent=best["decay_exponent"], trusted=rec["trusted"],
+            )
+        )
+    return concentration_table(rows)
+
+
+def _write_tables(out_dir: Path):
+    """summary.csv and concentration.json from records.json, for both sweep
+    and report."""
+    with open(out_dir / "records.json") as fh:
+        stored = json.load(fh)
+    write_summary_csv(out_dir / "summary.csv", stored)
+    _write_json(out_dir / "concentration.json", _concentration(stored))
 
 
 def _record_payload(rec: SweepRecord) -> dict:
@@ -191,24 +211,29 @@ def dump_field(out_dir: Path, name: str, field: Field, extra=None):
     _write_json(out_dir / f"{name}.json", meta)
 
 
-def run_check(config: ExperimentConfig, out_dir: Path) -> int:
-    """Hypothesis validators only; exit 1 on any failure."""
+def _hypotheses(config: ExperimentConfig):
+    """(V1)-(V2) and (f1)-(f5) on the validation grid, plus the growth
+    exponent check; returns both reports, the q verdict and all messages."""
     pb = config.problem
     n_val = min(max(int(2 * pb.R0 / pb.h0), 64), 4096)
     if n_val % 2:
         n_val += 1
     grid = make_grid(pb.d, pb.R0, n_val)
-    pot_report = validate_potential(config.potential, grid)
-    nl_report = validate_nonlinearity(
-        config.nonlinearity, sup_v=config.potential.sup_level
-    )
+    pot = validate_potential(config.potential, grid)
+    nl = validate_nonlinearity(config.nonlinearity, sup_v=config.potential.sup_level)
     q_ok = 2.0 < config.nonlinearity.q < config.star_exponent()
-    messages = list(pot_report.messages) + list(nl_report.messages)
+    messages = list(pot.messages) + list(nl.messages)
     if not q_ok:
         messages.append(
             f"(f2) fail: growth exponent q = {config.nonlinearity.q} outside "
             f"(2, {config.star_exponent()})"
         )
+    return pot, nl, q_ok, messages
+
+
+def run_check(config: ExperimentConfig, out_dir: Path) -> int:
+    """Hypothesis validators only; exit 1 on any failure."""
+    pot_report, nl_report, q_ok, messages = _hypotheses(config)
     boxes_ok = True
     try:
         config.box_family()
@@ -241,20 +266,12 @@ def run_check(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def ensure_hypotheses(config: ExperimentConfig):
-    """Hypothesis gate: no solve launches on a failing (V1)-(V2)/(f1)-(f5)."""
-    pb = config.problem
-    n_val = min(max(int(2 * pb.R0 / pb.h0), 64), 4096)
-    if n_val % 2:
-        n_val += 1
-    grid = make_grid(pb.d, pb.R0, n_val)
-    pot = validate_potential(config.potential, grid)
-    nl = validate_nonlinearity(config.nonlinearity, sup_v=config.potential.sup_level)
-    q_ok = 2.0 < config.nonlinearity.q < config.star_exponent()
+    """Hypothesis gate: no solve launches on a failing (V1)-(V2)/(f1)-(f5)
+    or an inadmissible growth exponent. Box errors surface later, from the
+    solver."""
+    pot, nl, q_ok, messages = _hypotheses(config)
     if not (pot.all_pass and nl.all_pass and q_ok):
-        msgs = list(pot.messages) + list(nl.messages)
-        if not q_ok:
-            msgs.append(f"growth exponent q = {config.nonlinearity.q} is not admissible")
-        raise ConfigError("hypothesis validation failed: " + "; ".join(msgs))
+        raise ConfigError("hypothesis validation failed: " + "; ".join(messages))
 
 
 def run_limit(config: ExperimentConfig, out_dir: Path) -> int:
@@ -279,45 +296,10 @@ def run_limit(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _sweep_one(config: ExperimentConfig, eps: float, w_limit, c_v0: float, v0: float):
-    pb = config.problem
-    g = grid_for_epsilon(pb.d, eps, pb.R0, pb.R_cap, pb.h0, config.sweep.point_budget)
-    vfield = sample_potential(config.potential, g, eps)
-    p = Problem(
-        grid=g, alpha=pb.alpha, eps=eps,
-        potential_field=vfield, nonlinearity=config.nonlinearity,
-    )
-    experiment = solve_branches(p, config.box_family(), w_limit, config.solve_options())
-    return build_sweep_record(
-        eps=eps, problem=p, experiment=experiment, w_limit=w_limit,
-        c_v0=c_v0, potential=config.potential, v0=v0,
-        decay_window_frac=config.sweep.decay_window,
-    )
-
-
 def run_sweep(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
-    pb = config.problem
     ensure_hypotheses(config)
-    eps_list = list(config.sweep.epsilons)
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("sweep.epsilons must be strictly decreasing")
-    limit_grid = make_grid(pb.d, config.limit.R, config.limit.n)
-    v0 = config.potential.v0_proxy
-    w_res = solve_limit(
-        v0, config.nonlinearity, limit_grid, pb.alpha, config.solve_options()
-    )
-    c_v0 = w_res.energy
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_one, config, eps, w_res.u, c_v0, v0)
-                for eps in eps_list
-            ]
-            records = [f.result() for f in futures]
-    else:
-        records = [_sweep_one(config, eps, w_res.u, c_v0, v0) for eps in eps_list]
-
+    records = sweep_epsilon(config, workers=workers)
+    c_v0, v0 = records[0].c_v0, records[0].v0
     _write_json(
         out_dir / "records.json",
         {
@@ -327,11 +309,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
             "records": [_record_payload(r) for r in records],
         },
     )
-    write_summary_csv(out_dir / "summary.csv", records)
-    table = concentration_report(records, c_v0, v0)
-    _write_json(out_dir / "concentration.json", table)
     fields_dir = out_dir / "fields"
-    dump_field(fields_dir, "limit_state", w_res.u, {"a": v0})
+    dump_field(fields_dir, "limit_state", records[0].w_limit, {"a": v0})
     for rec in records:
         for br in rec.branches:
             dump_field(
@@ -340,6 +319,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
                 br.result.u,
                 {"eps": rec.eps, "branch": br.j},
             )
+    _write_tables(out_dir)
     for rec in records:
         click.echo(
             f"eps = {rec.eps:g}: c_eps = {rec.c_eps:.8g} "
@@ -351,7 +331,6 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
 
 def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
     """Exactly one (eps, branch) problem from the solve block."""
-    pb = config.problem
     ensure_hypotheses(config)
     eps = config.solve.epsilon
     if eps is None:
@@ -360,18 +339,10 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
     boxes = config.box_family()
     if not (1 <= j <= boxes.k):
         raise ConfigError(f"solve.branch must be in 1..{boxes.k}, got {j}")
-    limit_grid = make_grid(pb.d, config.limit.R, config.limit.n)
-    v0 = config.potential.v0_proxy
-    opts = config.solve_options()
-    w_res = solve_limit(v0, config.nonlinearity, limit_grid, pb.alpha, opts)
-    g = grid_for_epsilon(pb.d, eps, pb.R0, pb.R_cap, pb.h0, config.sweep.point_budget)
-    p = Problem(
-        grid=g, alpha=pb.alpha, eps=eps,
-        potential_field=sample_potential(config.potential, g, eps),
-        nonlinearity=config.nonlinearity,
-    )
+    w_res = limit_state(config)
+    p = problem_for_epsilon(config, eps)
     seed = seed_field(w_res.u, boxes.centers[j - 1], p)
-    res = solve_constrained(p, seed, opts)
+    res = solve_constrained(p, seed, config.solve_options())
     label = classify(res.u, boxes, eps)
     hb = barycenter_h(res.u, 2.0, eps, boxes.L)
     payload = {
@@ -398,72 +369,11 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _concentration_from_stored(stored: dict) -> dict:
-    rows = []
-    for rec in stored["records"]:
-        energies = [b["energy"] for b in rec["branches"]]
-        best = rec["branches"][int(np.argmin(energies))]
-        rows.append(
-            {
-                "eps": rec["eps"],
-                "c_gap": rec["c_eps"] - stored["c_v0"],
-                "v_gap": best["v_at_max"] - stored["v0"],
-                "profile_error": best["profile_error"],
-                "decay_exponent": best["decay_exponent"],
-                "trusted": rec["trusted"],
-            }
-        )
-    flags = {}
-    if len(rows) >= 2:
-        c_gaps = [r["c_gap"] for r in rows]
-        v_gaps = [r["v_gap"] for r in rows]
-        p_errs = [r["profile_error"] for r in rows]
-        flags = {
-            "c_gap_decreasing": all(b < a for a, b in zip(c_gaps, c_gaps[1:])),
-            "v_gap_decreasing": all(b < a for a, b in zip(v_gaps, v_gaps[1:])),
-            "profile_error_decreasing": all(b < a for a, b in zip(p_errs, p_errs[1:])),
-        }
-    return {"rows": rows, "flags": flags}
-
-
 def run_report(config: ExperimentConfig, out_dir: Path) -> int:
     """Regenerate summary.csv and the concentration table from records.json."""
-    rec_path = out_dir / "records.json"
-    if not rec_path.exists():
+    if not (out_dir / "records.json").exists():
         raise OSError(f"no records.json under {out_dir}; run sweep first")
-    with open(rec_path) as fh:
-        stored = json.load(fh)
-    _write_json(out_dir / "concentration.json", _concentration_from_stored(stored))
-    lines = [f"# schema: {SUMMARY_SCHEMA}", ",".join(SUMMARY_COLUMNS)]
-    for rec in stored["records"]:
-        for br in rec["branches"]:
-            row = {
-                "eps": rec["eps"],
-                "branch": br["branch"],
-                "label": br["label"],
-                "converged": br["converged"],
-                "energy": br["energy"],
-                "alpha_bar": br["alpha_bar"],
-                "c_eps": rec["c_eps"],
-                "c_v0": rec["c_v0"],
-                "nehari_residual": br["nehari_residual"],
-                "residual": br["residual"],
-                "negative_mass": br["negative_mass"],
-                "barycenter": ";".join(repr(float(x)) for x in br["barycenter"]),
-                "max_point": ";".join(repr(float(x)) for x in br["max_point"]),
-                "v_at_max": br["v_at_max"],
-                "v_gap": br["v_at_max"] - stored["v0"],
-                "c_gap": rec["c_eps"] - rec["c_v0"],
-                "profile_error": br["profile_error"],
-                "decay_exponent": br["decay_exponent"],
-                "decay_r2": br["decay_r2"],
-                "boundary_mass": br["boundary_mass"],
-                "sigma_member": br["branch"] in rec["sigma_members"],
-                "trusted": rec["trusted"],
-            }
-            lines.append(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_tables(out_dir)
     click.echo(f"regenerated {out_dir / 'summary.csv'}")
     return EXIT_OK
 
@@ -480,8 +390,6 @@ STAGES = {
 def _dispatch(command: str, config_path: str, out, workers: int, seed) -> int:
     t0 = time.perf_counter()
     out_dir = Path(out) if out else None
-    code = EXIT_IO
-    status = "ok"
     try:
         config = load_config(config_path)
         if seed is not None:
@@ -494,39 +402,35 @@ def _dispatch(command: str, config_path: str, out, workers: int, seed) -> int:
         else:
             code = STAGES[command](config, out_dir)
     except ConfigError as exc:
-        status = "config-error"
         click.echo(f"error: {exc}", err=True)
         if out_dir is not None:
             _error_record(out_dir, command, exc)
         return EXIT_VALIDATION
     except FracstatesError as exc:
-        status = "solver-error"
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         if out_dir is not None:
             _error_record(out_dir, command, exc)
         return EXIT_SOLVER
     except OSError as exc:
-        status = "io-error"
         click.echo(f"error: {exc}", err=True)
         if out_dir is not None:
             _error_record(out_dir, command, exc)
         return EXIT_IO
-    finally:
-        if out_dir is not None and status == "ok":
-            try:
-                _write_json(
-                    out_dir / "manifest.json",
-                    {
-                        "tool_version": __version__,
-                        "kernel_backend": _kernels.backend(),
-                        "command": command,
-                        "wall_time_s": time.perf_counter() - t0,
-                        "stages": {command: "ok" if code == EXIT_OK else "validation-failed"},
-                        "config": _load_raw(config_path),
-                    },
-                )
-            except OSError:
-                pass
+    try:
+        _write_json(
+            out_dir / "manifest.json",
+            {
+                "tool_version": __version__,
+                "kernel_backend": _kernels.backend(),
+                "command": command,
+                "rng_seed": config.rng_seed,
+                "wall_time_s": time.perf_counter() - t0,
+                "stages": {command: "ok" if code == EXIT_OK else "validation-failed"},
+                "config": _load_raw(config_path),
+            },
+        )
+    except OSError:
+        pass
     return code
 
 

@@ -76,7 +76,6 @@ class SolveBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "out"
-    formats: tuple = ("csv", "json")
 
 
 @dataclass
@@ -101,7 +100,6 @@ class ExperimentConfig:
             step_shrink=self.sweep.step_shrink,
             sufficient_decrease=self.sweep.sufficient_decrease,
             max_backtracks=self.sweep.max_backtracks,
-            rng_seed=self.rng_seed,
         )
 
     def box_family(self) -> BoxFamily:
@@ -182,7 +180,13 @@ def parse_config(data: dict) -> ExperimentConfig:
             "decay_window",
         ],
     )
+    if not isinstance(sw["epsilons"], list) or not sw["epsilons"]:
+        raise ConfigError("sweep.epsilons: expected a non-empty list")
     eps = tuple(float(e) for e in sw["epsilons"])
+    if min(eps) <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError(
+            f"sweep.epsilons: must be positive and strictly decreasing, got {list(eps)}"
+        )
     window = sw.get("decay_window", (0.2, 0.35))
     sweep = SweepBlock(
         epsilons=eps,
@@ -210,11 +214,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         branch=int(so.get("branch", 1)),
     )
     ob = data.get("output", {})
-    _require(ob, "output", [], ["directory", "formats"])
-    output = OutputBlock(
-        directory=str(ob.get("directory", "out")),
-        formats=tuple(ob.get("formats", ("csv", "json"))),
-    )
+    _require(ob, "output", [], ["directory"])
+    output = OutputBlock(directory=str(ob.get("directory", "out")))
     return ExperimentConfig(
         problem=problem,
         potential=potential,

@@ -200,6 +200,7 @@ class SweepRecord:
     v0: float
     omega: float
     sigma_members: list = dfield(default_factory=list)
+    w_limit: Optional[Field] = None
 
     @property
     def trusted(self) -> bool:
@@ -264,7 +265,44 @@ def build_sweep_record(
         v0=v0,
         omega=omega,
         sigma_members=sigma,
+        w_limit=w_limit,
     )
+
+
+def concentration_row(
+    *,
+    eps: float,
+    c_eps: float,
+    c_v0: float,
+    v_at_max: float,
+    v0: float,
+    profile_err: float,
+    decay_exponent: Optional[float],
+    trusted: bool,
+) -> dict:
+    """One row of the concentration table, from the minimum-energy branch
+    of one epsilon."""
+    return {
+        "eps": eps,
+        "c_gap": c_eps - c_v0,
+        "v_gap": v_at_max - v0,
+        "profile_error": profile_err,
+        "decay_exponent": decay_exponent,
+        "trusted": trusted,
+    }
+
+
+def concentration_table(rows: Sequence[dict]) -> dict:
+    """Rows in epsilon order plus flags telling whether the energy gap, the
+    potential gap and the profile error decrease strictly along them (no
+    flags for fewer than two rows)."""
+    rows = list(rows)
+    flags = {}
+    if len(rows) >= 2:
+        for key in ("c_gap", "v_gap", "profile_error"):
+            vals = [r[key] for r in rows]
+            flags[f"{key}_decreasing"] = all(b < a for a, b in zip(vals, vals[1:]))
+    return {"rows": rows, "flags": flags}
 
 
 def concentration_report(records: Sequence[SweepRecord], c_v0: float, v0: float) -> dict:
@@ -275,26 +313,12 @@ def concentration_report(records: Sequence[SweepRecord], c_v0: float, v0: float)
     """
     rows = []
     for rec in records:
-        i = rec.min_branch_index()
-        diag = rec.diagnostics[i]
+        diag = rec.diagnostics[rec.min_branch_index()]
         rows.append(
-            {
-                "eps": rec.eps,
-                "c_gap": rec.c_eps - c_v0,
-                "v_gap": diag.v_at_max - v0,
-                "profile_error": diag.profile_err,
-                "decay_exponent": diag.decay_exponent,
-                "trusted": rec.trusted,
-            }
+            concentration_row(
+                eps=rec.eps, c_eps=rec.c_eps, c_v0=c_v0, v_at_max=diag.v_at_max, v0=v0,
+                profile_err=diag.profile_err, decay_exponent=diag.decay_exponent,
+                trusted=rec.trusted,
+            )
         )
-    flags = {}
-    if len(rows) >= 2:
-        c_gaps = [r["c_gap"] for r in rows]
-        v_gaps = [r["v_gap"] for r in rows]
-        p_errs = [r["profile_error"] for r in rows]
-        flags = {
-            "c_gap_decreasing": all(b < a for a, b in zip(c_gaps, c_gaps[1:])),
-            "v_gap_decreasing": all(b < a for a, b in zip(v_gaps, v_gaps[1:])),
-            "profile_error_decreasing": all(b < a for a, b in zip(p_errs, p_errs[1:])),
-        }
-    return {"rows": rows, "flags": flags}
+    return concentration_table(rows)

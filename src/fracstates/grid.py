@@ -74,9 +74,6 @@ class Grid:
             raise InvalidInput(f"point {point} is not a grid point")
         return tuple(int(i) % self.n for i in rounded)
 
-    def point_of(self, index) -> np.ndarray:
-        return np.array([self.axis[i] for i in np.atleast_1d(index)])
-
 
 @dataclass
 class Field:
@@ -155,11 +152,6 @@ def norm_lp(u: Field, p: float) -> float:
         raise InvalidInput(f"exponent p must be >= 1, got {p}")
     _check_finite(u)
     return float(u.grid.weight * np.sum(np.abs(u.values) ** p)) ** (1.0 / p)
-
-
-def norm_l2(u: Field) -> float:
-    _check_finite(u)
-    return float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
 
 
 def helmholtz_inverse(v: Field, alpha: float, c: float) -> Field:

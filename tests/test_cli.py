@@ -145,6 +145,7 @@ class TestSweep:
         assert manifest["stages"] == {"sweep": "ok"}
         assert "wall_time_s" in manifest
         assert manifest["config"]["rng_seed"] == 7
+        assert manifest["rng_seed"] == 7
 
     def test_report_regenerates_identical_csv(self, sweep_run):
         tmp, path, out = sweep_run
@@ -214,3 +215,37 @@ class TestExitCodes:
         assert res.exit_code == 3
         err = json.loads((out / "error.json").read_text())
         assert "records.json" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, epsilons",
+        [("solve", []), ("sweep", [0.25, 0.5])],
+        ids=["solve-empty", "sweep-increasing"],
+    )
+    def test_bad_epsilons_are_config_errors(self, tmp_path, command, epsilons):
+        cfg = canonical_config(sweep={"epsilons": epsilons})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli([command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+
+
+class TestManifest:
+    def test_records_seed_override(self, tmp_path):
+        path = write_config(tmp_path, canonical_config())
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out), "--seed", "11"])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rng_seed"] == 11
+
+    def test_no_manifest_when_command_raises(self, tmp_path):
+        path = write_config(tmp_path, canonical_config())
+        out = tmp_path / "out"
+        out.mkdir()
+        # a hand-edited records.json without its branches
+        (out / "records.json").write_text('{"c_v0": 1.0, "v0": 1.0, "records": [{"eps": 0.5}]}')
+        res = run_cli(["report", "--config", str(path), "--out", str(out)])
+        assert isinstance(res.exception, KeyError)
+        assert not (out / "manifest.json").exists()

@@ -19,6 +19,7 @@ from fracstates.solver import (
     grid_for_epsilon,
     solve_constrained,
     solve_limit,
+    sweep_epsilon,
 )
 from fracstates.variational import Problem, ray_argmax_oracle
 
@@ -69,8 +70,8 @@ class TestSolveConstrained:
 
     def test_deterministic_reruns(self, flat_problem):
         seed = gaussian_field(flat_problem.grid, 3.0)
-        a = solve_constrained(flat_problem, seed, SolveOptions(rng_seed=42))
-        b = solve_constrained(flat_problem, seed, SolveOptions(rng_seed=42))
+        a = solve_constrained(flat_problem, seed)
+        b = solve_constrained(flat_problem, seed)
         assert a.iterations == b.iterations
         assert a.energy == b.energy
         assert np.array_equal(a.u.values, b.u.values)
@@ -189,6 +190,26 @@ class TestHigherDimensions:
         assert res.max_point == (0.0, 0.0, 0.0)
 
 
+def _one_well_config(saturable, epsilons, **sweep):
+    """A 1-D single-well experiment config for the given epsilon list."""
+    from fracstates.config import (
+        BoxesBlock,
+        ExperimentConfig,
+        LimitBlock,
+        ProblemBlock,
+        SweepBlock,
+    )
+
+    return ExperimentConfig(
+        problem=ProblemBlock(d=1, alpha=0.5, R0=8.0),
+        potential=single_well_potential(),
+        nonlinearity=saturable,
+        boxes=BoxesBlock(1.0, 4.0, None),
+        sweep=SweepBlock(epsilons=tuple(epsilons), **sweep),
+        limit=LimitBlock(R=20.0, n=160),
+    )
+
+
 class TestSweepEpsilon:
     def test_2d_sweep_record_assembly(self, saturable):
         from fracstates.config import (
@@ -198,7 +219,6 @@ class TestSweepEpsilon:
             ProblemBlock,
             SweepBlock,
         )
-        from fracstates.solver import sweep_epsilon
 
         pot = PotentialSpec(2.0, (Well((1.0 / 3.0, 0.0), 1.0, 2.0),))
         cfg = ExperimentConfig(
@@ -221,45 +241,23 @@ class TestSweepEpsilon:
         assert rec.sigma_members == [1]
 
     def test_empty_list_gives_empty_output(self, saturable):
-        from fracstates.config import (
-            BoxesBlock,
-            ExperimentConfig,
-            LimitBlock,
-            ProblemBlock,
-            SweepBlock,
-        )
-        from fracstates.solver import sweep_epsilon
-
-        cfg = ExperimentConfig(
-            problem=ProblemBlock(d=1, alpha=0.5, R0=8.0),
-            potential=single_well_potential(),
-            nonlinearity=saturable,
-            boxes=BoxesBlock(1.0, 4.0, None),
-            sweep=SweepBlock(epsilons=()),
-            limit=LimitBlock(R=20.0, n=160),
-        )
-        assert sweep_epsilon(cfg) == []
+        assert sweep_epsilon(_one_well_config(saturable, ())) == []
 
     def test_nondecreasing_list_rejected(self, saturable):
-        from fracstates.config import (
-            BoxesBlock,
-            ExperimentConfig,
-            LimitBlock,
-            ProblemBlock,
-            SweepBlock,
-        )
-        from fracstates.solver import sweep_epsilon
-
-        cfg = ExperimentConfig(
-            problem=ProblemBlock(d=1, alpha=0.5, R0=8.0),
-            potential=single_well_potential(),
-            nonlinearity=saturable,
-            boxes=BoxesBlock(1.0, 4.0, None),
-            sweep=SweepBlock(epsilons=(0.25, 0.5)),
-            limit=LimitBlock(R=20.0, n=160),
-        )
         with pytest.raises(InvalidInput):
-            sweep_epsilon(cfg)
+            sweep_epsilon(_one_well_config(saturable, (0.25, 0.5)))
+
+    def test_workers_do_not_change_records(self, saturable):
+        cfg = _one_well_config(saturable, (0.5, 0.25), max_iter=20000)
+        serial = sweep_epsilon(cfg, workers=1)
+        pooled = sweep_epsilon(cfg, workers=2)
+        assert [r.eps for r in pooled] == [0.5, 0.25]
+        assert [r.c_eps for r in pooled] == [r.c_eps for r in serial]
+        assert [[b.label.kind for b in r.branches] for r in pooled] == [
+            [b.label.kind for b in r.branches] for r in serial
+        ]
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a.w_limit.values, b.w_limit.values)
 
 
 class TestDiverged:
