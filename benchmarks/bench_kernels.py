@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark: compiled saturable kernels vs the numpy fallback.
 
-The Nehari bisection calls the rate sum ~80 times per descent iteration,
-which makes these loops the hot non-FFT path of every solve. Run:
+The energy sums run on every line-search trial, and the rate sum once per
+Nehari projection as its final residual check; the projection's Newton pass
+(``nehari_rate_pair``) has no compiled twin and is not compared here. Run:
 
     python benchmarks/bench_kernels.py
 """

@@ -52,6 +52,12 @@ def nehari_rate_sum(u, t, s):
     return _numpy.nehari_rate_sum(np.asarray(u, dtype=float).ravel(), t, s)
 
 
+def nehari_rate_pair(u, tau, s):
+    """(psi, psi') of psi(tau) = sum f(sqrt(tau)*u)*u / sqrt(tau), that is
+    (tau * sum q, sum q/den) with den = 1 + s*tau*u+^2 and q = u+^4/den."""
+    return _numpy.nehari_rate_pair(np.asarray(u, dtype=float).ravel(), tau, s)
+
+
 def energy_sums(u, v, s):
     """(sum v*u^2, sum F(u), sum f(u)*u) over the flat samples."""
     if _COMPILED:

@@ -2,6 +2,8 @@
 
 Semantically identical to the compiled versions in ``_sat_cy.pyx``; used as
 the import-time fallback and for cross-checking the extension.
+``nehari_rate_pair`` has no compiled twin: it is the Newton pass of the
+Nehari projection and always runs here.
 """
 
 import numpy as np
@@ -22,6 +24,14 @@ def nehari_rate_sum(u, t, s):
     tu = t * np.where(u > 0.0, u, 0.0)
     tu2 = tu * tu
     return float(np.sum(tu * tu2 / (1.0 + s * tu2) * u)) / t
+
+
+def nehari_rate_pair(u, tau, s):
+    up = np.where(u > 0.0, u, 0.0)
+    u2 = up * up
+    den = 1.0 + (s * tau) * u2
+    q = u2 * u2 / den
+    return tau * float(np.sum(q)), float(np.sum(q / den))
 
 
 def energy_sums(u, v, s):

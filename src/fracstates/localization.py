@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BoundaryNotSeparating,
     InvalidInput,
+    NotInTheta,
     OverlappingBoxes,
     SeedLeftTheta,
     SeedNotInTheta,
@@ -295,7 +296,7 @@ def _probe_alpha_bar(p: Problem, boxes: BoxFamily, w_limit: Field, center) -> Op
             try:
                 psi = seed_field(w_limit, y, p)
                 _, proj = project_to_nehari(p, psi)
-            except (SeedLeftTheta, SeedNotInTheta, ZeroField):
+            except (SeedLeftTheta, NotInTheta, ZeroField):
                 continue
             energies.append(energy(p, proj).total)
     return min(energies) if energies else None

@@ -9,6 +9,7 @@ f(t) = t^3/(1+s*t^2) (zero for t <= 0, asymptotic slope 1/s) or a custom
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -246,27 +247,42 @@ class NonlinearitySpec:
 
     # -- array evaluation ---------------------------------------------------
 
+    def _custom(self, t, *funcs):
+        """The custom callables elementwise, zeroed for t <= 0."""
+        t = np.asarray(t, dtype=float)
+        pos = t > 0.0
+        tp = np.where(pos, t, 0.0)
+        return tuple(np.where(pos, fn(tp), 0.0) for fn in funcs)
+
     def triple(self, t):
         """(f, f', F) elementwise on an array."""
         if self.kind == "saturable":
             return _kernels.saturable_triple(t, self.s)
-        t = np.asarray(t, dtype=float)
-        pos = t > 0.0
-        tp = np.where(pos, t, 0.0)
-        return (
-            np.where(pos, self._f(tp), 0.0),
-            np.where(pos, self._fprime(tp), 0.0),
-            np.where(pos, self._big_f(tp), 0.0),
-        )
+        return self._custom(t, self._f, self._fprime, self._big_f)
 
     def f(self, t):
-        return self.triple(t)[0]
+        if self.kind == "saturable":
+            return self.triple(t)[0]
+        return self._custom(t, self._f)[0]
 
     def rate_sum(self, u_flat: np.ndarray, t: float) -> float:
         """sum f(t*u)*u / t, the scaled Nehari pairing."""
         if self.kind == "saturable":
             return _kernels.nehari_rate_sum(u_flat, t, self.s)
         return float(np.dot(self.f(t * u_flat), u_flat)) / t
+
+    def rate_pair(self, u_flat: np.ndarray, tau: float):
+        """(psi, psi') in one pass, psi(tau) = rate_sum(u, sqrt(tau)).
+
+        For the custom kind psi' = (sum f'(tu)u^2 - psi)/(2 tau) at
+        t = sqrt(tau), from f and f' only.
+        """
+        if self.kind == "saturable":
+            return _kernels.nehari_rate_pair(u_flat, tau, self.s)
+        t = math.sqrt(tau)
+        fv, fpv = self._custom(t * u_flat, self._f, self._fprime)
+        psi = float(np.dot(fv, u_flat)) / t
+        return psi, (float(np.dot(fpv, u_flat * u_flat)) - psi) / (2.0 * tau)
 
     def energy_sums(self, u_flat: np.ndarray, v_flat: np.ndarray):
         """(sum V*u^2, sum F(u), sum f(u)*u) without the quadrature weight."""

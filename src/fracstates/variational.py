@@ -11,15 +11,15 @@ makes g(t) = |u|^2_eps - int f(tu)u/t strictly decreasing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, NonFinite, NotInTheta, ZeroField
+from .errors import InvalidInput, NonFinite, NonpositivePotential, NotInTheta, ZeroField
 from .grid import Field, Grid, apply_frac_laplacian, gagliardo_sq
 from .models import NonlinearitySpec
-from .errors import NonpositivePotential
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,21 @@ class NehariProjection(NamedTuple):
     projected: Field
 
 
-def project_to_nehari(
-    p: Problem,
-    u: Field,
-    tol: float = 1e-10,
-    max_doublings: int = 60,
-    bisect_iters: int = 80,
-) -> NehariProjection:
-    """Unique t* > 0 with J(t* u) = 0, by bracketed bisection on
-    g(t) = |u|^2_eps - int f(tu)u/t; raises NotInTheta when no ray point
+# cap on (psi, psi') passes, after which the residual check decides; a descent
+# step typically needs 2-4
+_MAX_EVALS = 100
+
+
+def project_to_nehari(p: Problem, u: Field, tol: float = 1e-10) -> NehariProjection:
+    """Unique t* > 0 with J(t* u) = 0; raises NotInTheta when no ray point
     exists (Q(u) >= 0, or insufficient positive-part mass for signed u).
+
+    With tau = t^2 the root solves G(tau) = |u|^2_eps - h^d psi(tau) = 0,
+    psi(tau) = int f(tu)u/t. Safeguarded Newton from tau = 1, one fused
+    (psi, psi') pass per step: [lo, hi] brackets the root by the sign of G,
+    and a step leaving it falls back to bisection (doubling while hi is
+    open). For the saturable law psi is increasing and concave, so Newton
+    converges monotonically after its first step.
     """
     w = p.grid.weight
     if not np.any(u.values):
@@ -134,27 +139,28 @@ def project_to_nehari(
             "positive-part mass too small: g(t) stays positive along the ray"
         )
 
-    def g(t: float) -> float:
-        return nsq - w * p.nonlinearity.rate_sum(u.values, t)
-
-    t_lo, t_hi = 1e-6, 1.0
-    k = 0
-    while g(t_hi) >= 0:
-        t_hi *= 2.0
-        k += 1
-        if k > max_doublings:
-            raise NotInTheta("bracket expansion failed: g never becomes negative")
-    for _ in range(bisect_iters):
-        mid = 0.5 * (t_lo + t_hi)
-        if g(mid) > 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t_star = 0.5 * (t_lo + t_hi)
-    residual = t_star * t_star * g(t_star)
+    lo, hi, tau = 0.0, math.inf, 1.0
+    for _ in range(_MAX_EVALS):
+        psi, dpsi = p.nonlinearity.rate_pair(u.values, tau)
+        big_g = nsq - w * psi
+        if big_g == 0.0:
+            break
+        if big_g > 0.0:
+            lo = tau
+        else:  # negative or NaN: the root lies below
+            hi = tau
+        nxt = tau + big_g / (w * dpsi) if dpsi > 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 2.0 * tau if hi == math.inf else 0.5 * (lo + hi)
+        done = abs(nxt - tau) <= 4.0 * math.ulp(tau)
+        tau = nxt
+        if done:
+            break
+    t_star = math.sqrt(tau)
+    residual = t_star * t_star * (nsq - w * p.nonlinearity.rate_sum(u.values, t_star))
     if abs(residual) > tol * nsq:
         raise NotInTheta(
-            f"bisection stalled: |J(t* u)| = {abs(residual):.3g} exceeds tolerance"
+            f"Newton projection stalled: |J(t* u)| = {abs(residual):.3g} exceeds tolerance"
         )
     return NehariProjection(t_star, Field(p.grid, t_star * u.values))
 
@@ -166,7 +172,7 @@ class RayScan(NamedTuple):
 
 def ray_argmax_oracle(p: Problem, u: Field, t_max: float, steps: int) -> RayScan:
     """Brute-force argmax of t -> I(tu) on a uniform t-grid; test oracle for
-    the bisection projection. interior=False flags a boundary maximum."""
+    the Nehari projection. interior=False flags a boundary maximum."""
     if steps < 100:
         raise InvalidInput(f"need at least 100 steps, got {steps}")
     if t_max <= 0:

@@ -138,7 +138,7 @@ def test_criterion_3_projection_vs_oracle(small_problem):
             pass
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
-    assert _verdict(3, ok, f"(bisection vs ray search, 100 fields, {elapsed:.1f}s)")
+    assert _verdict(3, ok, f"(Newton projection vs ray search, 100 fields, {elapsed:.1f}s)")
 
 
 def test_criterion_4_limit_monotonicity(saturable):

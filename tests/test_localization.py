@@ -8,6 +8,7 @@ from conftest import double_well_potential, gaussian_field, single_well_potentia
 from fracstates.errors import (
     BoundaryNotSeparating,
     InvalidInput,
+    NotInTheta,
     OverlappingBoxes,
     SeedLeftTheta,
     ZeroField,
@@ -24,7 +25,7 @@ from fracstates.localization import (
 )
 from fracstates.models import PotentialSpec, Well, sample_potential
 from fracstates.solver import SolveOptions, grid_for_epsilon, solve_constrained
-from fracstates.variational import Problem, theta_defect
+from fracstates.variational import Problem, energy, project_to_nehari, theta_defect
 
 
 def _eps_problem(potential, eps, saturable, R0=16.0):
@@ -244,3 +245,38 @@ class TestSolveBranches:
         seed = seed_field(limit_state.u, (1.0 / 3.0,), p)
         direct = solve_constrained(p, seed, SolveOptions(max_iter=20000))
         assert ex.branches[0].alpha_energy == pytest.approx(direct.energy, rel=1e-12)
+
+
+class TestProbeAlphaBar:
+    def test_inadmissible_probe_is_skipped(self, saturable, limit_state, monkeypatch):
+        import fracstates.localization as loc
+
+        pot = double_well_potential()
+        p = _eps_problem(pot, 0.25, saturable)
+        boxes = build_boxes(pot, 1.0, 4.0)
+        center = boxes.centers[0]
+        w = limit_state.u
+        # probes in call order: a^1 - l, then a^1 + l
+        probes = [
+            energy(p, project_to_nehari(p, seed_field(w, (center[0] + sgn * boxes.l,), p))[1]).total
+            for sgn in (-1.0, 1.0)
+        ]
+        assert loc._probe_alpha_bar(p, boxes, w, center) == min(probes)
+
+        failing = int(np.argmin(probes))
+        calls = []
+
+        def one_fails(problem, u):
+            calls.append(u)
+            if len(calls) - 1 == failing:
+                raise NotInTheta("positive-part mass too small")
+            return project_to_nehari(problem, u)
+
+        monkeypatch.setattr(loc, "project_to_nehari", one_fails)
+        assert loc._probe_alpha_bar(p, boxes, w, center) == probes[1 - failing]
+
+        def all_fail(problem, u):
+            raise NotInTheta("positive-part mass too small")
+
+        monkeypatch.setattr(loc, "project_to_nehari", all_fail)
+        assert loc._probe_alpha_bar(p, boxes, w, center) is None

@@ -7,10 +7,12 @@ from conftest import gaussian_field, random_theta_field
 from fracstates.errors import NotInTheta, ZeroField
 from fracstates.grid import Field, gagliardo_sq, inner_l2, make_grid
 from fracstates.models import NonlinearitySpec
+from fracstates.solver import SolveOptions, solve_constrained
 from fracstates.variational import (
     Problem,
     energy,
     gradient,
+    norm_eps_sq,
     project_to_nehari,
     ray_argmax_oracle,
     theta_defect,
@@ -30,6 +32,54 @@ def _const_problem(grid, alpha, level, nonlinearity):
 def _zero_nonlinearity():
     zero = lambda t: 0.0 * t
     return NonlinearitySpec.custom(zero, zero, zero, l0=0.0, q=3.0, C0=1.0)
+
+
+def _with_nonlinearity(p, nonlinearity):
+    return Problem(p.grid, p.alpha, p.eps, p.potential_field, nonlinearity)
+
+
+def _reference_t_star(p, u):
+    """Root of g(t) = |u|^2_eps - int f(tu)u/t by plain bisection: double the
+    upper end until g < 0, then 80 halvings from [1e-6, t_hi]."""
+    w = p.grid.weight
+    nsq = norm_eps_sq(p, u)
+
+    def g(t):
+        return nsq - w * p.nonlinearity.rate_sum(u.values, t)
+
+    lo, hi = 1e-6, 1.0
+    while g(hi) >= 0:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _steep_law():
+    """f(t) = 2.5 t^5/(1+t^4): psi(tau) = int f(tu)u/t is convex near 0."""
+    return NonlinearitySpec.custom(
+        lambda t: 2.5 * t**5 / (1.0 + t**4),
+        lambda t: 2.5 * t**4 * (5.0 + t**4) / (1.0 + t**4) ** 2,
+        lambda t: 1.25 * (t * t - np.arctan(t * t)),
+        l0=2.5,
+        q=6.0,
+        C0=10.0,
+    )
+
+
+def _saturable_as_custom(s):
+    return NonlinearitySpec.custom(
+        lambda t: t**3 / (1.0 + s * t * t),
+        lambda t: t * t * (3.0 + s * t * t) / (1.0 + s * t * t) ** 2,
+        lambda t: t * t / (2.0 * s) - np.log1p(s * t * t) / (2.0 * s * s),
+        l0=1.0 / s,
+        q=2.5,
+        C0=9.0 / (8.0 * s),
+    )
 
 
 class TestEnergy:
@@ -189,6 +239,82 @@ class TestProjection:
             )
             assert np.all(np.diff(g_vals) < 0)
             assert np.sum(np.sign(g_vals[:-1]) != np.sign(g_vals[1:])) == 1
+
+    def test_matches_reference_bisection(self, small_problem):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            u = random_theta_field(small_problem, rng)
+            t_star, _ = project_to_nehari(small_problem, u)
+            assert t_star == pytest.approx(_reference_t_star(small_problem, u), rel=1e-13)
+
+    def test_few_passes_per_projection(self, small_problem, monkeypatch):
+        """Every projection of a descent costs at most 8 nonlinearity passes
+        (Newton steps plus the residual check)."""
+        import fracstates.solver as solver_mod
+
+        calls = [0]
+        for name in ("rate_pair", "rate_sum"):
+
+            def counted(self, *args, _orig=getattr(NonlinearitySpec, name)):
+                calls[0] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(NonlinearitySpec, name, counted)
+        per_projection = []
+
+        def counted_projection(*args, **kwargs):
+            before = calls[0]
+            out = project_to_nehari(*args, **kwargs)
+            per_projection.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(solver_mod, "project_to_nehari", counted_projection)
+        rng = np.random.default_rng(26)
+        _, seed = project_to_nehari(small_problem, random_theta_field(small_problem, rng))
+        solve_constrained(small_problem, seed, SolveOptions(max_iter=100))
+        assert len(per_projection) > 100
+        assert max(per_projection) <= 8
+
+    def test_convex_start_uses_fallback(self, small_problem, monkeypatch):
+        p = _with_nonlinearity(small_problem, _steep_law())
+        w = p.grid.weight
+        evals = []
+        orig = NonlinearitySpec.rate_pair
+
+        def recorded(self, u_flat, tau):
+            out = orig(self, u_flat, tau)
+            evals[-1].append((tau, *out))
+            return out
+
+        monkeypatch.setattr(NonlinearitySpec, "rate_pair", recorded)
+        rng = np.random.default_rng(27)
+        fallbacks = 0
+        for _ in range(10):
+            u = Field(p.grid, 0.3 * random_theta_field(p, rng).values)
+            nsq = norm_eps_sq(p, u)
+            evals.append([])
+            t_star, proj = project_to_nehari(p, u)
+            # count evaluations that are not the Newton iterate of the previous one
+            for (tau, psi, dpsi), (nxt, _, _) in zip(evals[-1], evals[-1][1:]):
+                fallbacks += nxt != tau + (nsq - w * psi) / (w * dpsi)
+            rep = energy(p, proj)
+            assert abs(rep.nehari_residual) <= 1e-10 * rep.norm_eps_sq
+            assert t_star == pytest.approx(_reference_t_star(p, u), rel=1e-13)
+        assert fallbacks > 0
+
+    def test_saturable_kernel_matches_custom_triple(self, small_problem):
+        s = small_problem.nonlinearity.s
+        custom = _with_nonlinearity(small_problem, _saturable_as_custom(s))
+        rng = np.random.default_rng(28)
+        for _ in range(5):
+            u = random_theta_field(small_problem, rng)
+            for tau in (0.3, 1.0, 4.0):
+                kernel = small_problem.nonlinearity.rate_pair(u.values, tau)
+                triple = custom.nonlinearity.rate_pair(u.values, tau)
+                assert kernel == pytest.approx(triple, rel=1e-13)
+            t_kernel, _ = project_to_nehari(small_problem, u)
+            t_triple, _ = project_to_nehari(custom, u)
+            assert t_kernel == pytest.approx(t_triple, rel=1e-13)
 
 
 class TestRayOracle:
