@@ -288,7 +288,7 @@ class NonlinearitySpec:
         """(sum V*u^2, sum F(u), sum f(u)*u) without the quadrature weight."""
         if self.kind == "saturable":
             return _kernels.energy_sums(u_flat, v_flat, self.s)
-        fv, _, big = self.triple(u_flat)
+        fv, big = self._custom(u_flat, self._f, self._big_f)
         return (
             float(np.dot(v_flat, u_flat * u_flat)),
             float(np.sum(big)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracstates.errors import NonpositivePotential
-from fracstates.grid import make_grid
+from fracstates.grid import Field, make_grid
 from fracstates.models import (
     NonlinearitySpec,
     PotentialSpec,
@@ -191,3 +191,33 @@ class TestSaturableInvariants:
         t = np.geomspace(1e-2, 50, 200)
         f, fp, _ = spec.triple(t)
         assert np.all(t * fp > f)
+
+
+class TestCustomEnergySums:
+    def test_energy_skips_fprime(self, small_problem):
+        from fracstates.variational import Problem, energy
+
+        s = 0.4
+        calls = []
+
+        def fprime(t):
+            calls.append(t.size)
+            return t * t * (3.0 + s * t * t) / (1.0 + s * t * t) ** 2
+
+        spec = NonlinearitySpec.custom(
+            lambda t: t**3 / (1.0 + s * t * t),
+            fprime,
+            lambda t: t * t / (2.0 * s) - np.log1p(s * t * t) / (2.0 * s * s),
+            l0=1.0 / s, q=2.5, C0=9.0 / (8.0 * s),
+        )
+        base = small_problem
+        p = Problem(base.grid, base.alpha, base.eps, base.potential_field, spec)
+        u = np.exp(-0.1 * p.grid.axis**2) * (1.0 + 0.5 * np.sin(p.grid.axis))
+        u -= 0.2  # negative values exercise the t <= 0 branch
+        energy(p, Field(p.grid, u))
+        assert calls == []
+
+        v = p.potential_field.values
+        fv, _, big = spec.triple(u)
+        expected = (float(np.dot(v, u * u)), float(np.sum(big)), float(np.dot(fv, u)))
+        assert spec.energy_sums(u, v) == expected

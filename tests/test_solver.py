@@ -260,6 +260,45 @@ class TestSweepEpsilon:
             assert np.array_equal(a.w_limit.values, b.w_limit.values)
 
 
+class TestBarzilaiBorweinStep:
+    """The descent starts each line search at the BB2 step."""
+
+    def test_flat_problem_iterations(self, converged):
+        # the unit-step descent takes 53 iterations to the same energy
+        assert converged.iterations <= 30
+
+    def test_ladder_iterations_and_energies(self, saturable):
+        # unit-step descent: 252 / 684 / 2143 iterations to these energies
+        unit_step_energies = (3.2791747924620758, 3.034479763011255, 2.950508706590491)
+        records = sweep_epsilon(
+            _one_well_config(saturable, (0.5, 0.25, 0.125), max_iter=20000)
+        )
+        for rec, e_ref in zip(records, unit_step_energies):
+            for br in rec.branches:
+                assert br.result.converged
+                assert br.result.iterations <= 300
+            assert rec.c_eps == pytest.approx(e_ref, rel=1e-12)
+
+    def test_long_trial_steps_are_shrunk(self, flat_problem, monkeypatch):
+        import fracstates.solver as solver
+
+        calls = []
+        project = solver.project_to_nehari
+
+        def counting(p, u):
+            calls.append(1)
+            return project(p, u)
+
+        monkeypatch.setattr(solver, "project_to_nehari", counting)
+        res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
+        assert res.converged
+        # one projection of the seed plus one per accepted step: any more
+        # means a BB trial step was rejected and shrunk
+        assert len(calls) > res.iterations + 1
+        e = np.array(res.energy_history)
+        assert np.all(np.diff(e) <= 1e-12 * (1 + np.abs(e[:-1])))
+
+
 class TestDiverged:
     def test_unreachable_step_raises(self, flat_problem):
         from fracstates.errors import Diverged
