@@ -45,6 +45,11 @@ def saturable_triple(t, s):
     return _numpy.saturable_triple(t, s)
 
 
+def saturable_f(t, s):
+    """f(t) elementwise for the saturable nonlinearity, without f' and F."""
+    return _numpy.saturable_f(t, s)
+
+
 def nehari_rate_sum(u, t, s):
     """sum f(t*u)*u / t over the flat samples."""
     if _COMPILED:

@@ -2,8 +2,9 @@
 
 Semantically identical to the compiled versions in ``_sat_cy.pyx``; used as
 the import-time fallback and for cross-checking the extension.
-``nehari_rate_pair`` has no compiled twin: it is the Newton pass of the
-Nehari projection and always runs here.
+``nehari_rate_pair`` (the Newton pass of the Nehari projection) and
+``saturable_f`` (f alone, for the gradient) have no compiled twins and always
+run here.
 """
 
 import numpy as np
@@ -18,6 +19,14 @@ def saturable_triple(t, s):
     fp = t2 * (3.0 + s * t2) / (den * den)
     big_f = t2 / (2.0 * s) - np.log(den) / (2.0 * s * s)
     return f, fp, big_f
+
+
+def saturable_f(t, s):
+    """f of saturable_triple, by the same operations, without f' and F."""
+    t = np.asarray(t, dtype=float)
+    tp = np.where(t > 0.0, t, 0.0)
+    t2 = tp * tp
+    return tp * t2 / (1.0 + s * t2)
 
 
 def nehari_rate_sum(u, t, s):

@@ -11,7 +11,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .localization import BoxFamily, build_boxes
 from .models import NonlinearitySpec, PotentialSpec, Well
 from .solver import SolveOptions
@@ -216,7 +216,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     ob = data.get("output", {})
     _require(ob, "output", [], ["directory"])
     output = OutputBlock(directory=str(ob.get("directory", "out")))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         problem=problem,
         potential=potential,
         nonlinearity=nonlinearity,
@@ -228,6 +228,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         rng_seed=int(data.get("rng_seed", 0)),
         raw=data,
     )
+    try:
+        config.solve_options()
+    except InvalidInput as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

@@ -6,6 +6,11 @@ axis (even), spacing h = 2R/n, wavenumbers xi_k = pi*k/R for k in
 [-n/2, n/2). The multiplier of the fractional Laplacian of order alpha is
 |xi|^(2*alpha) with the zero mode annihilated exactly, so constants are in
 its kernel and quadratic forms pair consistently with the rectangle rule.
+Each grid builds that multiplier once per alpha and keeps it read-only;
+apply_frac_laplacian and helmholtz_inverse both use it. Since
+(-Lap)^a ((-Lap)^a + c)^-1 = I - c ((-Lap)^a + c)^-1, a caller holding
+w = helmholtz_inverse(v, alpha, c) gets (-Lap)^a w = v - c w without a
+further transform; the descent loop relies on this.
 """
 
 from __future__ import annotations
@@ -54,16 +59,26 @@ class Grid:
         return list(np.meshgrid(*([self.axis] * self.d), indexing="ij"))
 
     @cached_property
-    def _xi_sq(self) -> np.ndarray:
-        """|xi|^2 on the real-transform layout (last axis halved)."""
-        full = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
-        half = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
-        axes = [full] * (self.d - 1) + [half]
-        parts = np.meshgrid(*axes, indexing="ij")
-        out = np.zeros_like(parts[0])
-        for p in parts:
-            out += p * p
-        return out
+    def _multipliers(self) -> dict:
+        return {}
+
+    def _multiplier(self, alpha: float) -> np.ndarray:
+        """|xi|^(2*alpha) on the real-transform layout (last axis halved),
+        zero mode 0; built once per alpha and read-only."""
+        mult = self._multipliers.get(alpha)
+        if mult is None:
+            full = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+            half = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
+            axes = [full] * (self.d - 1) + [half]
+            parts = np.meshgrid(*axes, indexing="ij")
+            xi_sq = np.zeros_like(parts[0])
+            for p in parts:
+                xi_sq += p * p
+            mult = xi_sq**alpha
+            mult.flat[0] = 0.0
+            mult.flags.writeable = False
+            self._multipliers[alpha] = mult
+        return mult
 
     def index_of(self, point) -> tuple:
         """Grid index of a point that must lie on the grid (within 1e-9*h)."""
@@ -128,9 +143,7 @@ def apply_frac_laplacian(u: Field, alpha: float) -> Field:
     _check_alpha(alpha)
     g = u.grid
     uhat = np.fft.rfftn(u.shaped)
-    mult = g._xi_sq**alpha
-    mult.flat[0] = 0.0
-    out = np.fft.irfftn(uhat * mult, s=g.shape, axes=range(g.d))
+    out = np.fft.irfftn(uhat * g._multiplier(alpha), s=g.shape, axes=range(g.d))
     return Field(g, out)
 
 
@@ -155,16 +168,22 @@ def norm_lp(u: Field, p: float) -> float:
 
 
 def helmholtz_inverse(v: Field, alpha: float, c: float) -> Field:
-    """Solve ((-Lap)^alpha + c) w = v exactly in Fourier space."""
+    """Solve ((-Lap)^alpha + c) w = v exactly in Fourier space.
+
+    Raises NonFinite when v has a NaN or Inf sample, or samples so large
+    that their sum overflows.
+    """
     if c <= 0:
         raise NonpositiveShift(f"shift must be positive, got {c}")
-    _check_finite(v)
     _check_alpha(alpha)
     g = v.grid
-    vhat = np.fft.rfftn(v.shaped)
-    mult = g._xi_sq**alpha
-    mult.flat[0] = 0.0
-    out = np.fft.irfftn(vhat / (mult + c), s=g.shape, axes=range(g.d))
+    # the zero mode sums every sample, so a NaN or Inf sample leaves it
+    # non-finite: one scalar test instead of a pass over v
+    with np.errstate(invalid="ignore"):
+        vhat = np.fft.rfftn(v.shaped)
+    if not np.isfinite(vhat.flat[0]):
+        raise NonFinite("field contains NaN or Inf")
+    out = np.fft.irfftn(vhat / (g._multiplier(alpha) + c), s=g.shape, axes=range(g.d))
     return Field(g, out)
 
 

@@ -262,7 +262,7 @@ class NonlinearitySpec:
 
     def f(self, t):
         if self.kind == "saturable":
-            return self.triple(t)[0]
+            return _kernels.saturable_f(t, self.s)
         return self._custom(t, self._f)[0]
 
     def rate_sum(self, u_flat: np.ndarray, t: float) -> float:

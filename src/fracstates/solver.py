@@ -14,6 +14,17 @@ differences of the last two projected iterates and of their gradients
 pairing is not positive, starts from step_init instead. A unit-step start
 contracts the soft translational mode of V(eps x) by only 1 - O(eps^2) per
 iteration, so the BB2 start is what keeps small-eps solves short.
+
+The loop carries Lu = (-Lap)^a u across iterations instead of transforming
+u again: the gradient is Lu + V u - f(u), and the preconditioned direction
+d = ((-Lap)^a + c)^-1 g is the only transform pair of an iteration. Since
+(-Lap)^a d = g - c d exactly, the seminorm of every trial u - sigma d is a
+quadratic in sigma whose coefficients are dot products formed once per
+iteration, and the ray scaling [t v]^2 = t^2 [v]^2 carries it through the
+projection and the trial energy; an accepted step updates
+Lu <- t* (Lu - sigma (g - c d)). No certificate rests on that recurrence:
+a residual that passes the tolerance is tested again with Lu recomputed by
+FFT, and the returned energy report and residual are computed afresh.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from .errors import (
     ZeroField,
 )
 from . import _kernels
-from .grid import Field, Grid, helmholtz_inverse, make_grid
+from .grid import Field, Grid, apply_frac_laplacian, helmholtz_inverse, make_grid
 from .models import NonlinearitySpec, sample_potential
 from .variational import (
     EnergyReport,
@@ -42,7 +53,6 @@ from .variational import (
     energy,
     gradient,
     project_to_nehari,
-    theta_defect,
 )
 
 
@@ -65,6 +75,14 @@ class SolveOptions:
             raise InvalidInput("max_iter must be at least 1")
         if self.tol_residual <= 0:
             raise InvalidInput("tol_residual must be positive")
+        if not self.step_init > 0:
+            raise InvalidInput("step_init must be positive")
+        if not 0 < self.step_shrink < 1:
+            raise InvalidInput("step_shrink must lie in (0, 1)")
+        if not 0 < self.sufficient_decrease < 1:
+            raise InvalidInput("sufficient_decrease must lie in (0, 1)")
+        if self.max_backtracks < 1:
+            raise InvalidInput("max_backtracks must be at least 1")
 
 
 @dataclass
@@ -115,7 +133,10 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     Each line search starts at the clamped BB2 step of the two latest
     iterates (step_init at the first iteration or when a BB2 pairing is not
     positive) and shrinks it by step_shrink until the Armijo test holds.
-    Raises SeedNotInTheta when the seed's defect is nonnegative, Diverged
+    Trials take their seminorms from the carried (-Lap)^a u and make no
+    FFT; convergence is certified with a freshly transformed one.
+    Raises SeedNotInTheta when the seed's ray never meets the Nehari
+    manifold (nonnegative defect, or too little positive mass), Diverged
     when the backtracking line search cannot find any decrease while the
     residual is still above tolerance. Hitting max_iter returns the best
     iterate with converged=False.
@@ -123,17 +144,20 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     opts = opts or SolveOptions()
     if not np.any(seed.values):
         raise ZeroField("seed is identically zero")
-    if theta_defect(p, seed) >= 0:
-        raise SeedNotInTheta("seed has nonnegative theta defect")
     shift = opts.precond_shift
     if shift is None:
         shift = float(np.mean(p.potential_field.values))
+    w = p.grid.weight
 
+    # lu carries (-Lap)^a u; the seed's is the only one taken by FFT
+    lu = apply_frac_laplacian(seed, p.alpha).values
+    semi = w * float(np.dot(seed.values, lu))
     try:
-        t0, u = project_to_nehari(p, seed)
+        t0, u = project_to_nehari(p, seed, semi=semi)
     except NotInTheta as exc:
         raise SeedNotInTheta(str(exc)) from exc
-    rep = energy(p, u)
+    lu *= t0
+    rep = energy(p, u, semi=t0 * t0 * semi)
     t_hist = [t0]
     e_hist = [rep.total]
     best_u, best_total = u, rep.total
@@ -141,15 +165,21 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
 
     prev = None  # (u, g, d, <u,g>, <g,d>) of the previous accepted iterate
     for it in range(1, opts.max_iter + 1):
-        grad = gradient(p, u)
+        grad = gradient(p, u, lu=lu)
         residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
         if residual <= opts.tol_residual:
-            return _finish(p, u, it - 1, True, residual, t_hist, e_hist)
+            # certify with a fresh (-Lap)^a u, free of recurrence drift;
+            # if that fails, descend on from the fresh one
+            lu = apply_frac_laplacian(u, p.alpha).values
+            grad = gradient(p, u, lu=lu)
+            residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
+            if residual <= opts.tol_residual:
+                return _finish(p, u, it - 1, True, residual, t_hist, e_hist)
 
         direction = helmholtz_inverse(grad, p.alpha, shift)
         uv, gv, dv = u.values, grad.values, direction.values
         ug, gd = float(np.dot(uv, gv)), float(np.dot(gv, dv))
-        slope = -p.grid.weight * gd  # negative
+        slope = -w * gd  # negative
 
         sigma = opts.step_init
         if prev is not None:
@@ -164,21 +194,32 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         # drop the previous arrays so that the line search holds no more
         # arrays than a unit-step search would
         prev = pu = pg = pd = None
+        # (-Lap)^a d = g - c d exactly, so the trial seminorm is the
+        # quadratic [u - sigma d]^2 = a0 - 2 sigma a1 + sigma^2 a2
+        a0 = w * float(np.dot(uv, lu))
+        a1 = w * (ug - shift * float(np.dot(uv, dv)))
+        a2 = w * (gd - shift * float(np.dot(dv, dv)))
         accepted = False
         # near the minimum the Armijo decrease drops below the rounding
         # noise of the energy sums; the floor keeps steps acceptable there
         floor = 1e-13 * (1.0 + abs(rep.total))
         for _ in range(opts.max_backtracks):
             trial = Field(p.grid, uv - sigma * dv)
+            semi = a0 - sigma * (2.0 * a1 - sigma * a2)
             try:
-                t_star, proj = project_to_nehari(p, trial)
+                t_star, proj = project_to_nehari(p, trial, semi=semi)
             except (NotInTheta, ZeroField):
                 sigma *= opts.step_shrink
                 continue
-            rep_new = energy(p, proj)
+            trial = None  # frees its array while the energy is evaluated
+            rep_new = energy(p, proj, semi=t_star * t_star * semi)
             if rep_new.total <= rep.total + opts.sufficient_decrease * sigma * slope + floor:
                 prev = (uv, gv, dv, ug, gd)
                 u, rep = proj, rep_new
+                # (-Lap)^a (t* (u - sigma d)) = t* (lu - sigma g + sigma c d)
+                lu -= sigma * gv
+                lu += (sigma * shift) * dv
+                lu *= t_star
                 if rep.total < best_total:
                     best_u, best_total = u, rep.total
                 t_hist.append(t_star)

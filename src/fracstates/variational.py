@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,10 +57,15 @@ class EnergyReport:
         return 2.0 * (self.seminorm_part + self.potential_part)
 
 
-def energy(p: Problem, u: Field) -> EnergyReport:
-    """All parts of I(u) plus the Nehari residual J and the defect Q."""
+def energy(p: Problem, u: Field, semi: Optional[float] = None) -> EnergyReport:
+    """All parts of I(u) plus the Nehari residual J and the defect Q.
+
+    semi, when given, is the seminorm [u]^2 = <u, (-Lap)^a u> already known
+    to the caller; otherwise it is computed by FFT.
+    """
     w = p.grid.weight
-    semi = gagliardo_sq(u, p.alpha)
+    if semi is None:
+        semi = gagliardo_sq(u, p.alpha)
     pot_sum, f_int, fu_sum = p.nonlinearity.energy_sums(
         u.values, p.potential_field.values
     )
@@ -78,18 +83,25 @@ def energy(p: Problem, u: Field) -> EnergyReport:
     return report
 
 
-def gradient(p: Problem, u: Field) -> Field:
-    """Plain L2 gradient (-Lap)^a u + V(eps x) u - f(u)."""
-    lap = apply_frac_laplacian(u, p.alpha)
-    out = lap.values + p.potential_field.values * u.values - p.nonlinearity.f(u.values)
+def gradient(p: Problem, u: Field, lu: Optional[np.ndarray] = None) -> Field:
+    """Plain L2 gradient (-Lap)^a u + V(eps x) u - f(u).
+
+    lu, when given, holds the flat values of (-Lap)^a u already known to the
+    caller; otherwise they are computed by FFT.
+    """
+    if lu is None:
+        lu = apply_frac_laplacian(u, p.alpha).values
+    out = lu + p.potential_field.values * u.values - p.nonlinearity.f(u.values)
     if not np.all(np.isfinite(out)):
         raise NonFinite("gradient produced NaN or Inf")
     return Field(p.grid, out)
 
 
-def norm_eps_sq(p: Problem, u: Field) -> float:
-    """[u]^2_alpha + int V(eps x) u^2."""
-    semi = gagliardo_sq(u, p.alpha)
+def norm_eps_sq(p: Problem, u: Field, semi: Optional[float] = None) -> float:
+    """[u]^2_alpha + int V(eps x) u^2, with [u]^2_alpha computed by FFT
+    unless given as semi."""
+    if semi is None:
+        semi = gagliardo_sq(u, p.alpha)
     return semi + p.grid.weight * float(
         np.dot(p.potential_field.values, u.values * u.values)
     )
@@ -111,9 +123,12 @@ class NehariProjection(NamedTuple):
 _MAX_EVALS = 100
 
 
-def project_to_nehari(p: Problem, u: Field, tol: float = 1e-10) -> NehariProjection:
+def project_to_nehari(
+    p: Problem, u: Field, tol: float = 1e-10, semi: Optional[float] = None
+) -> NehariProjection:
     """Unique t* > 0 with J(t* u) = 0; raises NotInTheta when no ray point
     exists (Q(u) >= 0, or insufficient positive-part mass for signed u).
+    semi, when given, is the known seminorm [u]^2, which spares the FFT.
 
     With tau = t^2 the root solves G(tau) = |u|^2_eps - h^d psi(tau) = 0,
     psi(tau) = int f(tu)u/t. Safeguarded Newton from tau = 1, one fused
@@ -125,7 +140,7 @@ def project_to_nehari(p: Problem, u: Field, tol: float = 1e-10) -> NehariProject
     w = p.grid.weight
     if not np.any(u.values):
         raise ZeroField("cannot project the zero field")
-    nsq = norm_eps_sq(p, u)
+    nsq = norm_eps_sq(p, u, semi)
     mass = w * float(np.dot(u.values, u.values))
     if nsq - p.nonlinearity.l0 * mass >= 0:
         raise NotInTheta(

@@ -89,6 +89,24 @@ class TestCheck:
         res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("key,value", [
+        ("step_init", 0.0), ("step_init", -1.0),
+        ("step_shrink", 0.0), ("step_shrink", 1.0),
+        ("sufficient_decrease", 0.0), ("sufficient_decrease", 1.0),
+        ("max_backtracks", 0), ("max_iter", 0), ("tol_residual", 0.0),
+    ])
+    def test_bad_solver_knob_is_config_error(self, tmp_path, key, value):
+        from fracstates.config import parse_config
+        from fracstates.errors import ConfigError
+
+        cfg = canonical_config(sweep={key: value})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(cfg)
+        path = write_config(tmp_path, cfg)
+        res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert key in res.output
+
     def test_unknown_sweep_key_rejected(self, tmp_path):
         cfg = canonical_config(sweep={"epsilons": [0.5], "stepsize": 0.1})
         path = write_config(tmp_path, cfg)

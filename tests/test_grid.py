@@ -78,6 +78,27 @@ class TestFracLaplacian:
         with pytest.raises(NonFinite):
             apply_frac_laplacian(Field(g, vals), 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_cached_multiplier_matches_explicit_product(self, alpha):
+        g = make_grid(2, 3.0, 16)
+        u = Field(g, np.random.default_rng(9).standard_normal(g.size))
+        full = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.h)
+        half = 2.0 * np.pi * np.fft.rfftfreq(g.n, d=g.h)
+        kx, ky = np.meshgrid(full, half, indexing="ij")
+        mult = (kx * kx + ky * ky) ** alpha
+        mult.flat[0] = 0.0
+        ref = np.fft.irfftn(np.fft.rfftn(u.shaped) * mult, s=g.shape, axes=range(g.d))
+        for _ in range(2):  # building the multiplier, then reusing it
+            assert np.array_equal(apply_frac_laplacian(u, alpha).values, ref.ravel())
+
+    def test_cached_multiplier_is_read_only(self):
+        g = make_grid(1, 3.0, 32)
+        apply_frac_laplacian(Field(g, np.ones(g.size)), 0.5)
+        mult = g._multiplier(0.5)
+        assert g._multiplier(0.5) is mult
+        with pytest.raises(ValueError):
+            mult[1] = 0.0
+
     def test_alpha_one_matches_spectral_laplacian(self):
         g = make_grid(1, 2.0, 32)
         rng = np.random.default_rng(7)
@@ -208,6 +229,14 @@ class TestHelmholtz:
         g = make_grid(1, 1.0, 16)
         with pytest.raises(NonpositiveShift):
             helmholtz_inverse(Field(g, np.ones(g.size)), 0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        g = make_grid(2, 1.0, 16)
+        vals = np.random.default_rng(1).standard_normal(g.size)
+        vals[37] = bad
+        with pytest.raises(NonFinite):
+            helmholtz_inverse(Field(g, vals), 0.5, 1.0)
 
 
 class TestTransformRoundTrip:

@@ -192,6 +192,13 @@ class TestSaturableInvariants:
         f, fp, _ = spec.triple(t)
         assert np.all(t * fp > f)
 
+    def test_f_alone_matches_triple_bit_for_bit(self):
+        spec = NonlinearitySpec.saturable(0.4)
+        rng = np.random.default_rng(12)
+        t = np.concatenate([-rng.exponential(3.0, 100), [-0.0, 0.0, 0.0],
+                            rng.exponential(3.0, 100), [1e-160, 1e6]])
+        assert spec.f(t).tobytes() == spec.triple(t)[0].tobytes()
+
 
 class TestCustomEnergySums:
     def test_energy_skips_fprime(self, small_problem):

@@ -285,9 +285,9 @@ class TestBarzilaiBorweinStep:
         calls = []
         project = solver.project_to_nehari
 
-        def counting(p, u):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return project(p, u)
+            return project(*args, **kwargs)
 
         monkeypatch.setattr(solver, "project_to_nehari", counting)
         res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
@@ -297,6 +297,70 @@ class TestBarzilaiBorweinStep:
         assert len(calls) > res.iterations + 1
         e = np.array(res.energy_history)
         assert np.all(np.diff(e) <= 1e-12 * (1 + np.abs(e[:-1])))
+
+
+class TestCarriedOperator:
+    """The descent carries (-Lap)^a u instead of transforming every trial."""
+
+    def test_fft_budget(self, flat_problem, monkeypatch):
+        counts = []
+        for name in ("rfftn", "irfftn"):
+            fft = getattr(np.fft, name)
+
+            def counting(*args, _fft=fft, **kwargs):
+                counts.append(1)
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
+        assert res.converged
+        assert len(counts) <= 3 * res.iterations + 8
+
+    @pytest.mark.parametrize("max_iter", [3, 2000])
+    def test_certificate_is_fresh(self, flat_problem, max_iter):
+        import math
+
+        from fracstates.variational import energy, gradient
+
+        p = flat_problem
+        res = solve_constrained(p, gaussian_field(p.grid, 2.0), SolveOptions(max_iter=max_iter))
+        g = gradient(p, res.u).values
+        u = res.u.values
+        w = p.grid.weight
+        assert res.residual == math.sqrt(w * float(np.dot(g, g))) / math.sqrt(
+            w * float(np.dot(u, u)))
+        assert res.report == energy(p, res.u)
+
+    def test_drifted_operator_is_not_certified(self, flat_problem, converged, monkeypatch):
+        import fracstates.solver as solver
+
+        apply = solver.apply_frac_laplacian
+        calls = []
+
+        def drifted(u, alpha):
+            out = apply(u, alpha)
+            if not calls:  # the seed's operator: its error rides the recurrence
+                out = Field(out.grid, out.values * (1.0 + 1e-6))
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(solver, "apply_frac_laplacian", drifted)
+        res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
+        assert res.converged
+        # the seed's, at least one refused certificate, the accepted one
+        assert len(calls) >= 3
+        assert res.energy == pytest.approx(converged.energy, rel=1e-10)
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("field,value", [
+        ("step_init", 0.0), ("step_init", -1.0),
+        ("step_shrink", 0.0), ("step_shrink", 1.0), ("step_shrink", 1.5),
+        ("sufficient_decrease", 0.0), ("sufficient_decrease", 1.0),
+        ("max_backtracks", 0),
+    ])
+    def test_bad_line_search_option_rejected(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            SolveOptions(**{field: value})
 
 
 class TestDiverged:
