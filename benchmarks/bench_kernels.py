@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark: compiled saturable kernels vs the numpy fallback.
 
-The energy sums run on every line-search trial, and the rate sum once per
-Nehari projection as its final residual check; the projection's Newton pass
-(``nehari_rate_pair``) has no compiled twin and is not compared here. Run:
+The energy sums run once per solve and in the ray-search oracle; the
+Nehari projection's in-place passes (``nehari_pass``, ``nehari_final``)
+have no compiled twins and are not compared here. Run:
 
     python benchmarks/bench_kernels.py
 """

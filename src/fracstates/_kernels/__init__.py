@@ -60,7 +60,20 @@ def nehari_rate_sum(u, t, s):
 def nehari_rate_pair(u, tau, s):
     """(psi, psi') of psi(tau) = sum f(sqrt(tau)*u)*u / sqrt(tau), that is
     (tau * sum q, sum q/den) with den = 1 + s*tau*u+^2 and q = u+^4/den."""
-    return _numpy.nehari_rate_pair(np.asarray(u, dtype=float).ravel(), tau, s)
+    a = np.maximum(np.asarray(u, dtype=float).ravel(), 0.0)
+    a *= a
+    return _numpy.nehari_pass(a, np.empty_like(a), tau, s)
+
+
+def nehari_pass(a, r, tau, s):
+    """nehari_rate_pair from a = u+^2, in place: writes a/den into r, which
+    has a's size."""
+    return _numpy.nehari_pass(a, r, tau, s)
+
+
+def nehari_final(a, r, tau, s):
+    """(psi(tau), sum F(sqrt(tau)*u)) from a = u+^2, overwriting r."""
+    return _numpy.nehari_final(a, r, tau, s)
 
 
 def energy_sums(u, v, s):

@@ -2,9 +2,10 @@
 
 Semantically identical to the compiled versions in ``_sat_cy.pyx``; used as
 the import-time fallback and for cross-checking the extension.
-``nehari_rate_pair`` (the Newton pass of the Nehari projection) and
-``saturable_f`` (f alone, for the gradient) have no compiled twins and always
-run here.
+``nehari_pass`` and ``nehari_final`` (the passes of the Nehari projection)
+and ``saturable_f`` (f alone, for the gradient) have no compiled twins and
+always run here. The projection's passes work in place on two arrays the
+caller allocates once per projection, so a pass forms no temporary array.
 """
 
 import numpy as np
@@ -35,12 +36,29 @@ def nehari_rate_sum(u, t, s):
     return float(np.sum(tu * tu2 / (1.0 + s * tu2) * u)) / t
 
 
-def nehari_rate_pair(u, tau, s):
-    up = np.where(u > 0.0, u, 0.0)
-    u2 = up * up
-    den = 1.0 + (s * tau) * u2
-    q = u2 * u2 / den
-    return tau * float(np.sum(q)), float(np.sum(q / den))
+def nehari_pass(a, r, tau, s):
+    """(psi, psi') at tau from a = u+^2, writing a/den into r.
+
+    psi = tau * sum q and psi' = sum q/den with den = 1 + s*tau*a and
+    q = a^2/den; since q = a*r and q/den = r^2 for r = a/den, both are dot
+    products of a and r.
+    """
+    np.multiply(a, s * tau, out=r)
+    r += 1.0
+    np.divide(a, r, out=r)
+    return tau * float(np.dot(a, r)), float(np.dot(r, r))
+
+
+def nehari_final(a, r, tau, s):
+    """(psi(tau), sum F(sqrt(tau) u)) from a = u+^2, overwriting r.
+
+    F(t u) = (x - log(1 + x)) / (2 s^2) with x = s*tau*a.
+    """
+    psi = nehari_pass(a, r, tau, s)[0]
+    np.multiply(a, s * tau, out=r)
+    x_sum = float(np.sum(r))
+    np.log1p(r, out=r)
+    return psi, (x_sum - float(np.sum(r))) / (2.0 * s * s)
 
 
 def energy_sums(u, v, s):

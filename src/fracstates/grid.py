@@ -7,7 +7,9 @@ axis (even), spacing h = 2R/n, wavenumbers xi_k = pi*k/R for k in
 |xi|^(2*alpha) with the zero mode annihilated exactly, so constants are in
 its kernel and quadratic forms pair consistently with the rectangle rule.
 Each grid builds that multiplier once per alpha and keeps it read-only;
-apply_frac_laplacian and helmholtz_inverse both use it. Since
+apply_frac_laplacian and helmholtz_inverse both use it, and the latter also
+keeps its denominator |xi|^(2*alpha) + c for the last shift c of each alpha,
+since a descent passes one shift for a whole solve. Since
 (-Lap)^a ((-Lap)^a + c)^-1 = I - c ((-Lap)^a + c)^-1, a caller holding
 w = helmholtz_inverse(v, alpha, c) gets (-Lap)^a w = v - c w without a
 further transform; the descent loop relies on this.
@@ -79,6 +81,20 @@ class Grid:
             mult.flags.writeable = False
             self._multipliers[alpha] = mult
         return mult
+
+    @cached_property
+    def _shifted(self) -> dict:
+        return {}
+
+    def _shifted_multiplier(self, alpha: float, c: float) -> np.ndarray:
+        """|xi|^(2*alpha) + c, kept read-only for the last c of each alpha."""
+        last = self._shifted.get(alpha)
+        if last is None or last[0] != c:
+            den = self._multiplier(alpha) + c
+            den.flags.writeable = False
+            last = (c, den)
+            self._shifted[alpha] = last
+        return last[1]
 
     def index_of(self, point) -> tuple:
         """Grid index of a point that must lie on the grid (within 1e-9*h)."""
@@ -183,7 +199,7 @@ def helmholtz_inverse(v: Field, alpha: float, c: float) -> Field:
         vhat = np.fft.rfftn(v.shaped)
     if not np.isfinite(vhat.flat[0]):
         raise NonFinite("field contains NaN or Inf")
-    out = np.fft.irfftn(vhat / (g._multiplier(alpha) + c), s=g.shape, axes=range(g.d))
+    out = np.fft.irfftn(vhat / g._shifted_multiplier(alpha, c), s=g.shape, axes=range(g.d))
     return Field(g, out)
 
 

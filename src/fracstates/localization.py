@@ -30,7 +30,7 @@ from . import _kernels
 from .grid import Field, resample_field
 from .models import PotentialSpec
 from .solver import SolveOptions, SolveResult, solve_constrained
-from .variational import Problem, energy, project_to_nehari, theta_defect
+from .variational import Problem, project_to_nehari, theta_defect
 
 
 @dataclass(frozen=True)
@@ -295,10 +295,10 @@ def _probe_alpha_bar(p: Problem, boxes: BoxFamily, w_limit: Field, center) -> Op
             y[axis] += sgn * boxes.l
             try:
                 psi = seed_field(w_limit, y, p)
-                _, proj = project_to_nehari(p, psi)
+                rep = project_to_nehari(p, psi).report
             except (SeedLeftTheta, NotInTheta, ZeroField):
                 continue
-            energies.append(energy(p, proj).total)
+            energies.append(rep.total)
     return min(energies) if energies else None
 
 

@@ -205,6 +205,20 @@ def validate_potential(
 # --------------------------------------------------------------------------
 
 
+class Ray:
+    """Flat samples v of a ray t -> t v, prepared for the Nehari passes:
+    a = v+^2 and a scratch array r of v's size, allocated once per ray.
+    Saturable passes overwrite r in place and leave v and a unchanged."""
+
+    __slots__ = ("v", "a", "r")
+
+    def __init__(self, v: np.ndarray):
+        self.v = v
+        self.a = np.maximum(v, 0.0)
+        self.a *= self.a
+        self.r = np.empty_like(self.a)
+
+
 class NonlinearitySpec:
     """Evaluable (f, f', F) triple with declared slope/growth data.
 
@@ -271,18 +285,31 @@ class NonlinearitySpec:
             return _kernels.nehari_rate_sum(u_flat, t, self.s)
         return float(np.dot(self.f(t * u_flat), u_flat)) / t
 
-    def rate_pair(self, u_flat: np.ndarray, tau: float):
-        """(psi, psi') in one pass, psi(tau) = rate_sum(u, sqrt(tau)).
+    def rate_pair(self, ray, tau: float):
+        """(psi, psi') in one pass, psi(tau) = rate_sum(v, sqrt(tau)); ray is
+        a Ray of v or the flat samples v themselves.
 
-        For the custom kind psi' = (sum f'(tu)u^2 - psi)/(2 tau) at
+        For the custom kind psi' = (sum f'(tv)v^2 - psi)/(2 tau) at
         t = sqrt(tau), from f and f' only.
         """
+        if not isinstance(ray, Ray):
+            ray = Ray(ray)
         if self.kind == "saturable":
-            return _kernels.nehari_rate_pair(u_flat, tau, self.s)
+            return _kernels.nehari_pass(ray.a, ray.r, tau, self.s)
         t = math.sqrt(tau)
-        fv, fpv = self._custom(t * u_flat, self._f, self._fprime)
-        psi = float(np.dot(fv, u_flat)) / t
-        return psi, (float(np.dot(fpv, u_flat * u_flat)) - psi) / (2.0 * tau)
+        fv, fpv = self._custom(t * ray.v, self._f, self._fprime)
+        psi = float(np.dot(fv, ray.v)) / t
+        # f' vanishes where v <= 0, so v^2 may be read as a = v+^2
+        return psi, (float(np.dot(fpv, ray.a)) - psi) / (2.0 * tau)
+
+    def rate_primitive(self, ray: Ray, tau: float):
+        """(psi(tau), sum F(t v)) in one pass at t = sqrt(tau): the rate of
+        rate_pair and the primitive sum of the energy, from f and F only."""
+        if self.kind == "saturable":
+            return _kernels.nehari_final(ray.a, ray.r, tau, self.s)
+        t = math.sqrt(tau)
+        fv, big = self._custom(t * ray.v, self._f, self._big_f)
+        return float(np.dot(fv, ray.v)) / t, float(np.sum(big))
 
     def energy_sums(self, u_flat: np.ndarray, v_flat: np.ndarray):
         """(sum V*u^2, sum F(u), sum f(u)*u) without the quadrature weight."""

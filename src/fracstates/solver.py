@@ -21,7 +21,9 @@ d = ((-Lap)^a + c)^-1 g is the only transform pair of an iteration. Since
 (-Lap)^a d = g - c d exactly, the seminorm of every trial u - sigma d is a
 quadratic in sigma whose coefficients are dot products formed once per
 iteration, and the ray scaling [t v]^2 = t^2 [v]^2 carries it through the
-projection and the trial energy; an accepted step updates
+projection. The projection also returns the energy report of the projected
+trial, scaled from its own sums and final pass, so a trial costs no energy
+evaluation of its own; an accepted step updates
 Lu <- t* (Lu - sigma (g - c d)). No certificate rests on that recurrence:
 a residual that passes the tolerance is tested again with Lu recomputed by
 FFT, and the returned energy report and residual are computed afresh.
@@ -134,7 +136,8 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     iterates (step_init at the first iteration or when a BB2 pairing is not
     positive) and shrinks it by step_shrink until the Armijo test holds.
     Trials take their seminorms from the carried (-Lap)^a u and make no
-    FFT; convergence is certified with a freshly transformed one.
+    FFT, and their energies from the projection's report; convergence is
+    certified with a freshly transformed (-Lap)^a u.
     Raises SeedNotInTheta when the seed's ray never meets the Nehari
     manifold (nonnegative defect, or too little positive mass), Diverged
     when the backtracking line search cannot find any decrease while the
@@ -153,11 +156,10 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     lu = apply_frac_laplacian(seed, p.alpha).values
     semi = w * float(np.dot(seed.values, lu))
     try:
-        t0, u = project_to_nehari(p, seed, semi=semi)
+        t0, u, rep = project_to_nehari(p, seed, semi=semi)
     except NotInTheta as exc:
         raise SeedNotInTheta(str(exc)) from exc
     lu *= t0
-    rep = energy(p, u, semi=t0 * t0 * semi)
     t_hist = [t0]
     e_hist = [rep.total]
     best_u, best_total = u, rep.total
@@ -207,12 +209,11 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
             trial = Field(p.grid, uv - sigma * dv)
             semi = a0 - sigma * (2.0 * a1 - sigma * a2)
             try:
-                t_star, proj = project_to_nehari(p, trial, semi=semi)
+                t_star, proj, rep_new = project_to_nehari(p, trial, semi=semi)
             except (NotInTheta, ZeroField):
                 sigma *= opts.step_shrink
                 continue
-            trial = None  # frees its array while the energy is evaluated
-            rep_new = energy(p, proj, semi=t_star * t_star * semi)
+            trial = None  # frees its array before the next trial is formed
             if rep_new.total <= rep.total + opts.sufficient_decrease * sigma * slope + floor:
                 prev = (uv, gv, dv, ug, gd)
                 u, rep = proj, rep_new

@@ -7,6 +7,10 @@ is J(u) = <I'(u), u> and the defect Q(u) = [u]^2 + int V u^2 - l0 |u|^2
 decides membership in the restricted set (Q < 0). Rays from Q-negative
 fields cross the manifold exactly once because f(t)/t is increasing, which
 makes g(t) = |u|^2_eps - int f(tu)u/t strictly decreasing.
+
+The projection returns the energy report of the projected field along with
+it: every part of I(tv), J(tv) and Q(tv) scales with tau = t^2 from sums
+over v taken once, except int F(tv), which its final pass evaluates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonFinite, NonpositivePotential, NotInTheta, ZeroField
 from .grid import Field, Grid, apply_frac_laplacian, gagliardo_sq
-from .models import NonlinearitySpec
+from .models import NonlinearitySpec, Ray
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,18 @@ def energy(p: Problem, u: Field, semi: Optional[float] = None) -> EnergyReport:
     semi, when given, is the seminorm [u]^2 = <u, (-Lap)^a u> already known
     to the caller; otherwise it is computed by FFT.
     """
-    w = p.grid.weight
     if semi is None:
         semi = gagliardo_sq(u, p.alpha)
     pot_sum, f_int, fu_sum = p.nonlinearity.energy_sums(
         u.values, p.potential_field.values
     )
-    mass = float(np.dot(u.values, u.values))
+    return _report(p, semi, pot_sum, f_int, fu_sum, float(np.dot(u.values, u.values)))
+
+
+def _report(p: Problem, semi, pot_sum, f_int, fu_sum, mass) -> EnergyReport:
+    """The EnergyReport of a field from its seminorm and the unweighted sums
+    of V u^2, F(u), f(u) u and u^2."""
+    w = p.grid.weight
     seminorm_part = 0.5 * semi
     potential_part = 0.5 * w * pot_sum
     nonlinear_part = w * f_int
@@ -116,68 +125,110 @@ def theta_defect(p: Problem, u: Field) -> float:
 class NehariProjection(NamedTuple):
     t_star: float
     projected: Field
+    report: EnergyReport
 
 
-# cap on (psi, psi') passes, after which the residual check decides; a descent
-# step typically needs 2-4
+# cap on Newton passes per round, after which the residual check decides; a
+# descent step typically needs 2-3
 _MAX_EVALS = 100
+# Newton stops once its step is below this fraction of tau: it converges
+# quadratically, so the iterate it steps to is then at rounding level
+_STEP_TOL = 1e-7
 
 
 def project_to_nehari(
     p: Problem, u: Field, tol: float = 1e-10, semi: Optional[float] = None
 ) -> NehariProjection:
-    """Unique t* > 0 with J(t* u) = 0; raises NotInTheta when no ray point
-    exists (Q(u) >= 0, or insufficient positive-part mass for signed u).
-    semi, when given, is the known seminorm [u]^2, which spares the FFT.
+    """Unique t* > 0 with J(t* u) = 0, the projected field t* u and its
+    energy report; raises NotInTheta when no ray point exists (Q(u) >= 0,
+    or insufficient positive-part mass for signed u). semi, when given, is
+    the known seminorm [u]^2, which spares the FFT.
 
     With tau = t^2 the root solves G(tau) = |u|^2_eps - h^d psi(tau) = 0,
-    psi(tau) = int f(tu)u/t. Safeguarded Newton from tau = 1, one fused
-    (psi, psi') pass per step: [lo, hi] brackets the root by the sign of G,
-    and a step leaving it falls back to bisection (doubling while hi is
-    open). For the saturable law psi is increasing and concave, so Newton
-    converges monotonically after its first step.
+    psi(tau) = int f(tu)u/t. Safeguarded Newton, one fused (psi, psi') pass
+    per step on arrays allocated once per projection: [lo, hi] brackets the
+    root by the sign of G, and a step leaving it falls back to bisection
+    (doubling while hi is open). For the saturable law psi is increasing
+    and concave, so Newton converges monotonically after its first step,
+    and Jensen's inequality bounds the root from below; Newton starts at
+    max(1, that bound) and jumps to the bound when a step falls below it.
+    Custom laws start at tau = 1 with lo = 0. Newton stops when its step
+    falls below _STEP_TOL * tau; a final pass at the last iterate gives
+    psi for the residual check |J(t* u)| <= tol |u|^2_eps and int F(t* u)
+    for the report. If the check fails, Newton goes on to rounding-level
+    steps and checks once more before raising NotInTheta.
     """
     w = p.grid.weight
-    if not np.any(u.values):
+    nl = p.nonlinearity
+    v = u.values
+    if not np.any(v):
         raise ZeroField("cannot project the zero field")
-    nsq = norm_eps_sq(p, u, semi)
-    mass = w * float(np.dot(u.values, u.values))
-    if nsq - p.nonlinearity.l0 * mass >= 0:
+    if semi is None:
+        semi = gagliardo_sq(u, p.alpha)
+    ray = Ray(v)
+    np.multiply(v, v, out=ray.r)
+    pot = float(np.dot(p.potential_field.values, ray.r))
+    nsq = semi + w * pot
+    mass = float(np.dot(v, v))
+    if nsq - nl.l0 * w * mass >= 0:
         raise NotInTheta(
-            f"theta defect {nsq - p.nonlinearity.l0 * mass:.6g} >= 0: "
+            f"theta defect {nsq - nl.l0 * w * mass:.6g} >= 0: "
             "ray never meets the Nehari manifold"
         )
-    up = np.where(u.values > 0, u.values, 0.0)
-    pos_mass = w * float(np.dot(up, up))
-    if nsq - p.nonlinearity.l0 * pos_mass >= 0:
+    pos_mass = float(np.sum(ray.a))
+    if nsq - nl.l0 * w * pos_mass >= 0:
         raise NotInTheta(
             "positive-part mass too small: g(t) stays positive along the ray"
         )
-
-    lo, hi, tau = 0.0, math.inf, 1.0
-    for _ in range(_MAX_EVALS):
-        psi, dpsi = p.nonlinearity.rate_pair(u.values, tau)
-        big_g = nsq - w * psi
-        if big_g == 0.0:
-            break
-        if big_g > 0.0:
-            lo = tau
-        else:  # negative or NaN: the root lies below
-            hi = tau
-        nxt = tau + big_g / (w * dpsi) if dpsi > 0.0 else math.nan
-        if not lo < nxt < hi:
-            nxt = 2.0 * tau if hi == math.inf else 0.5 * (lo + hi)
-        done = abs(nxt - tau) <= 4.0 * math.ulp(tau)
-        tau = nxt
-        if done:
-            break
+    floor = 0.0
+    # psi(tau) = sum (a/s) phi(s tau a) for the saturable law, with the
+    # concave phi(x) = x/(1+x), so psi(tau) <= B phi(tau A/B) with B = sum a/s
+    # and A = sum a^2, and the root of nsq = w psi is at least the root of
+    # that bound; the check above makes m < 1 but for rounding
+    m = nsq * nl.s / (w * pos_mass) if nl.kind == "saturable" else 1.0
+    if m < 1.0:
+        floor = (nsq / w) / (float(np.dot(ray.a, ray.a)) * (1.0 - m))
+    tau, psi, f_int = _ray_root(nl, ray, nsq, w, floor, tol)
+    ray = None  # frees the pass arrays before the projected field is formed
     t_star = math.sqrt(tau)
-    residual = t_star * t_star * (nsq - w * p.nonlinearity.rate_sum(u.values, t_star))
-    if abs(residual) > tol * nsq:
-        raise NotInTheta(
-            f"Newton projection stalled: |J(t* u)| = {abs(residual):.3g} exceeds tolerance"
-        )
-    return NehariProjection(t_star, Field(p.grid, t_star * u.values))
+    report = _report(p, tau * semi, tau * pot, f_int, tau * psi, tau * mass)
+    return NehariProjection(t_star, Field(p.grid, t_star * v), report)
+
+
+def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float, tol: float):
+    """(tau, psi(tau), sum F(sqrt(tau) v)) at the root of nsq = w psi(tau),
+    for project_to_nehari."""
+    lo, hi, tau = floor, math.inf, max(1.0, floor)
+    jump = 0.0 < floor < tau  # the floor is an untried lower end
+    for step_tol in (_STEP_TOL, 0.0):
+        for _ in range(_MAX_EVALS):
+            psi, dpsi = nl.rate_pair(ray, tau)
+            big_g = nsq - w * psi
+            if big_g == 0.0:
+                break
+            if big_g > 0.0:
+                lo, jump = tau, False
+            else:  # negative or NaN: the root lies below
+                hi = tau
+            nxt = tau + big_g / (w * dpsi) if dpsi > 0.0 else math.nan
+            newton = True
+            if jump and nxt <= floor:
+                nxt, jump, newton = floor, False, False
+            elif not lo < nxt < hi:
+                nxt = 2.0 * tau if hi == math.inf else 0.5 * (lo + hi)
+                newton = False
+            step = abs(nxt - tau)
+            done = step <= 4.0 * math.ulp(tau) or (newton and step <= step_tol * tau)
+            tau = nxt
+            if done:
+                break
+        psi, f_int = nl.rate_primitive(ray, tau)
+        residual = tau * (nsq - w * psi)
+        if not abs(residual) > tol * nsq:  # NaN passes on to the report's check
+            return tau, psi, f_int
+    raise NotInTheta(
+        f"Newton projection stalled: |J(t* u)| = {abs(residual):.3g} exceeds tolerance"
+    )
 
 
 class RayScan(NamedTuple):

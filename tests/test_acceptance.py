@@ -125,7 +125,7 @@ def test_criterion_3_projection_vs_oracle(small_problem):
     ok = True
     for _ in range(100):
         u = random_theta_field(small_problem, rng)
-        t_star, proj = project_to_nehari(small_problem, u)
+        t_star, proj, _ = project_to_nehari(small_problem, u)
         rep = energy_of(small_problem, proj)
         ok &= abs(rep.nehari_residual) <= 1e-10 * rep.norm_eps_sq
         scan = ray_argmax_oracle(small_problem, u, 4 * t_star, 1000)

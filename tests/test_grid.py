@@ -225,6 +225,18 @@ class TestHelmholtz:
         back = apply_frac_laplacian(w, 0.4).values + 2.5 * w.values
         assert np.linalg.norm(back - v.values) <= 1e-10 * np.linalg.norm(v.values)
 
+    def test_cached_denominator_is_bit_identical_and_read_only(self):
+        g = make_grid(2, 3.0, 16)
+        v = Field(g, np.random.default_rng(23).standard_normal(g.size))
+        vhat = np.fft.rfftn(v.shaped)
+        for c in (1.3, 1.3, 0.7):  # build, reuse, replace
+            ref = np.fft.irfftn(vhat / (g._multiplier(0.5) + c), s=g.shape, axes=range(g.d))
+            assert np.array_equal(helmholtz_inverse(v, 0.5, c).values, ref.ravel())
+        den = g._shifted_multiplier(0.5, 0.7)
+        assert g._shifted_multiplier(0.5, 0.7) is den
+        with pytest.raises(ValueError):
+            den[1] = 0.0
+
     def test_nonpositive_shift(self):
         g = make_grid(1, 1.0, 16)
         with pytest.raises(NonpositiveShift):

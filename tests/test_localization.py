@@ -25,7 +25,7 @@ from fracstates.localization import (
 )
 from fracstates.models import PotentialSpec, Well, sample_potential
 from fracstates.solver import SolveOptions, grid_for_epsilon, solve_constrained
-from fracstates.variational import Problem, energy, project_to_nehari, theta_defect
+from fracstates.variational import Problem, project_to_nehari, theta_defect
 
 
 def _eps_problem(potential, eps, saturable, R0=16.0):
@@ -258,7 +258,7 @@ class TestProbeAlphaBar:
         w = limit_state.u
         # probes in call order: a^1 - l, then a^1 + l
         probes = [
-            energy(p, project_to_nehari(p, seed_field(w, (center[0] + sgn * boxes.l,), p))[1]).total
+            project_to_nehari(p, seed_field(w, (center[0] + sgn * boxes.l,), p)).report.total
             for sgn in (-1.0, 1.0)
         ]
         assert loc._probe_alpha_bar(p, boxes, w, center) == min(probes)

@@ -82,6 +82,49 @@ def _saturable_as_custom(s):
     )
 
 
+def _count_passes(monkeypatch):
+    """Count the nonlinearity passes (calls of the NonlinearitySpec pass
+    methods) from now on; returns the one-element counter."""
+    calls = [0]
+    for name in ("rate_pair", "rate_sum", "rate_primitive"):
+
+        def counted(self, *args, _orig=getattr(NonlinearitySpec, name)):
+            calls[0] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(NonlinearitySpec, name, counted)
+    return calls
+
+
+def _descent_projections(p, monkeypatch, max_iter=100):
+    """Run a descent from a random seed and return every projection it made
+    (seed and trials) with its input."""
+    import fracstates.solver as solver_mod
+
+    seen = []
+
+    def recorded(q, u, **kwargs):
+        out = project_to_nehari(q, u, **kwargs)
+        seen.append((u, out))
+        return out
+
+    monkeypatch.setattr(solver_mod, "project_to_nehari", recorded)
+    seed = random_theta_field(p, np.random.default_rng(30))
+    solve_constrained(p, seed, SolveOptions(max_iter=max_iter))
+    return seen
+
+
+def _assert_report_matches_energy(p, out):
+    """The projection's report against energy() of the projected field:
+    every part to 1e-13 relative, J and Q to 1e-13 of ||t* u||^2_eps."""
+    ref = energy(p, out.projected)
+    for name in ("seminorm_part", "potential_part", "nonlinear_part", "total"):
+        assert getattr(out.report, name) == pytest.approx(getattr(ref, name), rel=1e-13)
+    scale = 1e-13 * ref.norm_eps_sq
+    assert abs(out.report.nehari_residual - ref.nehari_residual) <= scale
+    assert abs(out.report.theta_defect - ref.theta_defect) <= scale
+
+
 class TestEnergy:
     def test_zero_field(self, small_problem):
         rep = energy(small_problem, Field(small_problem.grid, np.zeros(small_problem.grid.size)))
@@ -175,15 +218,15 @@ class TestProjection:
     def test_fixed_point_on_manifold(self, small_problem):
         rng = np.random.default_rng(16)
         u = random_theta_field(small_problem, rng)
-        t1, proj = project_to_nehari(small_problem, u)
-        t2, again = project_to_nehari(small_problem, proj)
+        t1, proj, _ = project_to_nehari(small_problem, u)
+        t2, again, _ = project_to_nehari(small_problem, proj)
         assert t2 == pytest.approx(1.0, abs=1e-8)
 
     def test_residual_tolerance(self, small_problem):
         rng = np.random.default_rng(17)
         for _ in range(20):
             u = random_theta_field(small_problem, rng)
-            t, proj = project_to_nehari(small_problem, u)
+            t, proj, _ = project_to_nehari(small_problem, u)
             rep = energy(small_problem, proj)
             assert abs(rep.nehari_residual) <= 1e-10 * rep.norm_eps_sq
             # projected fields stay inside the restricted set with positive energy
@@ -193,7 +236,7 @@ class TestProjection:
     def test_ray_maximum(self, small_problem):
         rng = np.random.default_rng(18)
         u = random_theta_field(small_problem, rng)
-        t_star, proj = project_to_nehari(small_problem, u)
+        t_star, proj, _ = project_to_nehari(small_problem, u)
         e_star = energy(small_problem, proj).total
         for t in np.linspace(4 * t_star / 200, 4 * t_star, 200):
             e_t = energy(small_problem, Field(small_problem.grid, t * u.values)).total
@@ -217,9 +260,9 @@ class TestProjection:
     def test_scaling_covariance(self, small_problem):
         rng = np.random.default_rng(20)
         u = random_theta_field(small_problem, rng)
-        t_ref, proj_ref = project_to_nehari(small_problem, u)
+        t_ref, proj_ref, _ = project_to_nehari(small_problem, u)
         for lam in (0.5, 2.0):
-            t_lam, proj = project_to_nehari(
+            t_lam, proj, _ = project_to_nehari(
                 small_problem, Field(small_problem.grid, lam * u.values)
             )
             assert t_lam == pytest.approx(t_ref / lam, rel=1e-9)
@@ -244,22 +287,15 @@ class TestProjection:
         rng = np.random.default_rng(25)
         for _ in range(20):
             u = random_theta_field(small_problem, rng)
-            t_star, _ = project_to_nehari(small_problem, u)
+            t_star, _, _ = project_to_nehari(small_problem, u)
             assert t_star == pytest.approx(_reference_t_star(small_problem, u), rel=1e-13)
 
     def test_few_passes_per_projection(self, small_problem, monkeypatch):
         """Every projection of a descent costs at most 8 nonlinearity passes
-        (Newton steps plus the residual check)."""
+        (Newton steps plus the final pass)."""
         import fracstates.solver as solver_mod
 
-        calls = [0]
-        for name in ("rate_pair", "rate_sum"):
-
-            def counted(self, *args, _orig=getattr(NonlinearitySpec, name)):
-                calls[0] += 1
-                return _orig(self, *args)
-
-            monkeypatch.setattr(NonlinearitySpec, name, counted)
+        calls = _count_passes(monkeypatch)
         per_projection = []
 
         def counted_projection(*args, **kwargs):
@@ -270,10 +306,84 @@ class TestProjection:
 
         monkeypatch.setattr(solver_mod, "project_to_nehari", counted_projection)
         rng = np.random.default_rng(26)
-        _, seed = project_to_nehari(small_problem, random_theta_field(small_problem, rng))
+        _, seed, _ = project_to_nehari(small_problem, random_theta_field(small_problem, rng))
         solve_constrained(small_problem, seed, SolveOptions(max_iter=100))
         assert len(per_projection) > 100
         assert max(per_projection) <= 8
+
+    def test_descent_projections_average_four_passes(self, small_problem, monkeypatch):
+        calls = _count_passes(monkeypatch)
+        seen = _descent_projections(small_problem, monkeypatch)
+        before = calls[0]
+        for u, _ in seen[1:]:
+            project_to_nehari(small_problem, u)
+        assert len(seen) > 50
+        assert (calls[0] - before) / (len(seen) - 1) <= 4.0
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 10.0])
+    def test_rays_far_from_unit_take_few_passes(self, small_problem, monkeypatch, scale):
+        """Newton starts at max(1, Jensen floor), so fields whose root lies
+        far from tau = 1 still project in a handful of passes."""
+        rng = np.random.default_rng(31)
+        fields = [random_theta_field(small_problem, rng) for _ in range(50)]
+        calls = _count_passes(monkeypatch)
+        for u in fields:
+            before = calls[0]
+            t_star, _, _ = project_to_nehari(small_problem, Field(u.grid, scale * u.values))
+            assert calls[0] - before <= 8
+            assert t_star == pytest.approx(
+                _reference_t_star(small_problem, u) / scale, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_report_matches_energy(self, small_problem, monkeypatch, custom):
+        p = small_problem
+        if custom:
+            p = _with_nonlinearity(p, _saturable_as_custom(p.nonlinearity.s))
+        rng = np.random.default_rng(32)
+        for scale in (0.3, 1.0, 10.0):
+            for _ in range(5):
+                u = Field(p.grid, scale * random_theta_field(p, rng).values)
+                _assert_report_matches_energy(p, project_to_nehari(p, u))
+        seen = _descent_projections(p, monkeypatch)
+        assert len(seen) > 50
+        for _, out in seen:
+            _assert_report_matches_energy(p, out)
+
+    def test_corrupted_final_pass_raises(self, small_problem, monkeypatch):
+        from fracstates import _kernels
+
+        final = _kernels.nehari_final
+        calls = []
+
+        def perturbed(a, r, tau, s):
+            psi, f_int = final(a, r, tau, s)
+            calls.append(tau)
+            return psi * (1.0 + 1e-6), f_int
+
+        monkeypatch.setattr(_kernels, "nehari_final", perturbed)
+        u = random_theta_field(small_problem, np.random.default_rng(33))
+        with pytest.raises(NotInTheta, match="stalled"):
+            project_to_nehari(small_problem, u)
+        # the failed check sends Newton on, and the second check decides
+        assert len(calls) == 2
+
+    def test_newton_recovers_from_one_failed_check(self, small_problem, monkeypatch):
+        from fracstates import _kernels
+
+        final = _kernels.nehari_final
+        calls = []
+
+        def perturbed_once(a, r, tau, s):
+            psi, f_int = final(a, r, tau, s)
+            calls.append(tau)
+            return (psi * (1.0 + 1e-6) if len(calls) == 1 else psi), f_int
+
+        monkeypatch.setattr(_kernels, "nehari_final", perturbed_once)
+        u = random_theta_field(small_problem, np.random.default_rng(34))
+        t_star, proj, _ = project_to_nehari(small_problem, u)
+        assert len(calls) == 2
+        assert t_star == pytest.approx(_reference_t_star(small_problem, u), rel=1e-13)
 
     def test_convex_start_uses_fallback(self, small_problem, monkeypatch):
         p = _with_nonlinearity(small_problem, _steep_law())
@@ -293,7 +403,7 @@ class TestProjection:
             u = Field(p.grid, 0.3 * random_theta_field(p, rng).values)
             nsq = norm_eps_sq(p, u)
             evals.append([])
-            t_star, proj = project_to_nehari(p, u)
+            t_star, proj, _ = project_to_nehari(p, u)
             # count evaluations that are not the Newton iterate of the previous one
             for (tau, psi, dpsi), (nxt, _, _) in zip(evals[-1], evals[-1][1:]):
                 fallbacks += nxt != tau + (nsq - w * psi) / (w * dpsi)
@@ -312,8 +422,8 @@ class TestProjection:
                 kernel = small_problem.nonlinearity.rate_pair(u.values, tau)
                 triple = custom.nonlinearity.rate_pair(u.values, tau)
                 assert kernel == pytest.approx(triple, rel=1e-13)
-            t_kernel, _ = project_to_nehari(small_problem, u)
-            t_triple, _ = project_to_nehari(custom, u)
+            t_kernel, _, _ = project_to_nehari(small_problem, u)
+            t_triple, _, _ = project_to_nehari(custom, u)
             assert t_kernel == pytest.approx(t_triple, rel=1e-13)
 
 
@@ -322,7 +432,7 @@ class TestRayOracle:
         rng = np.random.default_rng(22)
         for _ in range(5):
             u = random_theta_field(small_problem, rng)
-            t_star, _ = project_to_nehari(small_problem, u)
+            t_star, _, _ = project_to_nehari(small_problem, u)
             scan = ray_argmax_oracle(small_problem, u, 4 * t_star, 1000)
             assert scan.interior
             assert abs(scan.t_best - t_star) <= 2 * (4 * t_star) / 1000
@@ -330,7 +440,7 @@ class TestRayOracle:
     def test_truncated_search_flags_boundary(self, small_problem):
         rng = np.random.default_rng(23)
         u = random_theta_field(small_problem, rng)
-        t_star, _ = project_to_nehari(small_problem, u)
+        t_star, _, _ = project_to_nehari(small_problem, u)
         scan = ray_argmax_oracle(small_problem, u, 0.5 * t_star, 200)
         assert scan.t_best == pytest.approx(0.5 * t_star)
         assert not scan.interior
