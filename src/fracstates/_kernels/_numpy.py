@@ -6,6 +6,9 @@ the import-time fallback and for cross-checking the extension.
 and ``saturable_f`` (f alone, for the gradient) have no compiled twins and
 always run here. The projection's passes work in place on two arrays the
 caller allocates once per projection, so a pass forms no temporary array.
+``saturable_f`` and ``energy_sums`` form no temporary beyond one scratch
+array: they chain in-place operations that round exactly as the plain
+expressions do.
 """
 
 import numpy as np
@@ -23,11 +26,17 @@ def saturable_triple(t, s):
 
 
 def saturable_f(t, s):
-    """f of saturable_triple, by the same operations, without f' and F."""
+    """f of saturable_triple, by the same operations, without f' and F,
+    in the result array and one scratch array."""
     t = np.asarray(t, dtype=float)
-    tp = np.where(t > 0.0, t, 0.0)
-    t2 = tp * tp
-    return tp * t2 / (1.0 + s * t2)
+    # fmax, unlike maximum, maps NaN to 0 as np.where(t > 0, t, 0) does
+    f = np.fmax(t, 0.0)
+    t2 = f * f
+    f *= t2
+    t2 *= s
+    t2 += 1.0
+    f /= t2
+    return f
 
 
 def nehari_rate_sum(u, t, s):
@@ -62,12 +71,23 @@ def nehari_final(a, r, tau, s):
 
 
 def energy_sums(u, v, s):
-    u2 = u * u
-    pot = float(np.dot(v, u2))
-    up2 = np.where(u > 0.0, u2, 0.0)
-    den = 1.0 + s * up2
-    fint = float(np.sum(up2 / (2.0 * s) - np.log(den) / (2.0 * s * s)))
-    fu = float(np.sum(up2 * up2 / den))
+    """(sum v*u^2, sum F(u), sum f(u)*u) in three arrays: up2 = u+^2,
+    den = 1 + s*up2 and one scratch array."""
+    up2 = u * u
+    pot = float(np.dot(v, up2))
+    # u+^2 equals u^2 where u > 0 and 0 elsewhere, NaN included
+    np.fmax(u, 0.0, out=up2)
+    up2 *= up2
+    den = up2 * s
+    den += 1.0
+    work = up2 * up2
+    work /= den
+    fu = float(np.sum(work))
+    np.divide(up2, 2.0 * s, out=work)
+    np.log(den, out=den)
+    den /= 2.0 * s * s
+    work -= den
+    fint = float(np.sum(work))
     return pot, fint, fu
 
 

@@ -426,22 +426,12 @@ def _dispatch(command: str, config_path: str, out, workers: int, seed) -> int:
                 "rng_seed": config.rng_seed,
                 "wall_time_s": time.perf_counter() - t0,
                 "stages": {command: "ok" if code == EXIT_OK else "validation-failed"},
-                "config": _load_raw(config_path),
+                "config": config.raw,
             },
         )
     except OSError:
         pass
     return code
-
-
-def _load_raw(config_path):
-    try:
-        import yaml
-
-        with open(config_path) as fh:
-            return yaml.safe_load(fh)
-    except Exception:
-        return None
 
 
 @click.group()

@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import yaml
-
 from .errors import ConfigError, InvalidInput
 from .localization import BoxFamily, build_boxes
 from .models import NonlinearitySpec, PotentialSpec, Well
@@ -236,6 +234,9 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    # imported on use: parse_config callers never pay for the YAML parser
+    import yaml
+
     try:
         with open(path, "r") as fh:
             data = yaml.safe_load(fh)

@@ -9,7 +9,14 @@ its kernel and quadratic forms pair consistently with the rectangle rule.
 Each grid builds that multiplier once per alpha and keeps it read-only;
 apply_frac_laplacian and helmholtz_inverse both use it, and the latter also
 keeps its denominator |xi|^(2*alpha) + c for the last shift c of each alpha,
-since a descent passes one shift for a whole solve. Since
+since a descent passes one shift for a whole solve.
+
+Both operators run one round trip, _round_trip: rfftn into a freshly
+allocated spectrum, an in-place multiply or divide by the cached array, an
+in-place ifftn over the leading axes in irfftn's axis order, and irfft into
+the output. That is the arithmetic of irfftn(rfftn(u) * m) bit for bit, but
+only the spectrum and the output are allocated, where irfftn forms a fresh
+complex array per axis. Since
 (-Lap)^a ((-Lap)^a + c)^-1 = I - c ((-Lap)^a + c)^-1, a caller holding
 w = helmholtz_inverse(v, alpha, c) gets (-Lap)^a w = v - c w without a
 further transform; the descent loop relies on this.
@@ -153,14 +160,33 @@ def _check_alpha(alpha: float):
         raise InvalidInput(f"order alpha must lie in (0, 1], got {alpha}")
 
 
-def apply_frac_laplacian(u: Field, alpha: float) -> Field:
-    """Apply (-Lap)^alpha through the multiplier |xi|^(2*alpha)."""
-    _check_finite(u)
-    _check_alpha(alpha)
+def _round_trip(u: Field, op, mult: np.ndarray) -> Field:
+    """irfftn(op(rfftn(u), mult)), allocating only the spectrum and the
+    output. Raises NonFinite when the zero mode of the spectrum, the sum of
+    every sample, is not finite."""
     g = u.grid
-    uhat = np.fft.rfftn(u.shaped)
-    out = np.fft.irfftn(uhat * g._multiplier(alpha), s=g.shape, axes=range(g.d))
-    return Field(g, out)
+    spec = np.empty(mult.shape, dtype=complex)
+    # the zero mode sums every sample, so a NaN or Inf sample leaves it
+    # non-finite: one scalar test instead of a pass over u
+    with np.errstate(invalid="ignore"):
+        np.fft.rfftn(u.shaped, out=spec)
+    if not np.isfinite(spec.flat[0]):
+        raise NonFinite("field contains NaN or Inf")
+    op(spec, mult, out=spec)
+    if g.d > 1:
+        # ifftn runs its axes last to first, irfftn first to last
+        np.fft.ifftn(spec, axes=tuple(range(g.d - 2, -1, -1)), out=spec)
+    return Field(g, np.fft.irfft(spec, n=g.n, axis=-1))
+
+
+def apply_frac_laplacian(u: Field, alpha: float) -> Field:
+    """Apply (-Lap)^alpha through the multiplier |xi|^(2*alpha).
+
+    Raises NonFinite when u has a NaN or Inf sample, or samples so large
+    that their sum overflows.
+    """
+    _check_alpha(alpha)
+    return _round_trip(u, np.multiply, u.grid._multiplier(alpha))
 
 
 def inner_l2(u: Field, v: Field) -> float:
@@ -192,15 +218,7 @@ def helmholtz_inverse(v: Field, alpha: float, c: float) -> Field:
     if c <= 0:
         raise NonpositiveShift(f"shift must be positive, got {c}")
     _check_alpha(alpha)
-    g = v.grid
-    # the zero mode sums every sample, so a NaN or Inf sample leaves it
-    # non-finite: one scalar test instead of a pass over v
-    with np.errstate(invalid="ignore"):
-        vhat = np.fft.rfftn(v.shaped)
-    if not np.isfinite(vhat.flat[0]):
-        raise NonFinite("field contains NaN or Inf")
-    out = np.fft.irfftn(vhat / g._shifted_multiplier(alpha, c), s=g.shape, axes=range(g.d))
-    return Field(g, out)
+    return _round_trip(v, np.divide, v.grid._shifted_multiplier(alpha, c))
 
 
 def resample_field(u: Field, target: Grid) -> Field:

@@ -26,7 +26,8 @@ trial, scaled from its own sums and final pass, so a trial costs no energy
 evaluation of its own; an accepted step updates
 Lu <- t* (Lu - sigma (g - c d)). No certificate rests on that recurrence:
 a residual that passes the tolerance is tested again with Lu recomputed by
-FFT, and the returned energy report and residual are computed afresh.
+FFT, and the returned residual and energy report are computed afresh from
+that Lu.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def _max_point(u: Field) -> tuple:
     return tuple(float(u.grid.axis[i]) for i in idx)
 
 
-def _finish(p: Problem, u: Field, iterations, converged, residual, t_hist, e_hist) -> SolveResult:
-    rep = energy(p, u)
+def _finish(p: Problem, u: Field, semi, iterations, converged, residual, t_hist, e_hist) -> SolveResult:
+    rep = energy(p, u, semi=semi)
     neg = p.grid.weight * _kernels.negative_sq_sum(u.values)
     return SolveResult(
         u=u,
@@ -137,7 +138,8 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     positive) and shrinks it by step_shrink until the Armijo test holds.
     Trials take their seminorms from the carried (-Lap)^a u and make no
     FFT, and their energies from the projection's report; convergence is
-    certified with a freshly transformed (-Lap)^a u.
+    certified with a freshly transformed (-Lap)^a u, which also gives the
+    returned report its seminorm.
     Raises SeedNotInTheta when the seed's ray never meets the Nehari
     manifold (nonnegative defect, or too little positive mass), Diverged
     when the backtracking line search cannot find any decrease while the
@@ -171,12 +173,15 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
         if residual <= opts.tol_residual:
             # certify with a fresh (-Lap)^a u, free of recurrence drift;
-            # if that fails, descend on from the fresh one
+            # if that fails, descend on from the fresh one. The carried Lu
+            # and g are dropped first, so the transform does not hold them
+            lu = grad = None
             lu = apply_frac_laplacian(u, p.alpha).values
             grad = gradient(p, u, lu=lu)
             residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
             if residual <= opts.tol_residual:
-                return _finish(p, u, it - 1, True, residual, t_hist, e_hist)
+                iterations = it - 1
+                break
 
         direction = helmholtz_inverse(grad, p.alpha, shift)
         uv, gv, dv = u.values, grad.values, direction.values
@@ -233,11 +238,19 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
                 f"line search failed {opts.max_backtracks} times at iteration "
                 f"{it} (residual {residual:.3g})"
             )
+    else:
+        # max_iter ran out: certify the best iterate afresh
+        iterations, u = opts.max_iter, best_u
+        lu = apply_frac_laplacian(u, p.alpha).values
+        grad = gradient(p, u, lu=lu)
+        residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
 
-    grad = gradient(p, best_u)
-    residual = _l2(p.grid, grad.values) / _l2(p.grid, best_u.values)
+    # the final report takes its seminorm from the certificate's Lu and
+    # needs u alone, so the loop's arrays are dropped before it is formed
+    semi = w * float(np.dot(u.values, lu))
+    lu = grad = direction = prev = uv = gv = dv = best_u = proj = None
     converged = residual <= opts.tol_residual
-    return _finish(p, best_u, opts.max_iter, converged, residual, t_hist, e_hist)
+    return _finish(p, u, semi, iterations, converged, residual, t_hist, e_hist)
 
 
 # --------------------------------------------------------------------------
@@ -246,11 +259,17 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
 
 
 def _gaussian_seed(grid: Grid, width: float, center=None) -> Field:
+    # r^2 from the 1-D axis broadcast along each dimension, so that no
+    # meshgrid is built (or cached on the grid) for a seed
     r2 = np.zeros(grid.shape)
-    for i, c in enumerate(grid.coords):
+    for i in range(grid.d):
         ci = 0.0 if center is None else center[i]
-        r2 += (c - ci) ** 2
-    return Field(grid, 2.0 * np.exp(-r2 / (2.0 * width**2)))
+        r2 += ((grid.axis - ci) ** 2).reshape((-1,) + (1,) * (grid.d - 1 - i))
+    np.negative(r2, out=r2)
+    r2 /= 2.0 * width**2
+    np.exp(r2, out=r2)
+    r2 *= 2.0
+    return Field(grid, r2)
 
 
 DEFAULT_SEED_WIDTHS = (1.0, 1.7, 2.9, 4.9, 8.3)

@@ -100,7 +100,11 @@ def gradient(p: Problem, u: Field, lu: Optional[np.ndarray] = None) -> Field:
     """
     if lu is None:
         lu = apply_frac_laplacian(u, p.alpha).values
-    out = lu + p.potential_field.values * u.values - p.nonlinearity.f(u.values)
+    # f first, so that its scratch array is gone before out is allocated
+    fu = p.nonlinearity.f(u.values)
+    out = np.multiply(p.potential_field.values, u.values)
+    out += lu
+    out -= fu
     if not np.all(np.isfinite(out)):
         raise NonFinite("gradient produced NaN or Inf")
     return Field(p.grid, out)

@@ -304,7 +304,7 @@ class TestCarriedOperator:
 
     def test_fft_budget(self, flat_problem, monkeypatch):
         counts = []
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfftn", "irfftn", "ifftn", "irfft"):
             fft = getattr(np.fft, name)
 
             def counting(*args, _fft=fft, **kwargs):
@@ -315,6 +315,25 @@ class TestCarriedOperator:
         res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
         assert res.converged
         assert len(counts) <= 3 * res.iterations + 8
+
+    def test_operator_applied_for_seed_and_certificate_only(self, flat_problem, monkeypatch):
+        import fracstates.grid as grid
+        import fracstates.solver as solver
+        import fracstates.variational as variational
+
+        calls = []
+        apply = grid.apply_frac_laplacian
+
+        def counting(u, alpha):
+            calls.append(1)
+            return apply(u, alpha)
+
+        for module in (grid, solver, variational):
+            monkeypatch.setattr(module, "apply_frac_laplacian", counting)
+        res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
+        assert res.converged
+        # the final report takes its seminorm from the certificate's operator
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("max_iter", [3, 2000])
     def test_certificate_is_fresh(self, flat_problem, max_iter):

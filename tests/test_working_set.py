@@ -1,0 +1,157 @@
+"""The descent's hot kernels run in place: they reproduce the plain numpy
+expressions bit for bit while allocating no full-size temporaries beyond
+their result and one scratch array."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import CANON_S
+from fracstates import _kernels
+from fracstates.grid import Field, apply_frac_laplacian, helmholtz_inverse, make_grid
+from fracstates.models import NonlinearitySpec
+from fracstates.solver import _gaussian_seed
+from fracstates.variational import Problem, gradient
+
+GRIDS = [(1, 64), (2, 24), (3, 16)]
+
+
+def _plain_f(t, s):
+    tp = np.where(t > 0.0, t, 0.0)
+    t2 = tp * tp
+    return tp * t2 / (1.0 + s * t2)
+
+
+def _plain_energy_sums(u, v, s):
+    u2 = u * u
+    pot = float(np.dot(v, u2))
+    up2 = np.where(u > 0.0, u2, 0.0)
+    den = 1.0 + s * up2
+    fint = float(np.sum(up2 / (2.0 * s) - np.log(den) / (2.0 * s * s)))
+    fu = float(np.sum(up2 * up2 / den))
+    return pot, fint, fu
+
+
+def _plain_round_trip(u, m):
+    g = u.grid
+    return np.fft.irfftn(np.fft.rfftn(u.shaped) * m, s=g.shape, axes=range(g.d)).ravel()
+
+
+def _problem(d, n, seed=0):
+    g = make_grid(d, 4.0, n)
+    rng = np.random.default_rng(seed)
+    v = Field(g, rng.uniform(0.5, 2.0, g.size))
+    return Problem(grid=g, alpha=0.6, eps=1.0, potential_field=v,
+                   nonlinearity=NonlinearitySpec.saturable(CANON_S))
+
+
+def _mixed_samples(size, seed):
+    """Signed samples with exact zeros of both signs."""
+    t = np.random.default_rng(seed).uniform(-3.0, 8.0, size)
+    t[::7] = 0.0
+    t[3::7] = -0.0
+    return t
+
+
+def _peak_fields(fn, nbytes):
+    """Peak of the memory fn allocates while it runs, in units of nbytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return (peak - base) / nbytes
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("d,n", GRIDS)
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_frac_laplacian(self, d, n, alpha):
+        g = make_grid(d, 3.0, n)
+        u = Field(g, np.random.default_rng(d).standard_normal(g.size))
+        ref = _plain_round_trip(u, g._multiplier(alpha))
+        assert np.array_equal(apply_frac_laplacian(u, alpha).values, ref)
+
+    @pytest.mark.parametrize("d,n", GRIDS)
+    def test_helmholtz_inverse(self, d, n):
+        g = make_grid(d, 3.0, n)
+        v = Field(g, np.random.default_rng(10 + d).standard_normal(g.size))
+        for c in (1.3, 0.7):
+            vhat = np.fft.rfftn(v.shaped)
+            ref = np.fft.irfftn(vhat / (g._multiplier(0.5) + c), s=g.shape, axes=range(d))
+            assert np.array_equal(helmholtz_inverse(v, 0.5, c).values, ref.ravel())
+
+    @pytest.mark.parametrize("s", [0.2, CANON_S, 1.0])
+    def test_saturable_f(self, s):
+        t = _mixed_samples(4096, 1)
+        t[:3] = (np.nan, np.inf, -np.inf)
+        with np.errstate(invalid="ignore"):  # f(inf) is inf/inf in both
+            assert np.array_equal(_kernels.saturable_f(t, s), _plain_f(t, s), equal_nan=True)
+            assert np.array_equal(_kernels.saturable_f(t.reshape(64, 64), s),
+                                  _plain_f(t, s).reshape(64, 64), equal_nan=True)
+
+    @pytest.mark.parametrize("d,n", GRIDS)
+    def test_gradient(self, d, n):
+        p = _problem(d, n)
+        u = Field(p.grid, _mixed_samples(p.grid.size, 2 + d))
+        lu = apply_frac_laplacian(u, p.alpha).values
+        ref = lu + p.potential_field.values * u.values - _plain_f(u.values, CANON_S)
+        assert np.array_equal(gradient(p, u).values, ref)
+        assert np.array_equal(gradient(p, u, lu=lu).values, ref)
+
+    @pytest.mark.parametrize("d,n", GRIDS)
+    @pytest.mark.parametrize("s", [0.2, CANON_S])
+    def test_energy_sums(self, d, n, s):
+        size = n**d
+        u = _mixed_samples(size, 5 + d)
+        v = np.random.default_rng(d).uniform(0.5, 2.0, size)
+        assert _kernels.energy_sums(u, v, s) == _plain_energy_sums(u, v, s)
+
+    @pytest.mark.parametrize("d,n", GRIDS)
+    @pytest.mark.parametrize("center", [None, (0.3, -1.1, 0.7)])
+    def test_gaussian_seed(self, d, n, center):
+        g = make_grid(d, 5.0, n)
+        width = 1.7
+        r2 = np.zeros(g.shape)
+        for i, c in enumerate(np.meshgrid(*([g.axis] * d), indexing="ij")):
+            ci = 0.0 if center is None else center[i]
+            r2 += (c - ci) ** 2
+        ref = 2.0 * np.exp(-r2 / (2.0 * width**2))
+        assert np.array_equal(_gaussian_seed(g, width, center).values, ref.ravel())
+        assert "coords" not in g.__dict__  # no meshgrid was cached on the grid
+
+
+class TestPeakMemory:
+    """numpy reports its data buffers to tracemalloc, so the traced peak
+    counts every array a call holds at once."""
+
+    @pytest.fixture(scope="class")
+    def problem_3d(self):
+        return _problem(3, 32)
+
+    @pytest.fixture(scope="class")
+    def field_3d(self, problem_3d):
+        g = problem_3d.grid
+        return Field(g, 0.5 + np.random.default_rng(7).standard_normal(g.size))
+
+    def test_round_trips(self, problem_3d, field_3d):
+        u = field_3d
+        apply_frac_laplacian(u, 0.6)  # builds the cached multiplier
+        helmholtz_inverse(u, 0.6, 1.5)  # and the cached denominator
+        nbytes = u.values.nbytes
+        # the spectrum (n/2+1)/n * 2 fields, plus the output
+        assert _peak_fields(lambda: apply_frac_laplacian(u, 0.6), nbytes) <= 2.2
+        assert _peak_fields(lambda: helmholtz_inverse(u, 0.6, 1.5), nbytes) <= 2.2
+
+    def test_gradient(self, problem_3d, field_3d):
+        lu = apply_frac_laplacian(field_3d, problem_3d.alpha).values
+        peak = _peak_fields(lambda: gradient(problem_3d, field_3d, lu=lu), lu.nbytes)
+        assert peak <= 2.2
+
+    def test_energy_sums(self, problem_3d, field_3d):
+        u, v = field_3d.values, problem_3d.potential_field.values
+        assert _peak_fields(lambda: _kernels.energy_sums(u, v, CANON_S), u.nbytes) <= 3.2
