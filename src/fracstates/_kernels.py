@@ -1,20 +1,26 @@
-"""Pure-numpy implementations of the saturable-nonlinearity kernels.
+"""Pointwise numpy kernels of the saturable law f(t) = t^3/(1 + s t^2).
 
-Semantically identical to the compiled versions in ``_sat_cy.pyx``; used as
-the import-time fallback and for cross-checking the extension.
+f, f' and F vanish for t <= 0, and F(t) = t^2/(2s) - log(1 + s t^2)/(2s^2).
 ``nehari_pass`` and ``nehari_final`` (the passes of the Nehari projection)
-and ``saturable_f`` (f alone, for the gradient) have no compiled twins and
-always run here. The projection's passes work in place on two arrays the
-caller allocates once per projection, so a pass forms no temporary array.
-``saturable_f`` and ``energy_sums`` form no temporary beyond one scratch
-array: they chain in-place operations that round exactly as the plain
-expressions do.
+work in place on two arrays the caller allocates once per projection, so a
+pass forms no temporary array. ``saturable_f`` and ``energy_sums`` form no
+temporary beyond one scratch array: they chain in-place operations that
+round exactly as the plain expressions do.
+
+No public kernel calls another one, because perfbench's tracer counts every
+call of a public function of this module.
 """
 
 import numpy as np
 
 
+def backend():
+    """Name of the kernel implementation, recorded in manifest.json."""
+    return "python"
+
+
 def saturable_triple(t, s):
+    """(f(t), f'(t), F(t)) elementwise."""
     t = np.asarray(t, dtype=float)
     tp = np.where(t > 0.0, t, 0.0)
     t2 = tp * tp
@@ -40,13 +46,16 @@ def saturable_f(t, s):
 
 
 def nehari_rate_sum(u, t, s):
+    """sum f(t*u)*u / t over the flat samples."""
+    u = np.asarray(u, dtype=float).ravel()
     tu = t * np.where(u > 0.0, u, 0.0)
     tu2 = tu * tu
     return float(np.sum(tu * tu2 / (1.0 + s * tu2) * u)) / t
 
 
 def nehari_pass(a, r, tau, s):
-    """(psi, psi') at tau from a = u+^2, writing a/den into r.
+    """(psi, psi') at tau from a = u+^2, writing a/den into r, which has
+    a's size; psi(tau) = sum f(sqrt(tau)*u)*u / sqrt(tau).
 
     psi = tau * sum q and psi' = sum q/den with den = 1 + s*tau*a and
     q = a^2/den; since q = a*r and q/den = r^2 for r = a/den, both are dot
@@ -61,9 +70,13 @@ def nehari_pass(a, r, tau, s):
 def nehari_final(a, r, tau, s):
     """(psi(tau), sum F(sqrt(tau) u)) from a = u+^2, overwriting r.
 
+    psi is nehari_pass's, by the same operations, and
     F(t u) = (x - log(1 + x)) / (2 s^2) with x = s*tau*a.
     """
-    psi = nehari_pass(a, r, tau, s)[0]
+    np.multiply(a, s * tau, out=r)
+    r += 1.0
+    np.divide(a, r, out=r)
+    psi = tau * float(np.dot(a, r))
     np.multiply(a, s * tau, out=r)
     x_sum = float(np.sum(r))
     np.log1p(r, out=r)
@@ -71,8 +84,10 @@ def nehari_final(a, r, tau, s):
 
 
 def energy_sums(u, v, s):
-    """(sum v*u^2, sum F(u), sum f(u)*u) in three arrays: up2 = u+^2,
-    den = 1 + s*up2 and one scratch array."""
+    """(sum v*u^2, sum F(u), sum f(u)*u) over the flat samples, in three
+    arrays: up2 = u+^2, den = 1 + s*up2 and one scratch array."""
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
     up2 = u * u
     pot = float(np.dot(v, up2))
     # u+^2 equals u^2 where u > 0 and 0 elsewhere, NaN included
@@ -92,5 +107,7 @@ def energy_sums(u, v, s):
 
 
 def negative_sq_sum(u):
+    """sum of u^2 over the strictly negative samples."""
+    u = np.asarray(u, dtype=float).ravel()
     un = np.where(u < 0.0, u, 0.0)
     return float(np.dot(un, un))

@@ -223,7 +223,7 @@ class NonlinearitySpec:
     """Evaluable (f, f', F) triple with declared slope/growth data.
 
     All evaluation paths enforce f = f' = F = 0 for t <= 0 ((f1)). The
-    saturable kind routes array work through the kernel backend.
+    saturable kind evaluates arrays with the numpy kernels of _kernels.
     """
 
     def __init__(self, kind, l0, q, C0, s=None, f=None, fprime=None, big_f=None):
@@ -286,14 +286,12 @@ class NonlinearitySpec:
         return float(np.dot(self.f(t * u_flat), u_flat)) / t
 
     def rate_pair(self, ray, tau: float):
-        """(psi, psi') in one pass, psi(tau) = rate_sum(v, sqrt(tau)); ray is
-        a Ray of v or the flat samples v themselves.
+        """(psi, psi') in one pass on a Ray of v, psi(tau) =
+        rate_sum(v, sqrt(tau)).
 
         For the custom kind psi' = (sum f'(tv)v^2 - psi)/(2 tau) at
         t = sqrt(tau), from f and f' only.
         """
-        if not isinstance(ray, Ray):
-            ray = Ray(ray)
         if self.kind == "saturable":
             return _kernels.nehari_pass(ray.a, ray.r, tau, self.s)
         t = math.sqrt(tau)

@@ -164,6 +164,7 @@ class TestSweep:
         assert "wall_time_s" in manifest
         assert manifest["config"]["rng_seed"] == 7
         assert manifest["rng_seed"] == 7
+        assert manifest["kernel_backend"] == "python"
 
     def test_report_regenerates_identical_csv(self, sweep_run):
         tmp, path, out = sweep_run

@@ -6,7 +6,7 @@ import pytest
 from conftest import gaussian_field, random_theta_field
 from fracstates.errors import NotInTheta, ZeroField
 from fracstates.grid import Field, gagliardo_sq, inner_l2, make_grid
-from fracstates.models import NonlinearitySpec
+from fracstates.models import NonlinearitySpec, Ray
 from fracstates.solver import SolveOptions, solve_constrained
 from fracstates.variational import (
     Problem,
@@ -419,8 +419,8 @@ class TestProjection:
         for _ in range(5):
             u = random_theta_field(small_problem, rng)
             for tau in (0.3, 1.0, 4.0):
-                kernel = small_problem.nonlinearity.rate_pair(u.values, tau)
-                triple = custom.nonlinearity.rate_pair(u.values, tau)
+                kernel = small_problem.nonlinearity.rate_pair(Ray(u.values), tau)
+                triple = custom.nonlinearity.rate_pair(Ray(u.values), tau)
                 assert kernel == pytest.approx(triple, rel=1e-13)
             t_kernel, _, _ = project_to_nehari(small_problem, u)
             t_triple, _, _ = project_to_nehari(custom, u)
