@@ -296,9 +296,9 @@ def run_limit(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def run_sweep(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
+def run_sweep(config: ExperimentConfig, out_dir: Path) -> int:
     ensure_hypotheses(config)
-    records = sweep_epsilon(config, workers=workers)
+    records = sweep_epsilon(config)
     c_v0, v0 = records[0].c_v0, records[0].v0
     _write_json(
         out_dir / "records.json",
@@ -387,7 +387,7 @@ STAGES = {
 }
 
 
-def _dispatch(command: str, config_path: str, out, workers: int, seed) -> int:
+def _dispatch(command: str, config_path: str, out, seed) -> int:
     t0 = time.perf_counter()
     out_dir = Path(out) if out else None
     try:
@@ -397,10 +397,7 @@ def _dispatch(command: str, config_path: str, out, workers: int, seed) -> int:
         if out_dir is None:
             out_dir = Path(config.output.directory)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if command == "sweep":
-            code = run_sweep(config, out_dir, workers=workers)
-        else:
-            code = STAGES[command](config, out_dir)
+        code = STAGES[command](config, out_dir)
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         if out_dir is not None:
@@ -444,10 +441,9 @@ def _command(name: str, help_text: str):
     @main.command(name=name, help=help_text)
     @click.option("--config", "config_path", required=True, type=click.Path())
     @click.option("--out", default=None, type=click.Path())
-    @click.option("--workers", default=1, type=int, show_default=True)
     @click.option("--seed", default=None, type=int)
-    def _cmd(config_path, out, workers, seed):
-        sys.exit(_dispatch(name, config_path, out, workers, seed))
+    def _cmd(config_path, out, seed):
+        sys.exit(_dispatch(name, config_path, out, seed))
 
     return _cmd
 

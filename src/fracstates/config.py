@@ -50,12 +50,6 @@ class SweepBlock:
     max_iter: int = 2000
     tol_residual: float = 1e-8
     point_budget: int = 4_000_000
-    precond_shift: Optional[float] = None
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 50
-    decay_window: tuple = (0.2, 0.35)
 
 
 @dataclass(frozen=True)
@@ -90,15 +84,7 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def solve_options(self) -> SolveOptions:
-        return SolveOptions(
-            max_iter=self.sweep.max_iter,
-            tol_residual=self.sweep.tol_residual,
-            precond_shift=self.sweep.precond_shift,
-            step_init=self.sweep.step_init,
-            step_shrink=self.sweep.step_shrink,
-            sufficient_decrease=self.sweep.sufficient_decrease,
-            max_backtracks=self.sweep.max_backtracks,
-        )
+        return SolveOptions(max_iter=self.sweep.max_iter, tol_residual=self.sweep.tol_residual)
 
     def box_family(self) -> BoxFamily:
         return build_boxes(self.potential, self.boxes.l, self.boxes.L, self.boxes.nu)
@@ -162,22 +148,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     nonlinearity = _parse_nonlinearity(data["nonlinearity"])
     bx = _require(data["boxes"], "boxes", ["l", "L"], ["nu"])
     boxes = BoxesBlock(float(bx["l"]), float(bx["L"]), bx.get("nu"))
-    sw = _require(
-        data["sweep"],
-        "sweep",
-        ["epsilons"],
-        [
-            "max_iter",
-            "tol_residual",
-            "point_budget",
-            "precond_shift",
-            "step_init",
-            "step_shrink",
-            "sufficient_decrease",
-            "max_backtracks",
-            "decay_window",
-        ],
-    )
+    sw = _require(data["sweep"], "sweep", ["epsilons"], ["max_iter", "tol_residual", "point_budget"])
     if not isinstance(sw["epsilons"], list) or not sw["epsilons"]:
         raise ConfigError("sweep.epsilons: expected a non-empty list")
     eps = tuple(float(e) for e in sw["epsilons"])
@@ -185,18 +156,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"sweep.epsilons: must be positive and strictly decreasing, got {list(eps)}"
         )
-    window = sw.get("decay_window", (0.2, 0.35))
     sweep = SweepBlock(
         epsilons=eps,
         max_iter=int(sw.get("max_iter", 2000)),
         tol_residual=float(sw.get("tol_residual", 1e-8)),
         point_budget=int(sw.get("point_budget", 4_000_000)),
-        precond_shift=None if sw.get("precond_shift") is None else float(sw["precond_shift"]),
-        step_init=float(sw.get("step_init", 1.0)),
-        step_shrink=float(sw.get("step_shrink", 0.5)),
-        sufficient_decrease=float(sw.get("sufficient_decrease", 1e-4)),
-        max_backtracks=int(sw.get("max_backtracks", 50)),
-        decay_window=(float(window[0]), float(window[1])),
     )
     lim = data.get("limit", {})
     _require(lim, "limit", [], ["a_values", "R", "n"])
@@ -211,6 +175,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         epsilon=None if so.get("epsilon") is None else float(so["epsilon"]),
         branch=int(so.get("branch", 1)),
     )
+    if solve.epsilon is not None and not solve.epsilon > 0:
+        raise ConfigError(f"solve.epsilon: must be positive, got {solve.epsilon}")
     ob = data.get("output", {})
     _require(ob, "output", [], ["directory"])
     output = OutputBlock(directory=str(ob.get("directory", "out")))

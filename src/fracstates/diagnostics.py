@@ -245,13 +245,13 @@ def decay_fit(
 NEHARI_MEMBERSHIP_TOL = 1e-6
 
 
-def sigma_membership(result, c_v0: float, omega: float, j_tol: float = NEHARI_MEMBERSHIP_TOL) -> bool:
-    """True iff the result sits on the Nehari manifold (|J| small) with
-    energy at most c_V0 + omega."""
+def sigma_membership(result, c_v0: float, omega: float) -> bool:
+    """True iff the result sits on the Nehari manifold (|J| at most
+    NEHARI_MEMBERSHIP_TOL |u|^2_eps) with energy at most c_V0 + omega."""
     if omega <= 0:
         raise InvalidInput(f"omega must be positive, got {omega}")
     rep = result.report
-    on_manifold = abs(rep.nehari_residual) <= j_tol * rep.norm_eps_sq
+    on_manifold = abs(rep.nehari_residual) <= NEHARI_MEMBERSHIP_TOL * rep.norm_eps_sq
     return bool(on_manifold and rep.total <= c_v0 + omega)
 
 
@@ -290,6 +290,8 @@ def select_ground_state(records: Sequence[BranchResult]) -> GroundStateSelection
 # --------------------------------------------------------------------------
 
 BOUNDARY_MASS_TRUSTED = 1e-4
+# radial window of the tail fit, as fractions of the grid half-width R
+DECAY_WINDOW_FRAC = (0.2, 0.35)
 
 
 def boundary_mass_fraction(u: Field) -> float:
@@ -342,12 +344,12 @@ def build_sweep_record(
     c_v0: float,
     potential: PotentialSpec,
     v0: float,
-    decay_window_frac=(0.2, 0.35),
 ) -> SweepRecord:
     """Attach per-branch diagnostics to a branch experiment for one epsilon.
 
     omega(eps) = sqrt(eps) * c_V0 defines the low-energy set used for the
-    sigma membership column.
+    sigma membership column. Tails are fitted on the radii DECAY_WINDOW_FRAC
+    times the grid half-width R.
     """
     diags = []
     omega = math.sqrt(eps) * c_v0
@@ -357,7 +359,7 @@ def build_sweep_record(
         eta = locate_max(u)
         v_at_max = float(potential.evaluate(eps * eta)[0])
         perr = profile_error(u, w_limit, eta, problem.alpha)
-        window = (decay_window_frac[0] * R, decay_window_frac[1] * R)
+        window = (DECAY_WINDOW_FRAC[0] * R, DECAY_WINDOW_FRAC[1] * R)
         try:
             fit = decay_fit(u, eta, window)
             dexp, dr2 = fit.exponent, fit.r2

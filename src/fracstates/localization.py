@@ -69,19 +69,19 @@ class BranchLabel:
         return cls("outside", None)
 
 
-def build_boxes(
-    spec: PotentialSpec,
-    l: float,
-    L: float,
-    nu: Optional[float] = None,
-    margin: Optional[float] = None,
-    samples_per_face: int = 5,
-) -> BoxFamily:
+# the potential must rise this fraction of V_inf - V0 above the well level
+# on every box boundary, sampled at this many ticks per face and axis
+_BOX_MARGIN_FRAC = 0.02
+_SAMPLES_PER_FACE = 5
+
+
+def build_boxes(spec: PotentialSpec, l: float, L: float, nu: Optional[float] = None) -> BoxFamily:
     """Validated hypercube family around the declared well centers.
 
     Checks pairwise disjointness of the closed boxes, containment in
     (-L, L)^d, the 2l <= L constraint, and that the potential rises above
-    V0 + margin on every sampled box boundary.
+    V0 + _BOX_MARGIN_FRAC (V_inf - V0) on every sampled box boundary.
+    nu, the classification band, defaults to l/10.
     """
     if l <= 0 or L <= 0:
         raise InvalidInput("box sizes l and L must be positive")
@@ -104,9 +104,8 @@ def build_boxes(
             )
 
     v0 = spec.v0_proxy
-    if margin is None:
-        margin = 0.02 * max(spec.v_inf_level - v0, 0.0)
-    ticks = np.linspace(-l, l, samples_per_face)
+    margin = _BOX_MARGIN_FRAC * max(spec.v_inf_level - v0, 0.0)
+    ticks = np.linspace(-l, l, _SAMPLES_PER_FACE)
     center_vals = spec.center_values()
     for i, c in enumerate(centers):
         pts = []
@@ -211,12 +210,10 @@ def beta_map(u: Field, rho: float, eps: float) -> np.ndarray:
 NEGATIVITY_TOL = 1e-6
 
 
-def classify(u: Field, boxes: BoxFamily, eps: float, tol: Optional[float] = None) -> BranchLabel:
+def classify(u: Field, boxes: BoxFamily, eps: float) -> BranchLabel:
     """Branch label from the barycenter: interior/boundary of the rescaled
-    box within margin tol/eps, outside otherwise. Negative mass beyond
+    box within margin boxes.nu/eps, outside otherwise. Negative mass beyond
     tolerance forces outside."""
-    if tol is None:
-        tol = boxes.nu
     mass = float(np.dot(u.values, u.values))
     if mass == 0.0:
         raise ZeroField("cannot classify the zero field")
@@ -228,7 +225,7 @@ def classify(u: Field, boxes: BoxFamily, eps: float, tol: Optional[float] = None
     ]
     j = int(np.argmin(dists))
     half = boxes.l / eps
-    band = tol / eps
+    band = boxes.nu / eps
     if dists[j] < half - band:
         return BranchLabel.interior(j + 1)
     if dists[j] <= half + band:
@@ -276,9 +273,6 @@ class BranchExperiment:
     pairwise_distance: np.ndarray
     escaped: list
 
-    def interior_branches(self) -> list:
-        return [b for b in self.branches if b.label.kind == "interior"]
-
 
 def _probe_alpha_bar(p: Problem, boxes: BoxFamily, w_limit: Field, center) -> Optional[float]:
     """Boundary energy floor estimate: minimum Nehari-projected energy over
@@ -307,7 +301,6 @@ def solve_branches(
     boxes: BoxFamily,
     w_limit: Field,
     opts: Optional[SolveOptions] = None,
-    classify_tol: Optional[float] = None,
 ) -> BranchExperiment:
     """One constrained solve per well, seeded at its center, plus the
     boundary probe floor. Escaped branches (label not interior) are reported
@@ -319,7 +312,7 @@ def solve_branches(
         except SeedLeftTheta as exc:
             raise SeedNotInTheta(f"branch {j}: {exc}") from exc
         res = solve_constrained(p, seed, opts)
-        label = classify(res.u, boxes, p.eps, classify_tol)
+        label = classify(res.u, boxes, p.eps)
         hb = barycenter_h(res.u, 2.0, p.eps, boxes.L)
         abar = _probe_alpha_bar(p, boxes, w_limit, center)
         branches.append(

@@ -138,25 +138,27 @@ class PotentialReport:
         return self.pass_v1 and self.pass_v2
 
 
-def validate_potential(
-    spec: PotentialSpec,
-    grid: Grid,
-    margin_frac: float = 0.1,
-    achieve_tol: Optional[float] = None,
-) -> PotentialReport:
+# (V1) margin, as a fraction of V_inf - V0, and (V2) tolerance, as a
+# fraction of the deepest well's depth
+_V1_MARGIN_FRAC = 0.1
+_V2_ACHIEVE_FRAC = 0.01
+
+
+def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
     """Check (V1) and (V2) on grid samples.
 
     V0 is the grid minimum; the liminf at infinity is proxied by the minimum
-    over the boundary shell {|x|_inf >= 0.9 R}. (V2) passes when every
-    declared center achieves V0 within tolerance and is a strict minimum
-    within its own well radius.
+    over the boundary shell {|x|_inf >= 0.9 R}, which must exceed V0 by
+    _V1_MARGIN_FRAC (V_inf - V0). (V2) passes when every declared center
+    achieves V0 within _V2_ACHIEVE_FRAC of the deepest well's depth and is
+    a strict minimum within its own well radius.
     """
     vals = spec.evaluate_on_coords(grid.coords).ravel()
     v0 = float(np.min(vals))
     sup_abs = np.max(np.abs(np.stack([c.ravel() for c in grid.coords])), axis=0)
     shell = sup_abs >= 0.9 * grid.R
     v_inf_proxy = float(np.min(vals[shell]))
-    margin = margin_frac * max(spec.v_inf_level - v0, 0.0)
+    margin = _V1_MARGIN_FRAC * max(spec.v_inf_level - v0, 0.0)
     pass_v1 = (v0 > 0.0) and (v_inf_proxy > v0 + margin)
 
     msgs = []
@@ -168,8 +170,7 @@ def validate_potential(
             f"V0 + margin = {v0 + margin:.6g}"
         )
 
-    if achieve_tol is None:
-        achieve_tol = 0.01 * max(w.depth for w in spec.wells)
+    achieve_tol = _V2_ACHIEVE_FRAC * max(w.depth for w in spec.wells)
     centers = spec.center_values()
     well_ok = []
     minima = []

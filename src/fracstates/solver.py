@@ -10,24 +10,25 @@ The monotone Armijo search starts from the Barzilai-Borwein (BB2) step in
 the preconditioned metric, sigma = <s, y> / <y, P^-1 y> with s and y the
 differences of the last two projected iterates and of their gradients
 (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988). It is clamped to
-[1e-3, 1e3] * step_init; the first iteration, and any iteration where a
-pairing is not positive, starts from step_init instead. A unit-step start
-contracts the soft translational mode of V(eps x) by only 1 - O(eps^2) per
-iteration, so the BB2 start is what keeps small-eps solves short.
+[1e-3, 1e3] times the unit first step _STEP_INIT; the first iteration, and
+any iteration where a pairing is not positive, starts from _STEP_INIT
+instead. A unit-step start contracts the soft translational mode of
+V(eps x) by only 1 - O(eps^2) per iteration, so the BB2 start is what keeps
+small-eps solves short.
 
 The loop carries Lu = (-Lap)^a u across iterations instead of transforming
 u again: the gradient is Lu + V u - f(u), and the preconditioned direction
-d = ((-Lap)^a + c)^-1 g is the only transform pair of an iteration. Since
-(-Lap)^a d = g - c d exactly, the seminorm of every trial u - sigma d is a
-quadratic in sigma whose coefficients are dot products formed once per
-iteration, and the ray scaling [t v]^2 = t^2 [v]^2 carries it through the
-projection. The projection also returns the energy report of the projected
-trial, scaled from its own sums and final pass, so a trial costs no energy
-evaluation of its own; an accepted step updates
-Lu <- t* (Lu - sigma (g - c d)). No certificate rests on that recurrence:
-a residual that passes the tolerance is tested again with Lu recomputed by
-FFT, and the returned residual and energy report are computed afresh from
-that Lu.
+d = ((-Lap)^a + c)^-1 g, with c the grid mean of the potential, is the
+only transform pair of an iteration. Since (-Lap)^a d = g - c d exactly,
+the seminorm of every trial u - sigma d is a quadratic in sigma whose
+coefficients are dot products formed once per iteration, and the ray
+scaling [t v]^2 = t^2 [v]^2 carries it through the projection. The
+projection also returns the energy report of the projected trial, scaled
+from its own sums and final pass, so a trial costs no energy evaluation of
+its own; an accepted step updates Lu <- t* (Lu - sigma (g - c d)). No
+certificate rests on that recurrence: a residual that passes the tolerance
+is tested again with Lu recomputed by FFT, and the returned residual and
+energy report are computed afresh from that Lu.
 """
 
 from __future__ import annotations
@@ -59,7 +60,14 @@ from .variational import (
 )
 
 
-# range of the Barzilai-Borwein initial step, in units of step_init
+# Armijo line search: the first trial step, which also scales the BB2
+# step's clamp, the backtracking factor, the sufficient-decrease constant
+# and the number of trials before Diverged is raised
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
+_MAX_BACKTRACKS = 50
+# range of the Barzilai-Borwein initial step, in units of _STEP_INIT
 _BB_CLAMP = (1e-3, 1e3)
 
 
@@ -67,25 +75,12 @@ _BB_CLAMP = (1e-3, 1e3)
 class SolveOptions:
     max_iter: int = 2000
     tol_residual: float = 1e-8
-    precond_shift: Optional[float] = None  # default: grid mean of the potential
-    step_init: float = 1.0  # first trial step; scales the BB2 step's clamp
-    step_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 50
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise InvalidInput("max_iter must be at least 1")
         if self.tol_residual <= 0:
             raise InvalidInput("tol_residual must be positive")
-        if not self.step_init > 0:
-            raise InvalidInput("step_init must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise InvalidInput("step_shrink must lie in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise InvalidInput("sufficient_decrease must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise InvalidInput("max_backtracks must be at least 1")
 
 
 @dataclass
@@ -95,7 +90,6 @@ class SolveResult:
     iterations: int
     converged: bool
     residual: float
-    t_history: list = dfield(default_factory=list)
     energy_history: list = dfield(default_factory=list)
     max_point: tuple = ()
     negative_mass: float = 0.0
@@ -114,7 +108,7 @@ def _max_point(u: Field) -> tuple:
     return tuple(float(u.grid.axis[i]) for i in idx)
 
 
-def _finish(p: Problem, u: Field, semi, iterations, converged, residual, t_hist, e_hist) -> SolveResult:
+def _finish(p: Problem, u: Field, semi, iterations, converged, residual, e_hist) -> SolveResult:
     rep = energy(p, u, semi=semi)
     neg = p.grid.weight * _kernels.negative_sq_sum(u.values)
     return SolveResult(
@@ -123,7 +117,6 @@ def _finish(p: Problem, u: Field, semi, iterations, converged, residual, t_hist,
         iterations=iterations,
         converged=converged,
         residual=residual,
-        t_history=t_hist,
         energy_history=e_hist,
         max_point=_max_point(u),
         negative_mass=neg,
@@ -134,8 +127,9 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     """Descend I on the Nehari manifold starting from an admissible seed.
 
     Each line search starts at the clamped BB2 step of the two latest
-    iterates (step_init at the first iteration or when a BB2 pairing is not
-    positive) and shrinks it by step_shrink until the Armijo test holds.
+    iterates (_STEP_INIT at the first iteration or when a BB2 pairing is
+    not positive) and shrinks it by _STEP_SHRINK until the Armijo test
+    holds. The preconditioner shift is the grid mean of the potential.
     Trials take their seminorms from the carried (-Lap)^a u and make no
     FFT, and their energies from the projection's report; convergence is
     certified with a freshly transformed (-Lap)^a u, which also gives the
@@ -149,9 +143,7 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     opts = opts or SolveOptions()
     if not np.any(seed.values):
         raise ZeroField("seed is identically zero")
-    shift = opts.precond_shift
-    if shift is None:
-        shift = float(np.mean(p.potential_field.values))
+    shift = float(np.mean(p.potential_field.values))
     w = p.grid.weight
 
     # lu carries (-Lap)^a u; the seed's is the only one taken by FFT
@@ -162,7 +154,6 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     except NotInTheta as exc:
         raise SeedNotInTheta(str(exc)) from exc
     lu *= t0
-    t_hist = [t0]
     e_hist = [rep.total]
     best_u, best_total = u, rep.total
     residual = math.inf
@@ -188,7 +179,7 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         ug, gd = float(np.dot(uv, gv)), float(np.dot(gv, dv))
         slope = -w * gd  # negative
 
-        sigma = opts.step_init
+        sigma = _STEP_INIT
         if prev is not None:
             # BB2 pairings <s, y> and <y, P^-1 y> with s = u - u_prev,
             # y = g - g_prev, P^-1 y = d - d_prev, expanded into dot
@@ -210,16 +201,16 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         # near the minimum the Armijo decrease drops below the rounding
         # noise of the energy sums; the floor keeps steps acceptable there
         floor = 1e-13 * (1.0 + abs(rep.total))
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = Field(p.grid, uv - sigma * dv)
             semi = a0 - sigma * (2.0 * a1 - sigma * a2)
             try:
                 t_star, proj, rep_new = project_to_nehari(p, trial, semi=semi)
             except (NotInTheta, ZeroField):
-                sigma *= opts.step_shrink
+                sigma *= _STEP_SHRINK
                 continue
             trial = None  # frees its array before the next trial is formed
-            if rep_new.total <= rep.total + opts.sufficient_decrease * sigma * slope + floor:
+            if rep_new.total <= rep.total + _SUFFICIENT_DECREASE * sigma * slope + floor:
                 prev = (uv, gv, dv, ug, gd)
                 u, rep = proj, rep_new
                 # (-Lap)^a (t* (u - sigma d)) = t* (lu - sigma g + sigma c d)
@@ -228,14 +219,13 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
                 lu *= t_star
                 if rep.total < best_total:
                     best_u, best_total = u, rep.total
-                t_hist.append(t_star)
                 e_hist.append(rep.total)
                 accepted = True
                 break
-            sigma *= opts.step_shrink
+            sigma *= _STEP_SHRINK
         if not accepted:
             raise Diverged(
-                f"line search failed {opts.max_backtracks} times at iteration "
+                f"line search failed {_MAX_BACKTRACKS} times at iteration "
                 f"{it} (residual {residual:.3g})"
             )
     else:
@@ -250,7 +240,7 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     semi = w * float(np.dot(u.values, lu))
     lu = grad = direction = prev = uv = gv = dv = best_u = proj = None
     converged = residual <= opts.tol_residual
-    return _finish(p, u, semi, iterations, converged, residual, t_hist, e_hist)
+    return _finish(p, u, semi, iterations, converged, residual, e_hist)
 
 
 # --------------------------------------------------------------------------
@@ -378,14 +368,13 @@ def limit_state(config) -> SolveResult:
     )
 
 
-def sweep_epsilon(config, workers: int = 1) -> list:
-    """Run the branch experiment for every epsilon in the config.
+def sweep_epsilon(config) -> list:
+    """Run the branch experiment for every epsilon in the config, in order.
 
     Returns one SweepRecord per epsilon (see diagnostics). The limit ground
     state is solved once on the limit grid and reused as seed profile and
     as the reference for profile errors; every record carries it as
-    w_limit. With workers > 1 the epsilons run on that many threads;
-    otherwise they run in order in the calling thread.
+    w_limit.
     """
     from .diagnostics import build_sweep_record
     from .localization import solve_branches
@@ -412,14 +401,6 @@ def sweep_epsilon(config, workers: int = 1) -> list:
             c_v0=w_limit.energy,
             potential=config.potential,
             v0=v0,
-            decay_window_frac=config.sweep.decay_window,
         )
 
-    if workers > 1:
-        # imported on use: at module load it adds about 0.5 MB of peak RSS
-        # to every run, pooled or not
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, eps_list))
     return [one(eps) for eps in eps_list]

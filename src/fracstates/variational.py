@@ -138,11 +138,11 @@ _MAX_EVALS = 100
 # Newton stops once its step is below this fraction of tau: it converges
 # quadratically, so the iterate it steps to is then at rounding level
 _STEP_TOL = 1e-7
+# a projection must reach |J(t* u)| <= _NEHARI_TOL |u|^2_eps
+_NEHARI_TOL = 1e-10
 
 
-def project_to_nehari(
-    p: Problem, u: Field, tol: float = 1e-10, semi: Optional[float] = None
-) -> NehariProjection:
+def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> NehariProjection:
     """Unique t* > 0 with J(t* u) = 0, the projected field t* u and its
     energy report; raises NotInTheta when no ray point exists (Q(u) >= 0,
     or insufficient positive-part mass for signed u). semi, when given, is
@@ -158,8 +158,8 @@ def project_to_nehari(
     max(1, that bound) and jumps to the bound when a step falls below it.
     Custom laws start at tau = 1 with lo = 0. Newton stops when its step
     falls below _STEP_TOL * tau; a final pass at the last iterate gives
-    psi for the residual check |J(t* u)| <= tol |u|^2_eps and int F(t* u)
-    for the report. If the check fails, Newton goes on to rounding-level
+    psi for the residual check |J(t* u)| <= _NEHARI_TOL |u|^2_eps and
+    int F(t* u) for the report. If the check fails, Newton goes on to rounding-level
     steps and checks once more before raising NotInTheta.
     """
     w = p.grid.weight
@@ -192,14 +192,14 @@ def project_to_nehari(
     m = nsq * nl.s / (w * pos_mass) if nl.kind == "saturable" else 1.0
     if m < 1.0:
         floor = (nsq / w) / (float(np.dot(ray.a, ray.a)) * (1.0 - m))
-    tau, psi, f_int = _ray_root(nl, ray, nsq, w, floor, tol)
+    tau, psi, f_int = _ray_root(nl, ray, nsq, w, floor)
     ray = None  # frees the pass arrays before the projected field is formed
     t_star = math.sqrt(tau)
     report = _report(p, tau * semi, tau * pot, f_int, tau * psi, tau * mass)
     return NehariProjection(t_star, Field(p.grid, t_star * v), report)
 
 
-def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float, tol: float):
+def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float):
     """(tau, psi(tau), sum F(sqrt(tau) v)) at the root of nsq = w psi(tau),
     for project_to_nehari."""
     lo, hi, tau = floor, math.inf, max(1.0, floor)
@@ -228,7 +228,7 @@ def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float
                 break
         psi, f_int = nl.rate_primitive(ray, tau)
         residual = tau * (nsq - w * psi)
-        if not abs(residual) > tol * nsq:  # NaN passes on to the report's check
+        if not abs(residual) > _NEHARI_TOL * nsq:  # NaN passes on to the report's check
             return tau, psi, f_int
     raise NotInTheta(
         f"Newton projection stalled: |J(t* u)| = {abs(residual):.3g} exceeds tolerance"

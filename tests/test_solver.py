@@ -247,18 +247,6 @@ class TestSweepEpsilon:
         with pytest.raises(InvalidInput):
             sweep_epsilon(_one_well_config(saturable, (0.25, 0.5)))
 
-    def test_workers_do_not_change_records(self, saturable):
-        cfg = _one_well_config(saturable, (0.5, 0.25), max_iter=20000)
-        serial = sweep_epsilon(cfg, workers=1)
-        pooled = sweep_epsilon(cfg, workers=2)
-        assert [r.eps for r in pooled] == [0.5, 0.25]
-        assert [r.c_eps for r in pooled] == [r.c_eps for r in serial]
-        assert [[b.label.kind for b in r.branches] for r in pooled] == [
-            [b.label.kind for b in r.branches] for r in serial
-        ]
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.w_limit.values, b.w_limit.values)
-
 
 class TestBarzilaiBorweinStep:
     """The descent starts each line search at the BB2 step."""
@@ -370,26 +358,16 @@ class TestCarriedOperator:
         assert len(calls) >= 3
         assert res.energy == pytest.approx(converged.energy, rel=1e-10)
 
-class TestSolveOptions:
-    @pytest.mark.parametrize("field,value", [
-        ("step_init", 0.0), ("step_init", -1.0),
-        ("step_shrink", 0.0), ("step_shrink", 1.0), ("step_shrink", 1.5),
-        ("sufficient_decrease", 0.0), ("sufficient_decrease", 1.0),
-        ("max_backtracks", 0),
-    ])
-    def test_bad_line_search_option_rejected(self, field, value):
-        with pytest.raises(InvalidInput, match=field):
-            SolveOptions(**{field: value})
-
-
 class TestDiverged:
-    def test_unreachable_step_raises(self, flat_problem):
+    def test_unreachable_step_raises(self, flat_problem, monkeypatch):
+        import fracstates.solver as solver
         from fracstates.errors import Diverged
 
+        monkeypatch.setattr(solver, "_STEP_INIT", 1e9)
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 2)
         seed = gaussian_field(flat_problem.grid, 2.0)
-        opts = SolveOptions(step_init=1e9, max_backtracks=2)
         with pytest.raises(Diverged):
-            solve_constrained(flat_problem, seed, opts)
+            solve_constrained(flat_problem, seed)
 
 
 class TestGridForEpsilon:
