@@ -50,12 +50,13 @@ from .localization import (
     build_boxes,
     classify,
     seed_field,
+    solve_branch,
     solve_branches,
     truncated_coordinate,
 )
 from .diagnostics import (
     SweepRecord,
-    concentration_report,
+    concentration_table,
     decay_fit,
     locate_max,
     profile_error,

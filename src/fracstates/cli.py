@@ -19,18 +19,17 @@ import numpy as np
 
 from . import __version__, _kernels
 from .config import ExperimentConfig, load_config
-from .diagnostics import SweepRecord, concentration_row, concentration_table
+from .diagnostics import (
+    branch_diagnostics,
+    branch_record,
+    concentration_table,
+    records_payload,
+)
 from .errors import ConfigError, FracstatesError
 from .grid import Field, make_grid
-from .localization import barycenter_h, classify, seed_field
+from .localization import solve_branch
 from .models import validate_nonlinearity, validate_potential
-from .solver import (
-    energy_curve,
-    limit_state,
-    problem_for_epsilon,
-    solve_constrained,
-    sweep_epsilon,
-)
+from .solver import energy_curve, limit_state, problem_for_epsilon, sweep_epsilon
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -144,51 +143,13 @@ def write_summary_csv(path: Path, stored: dict):
         fh.write("\n".join(lines) + "\n")
 
 
-def _concentration(stored: dict) -> dict:
-    rows = []
-    for rec in stored["records"]:
-        best = min(rec["branches"], key=lambda br: br["energy"])
-        rows.append(
-            concentration_row(
-                eps=rec["eps"], c_eps=rec["c_eps"], c_v0=stored["c_v0"],
-                v_at_max=best["v_at_max"], v0=stored["v0"],
-                profile_err=best["profile_error"],
-                decay_exponent=best["decay_exponent"], trusted=rec["trusted"],
-            )
-        )
-    return concentration_table(rows)
-
-
 def _write_tables(out_dir: Path):
     """summary.csv and concentration.json from records.json, for both sweep
     and report."""
     with open(out_dir / "records.json") as fh:
         stored = json.load(fh)
     write_summary_csv(out_dir / "summary.csv", stored)
-    _write_json(out_dir / "concentration.json", _concentration(stored))
-
-
-def _record_payload(rec: SweepRecord) -> dict:
-    return {
-        "eps": rec.eps,
-        "c_eps": rec.c_eps,
-        "c_v0": rec.c_v0,
-        "v0": rec.v0,
-        "omega": rec.omega,
-        "sigma_members": rec.sigma_members,
-        "trusted": rec.trusted,
-        "branches": [
-            dict(
-                br.to_record(),
-                v_at_max=diag.v_at_max,
-                profile_error=diag.profile_err,
-                decay_exponent=diag.decay_exponent,
-                decay_r2=diag.decay_r2,
-                boundary_mass=diag.boundary_mass,
-            )
-            for br, diag in zip(rec.branches, rec.diagnostics)
-        ],
-    }
+    _write_json(out_dir / "concentration.json", concentration_table(stored))
 
 
 def dump_field(out_dir: Path, name: str, field: Field, extra=None):
@@ -300,15 +261,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> int:
     ensure_hypotheses(config)
     records = sweep_epsilon(config)
     c_v0, v0 = records[0].c_v0, records[0].v0
-    _write_json(
-        out_dir / "records.json",
-        {
-            "schema": "fracstates-records-v1",
-            "c_v0": c_v0,
-            "v0": v0,
-            "records": [_record_payload(r) for r in records],
-        },
-    )
+    _write_json(out_dir / "records.json", records_payload(records))
     fields_dir = out_dir / "fields"
     dump_field(fields_dir, "limit_state", records[0].w_limit, {"a": v0})
     for rec in records:
@@ -330,7 +283,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
-    """Exactly one (eps, branch) problem from the solve block."""
+    """Exactly one (eps, branch) problem from the solve block. Its JSON is
+    the sweep's records.json entry of that branch, plus eps and c_v0."""
     ensure_hypotheses(config)
     eps = config.solve.epsilon
     if eps is None:
@@ -341,30 +295,16 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(f"solve.branch must be in 1..{boxes.k}, got {j}")
     w_res = limit_state(config)
     p = problem_for_epsilon(config, eps)
-    seed = seed_field(w_res.u, boxes.centers[j - 1], p)
-    res = solve_constrained(p, seed, config.solve_options())
-    label = classify(res.u, boxes, eps)
-    hb = barycenter_h(res.u, 2.0, eps, boxes.L)
-    payload = {
-        "eps": eps,
-        "branch": j,
-        "label": label.kind,
-        "energy": res.energy,
-        "c_v0": w_res.energy,
-        "converged": res.converged,
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "nehari_residual": res.report.nehari_residual,
-        "negative_mass": res.negative_mass,
-        "barycenter": [float(x) for x in hb],
-        "max_point": [float(x) for x in res.max_point],
-    }
+    br = solve_branch(p, boxes, w_res.u, j, config.solve_options())
+    diag = branch_diagnostics(br.result, p, w_res.u, config.potential)
+    payload = dict(branch_record(br, diag), eps=eps, c_v0=w_res.energy)
     _write_json(out_dir / f"solve_eps{eps:g}_branch{j}.json", payload)
+    res = br.result
     dump_field(out_dir / "fields", f"eps{eps:g}_branch{j}", res.u,
                {"eps": eps, "branch": j})
     click.echo(
         f"eps = {eps:g}, branch {j}: energy = {res.energy:.10g}, "
-        f"label = {label.kind}, converged = {res.converged}"
+        f"label = {br.label.kind}, converged = {res.converged}"
     )
     return EXIT_OK
 

@@ -147,7 +147,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     potential = _parse_potential(data["potential"])
     nonlinearity = _parse_nonlinearity(data["nonlinearity"])
     bx = _require(data["boxes"], "boxes", ["l", "L"], ["nu"])
-    boxes = BoxesBlock(float(bx["l"]), float(bx["L"]), bx.get("nu"))
+    nu = bx.get("nu")
+    if nu is not None:
+        try:
+            nu = float(nu)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"boxes.nu: expected a number, got {nu!r}") from exc
+    boxes = BoxesBlock(float(bx["l"]), float(bx["L"]), nu)
     sw = _require(data["sweep"], "sweep", ["epsilons"], ["max_iter", "tol_residual", "point_budget"])
     if not isinstance(sw["epsilons"], list) or not sw["epsilons"]:
         raise ConfigError("sweep.epsilons: expected a non-empty list")

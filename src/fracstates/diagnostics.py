@@ -1,5 +1,6 @@
 """Quantitative checks of concentration, profile convergence, tail decay,
-and ground-state selection on solver output."""
+and ground-state selection on solver output, and the records.json payload
+and concentration table built from them."""
 
 from __future__ import annotations
 
@@ -18,22 +19,9 @@ from .errors import (
     WindowTooSmall,
     ZeroField,
 )
-from .grid import Field, gagliardo_sq, resample_field
+from .grid import Field, gagliardo_sq, locate_max, resample_field
 from .localization import BranchResult
 from .models import PotentialSpec
-
-
-def locate_max(u: Field) -> np.ndarray:
-    """Grid point of the maximal value; ties break to the lexicographically
-    smallest index."""
-    if not np.any(u.values):
-        raise ZeroField("zero field has no maximum point")
-    idx = np.unravel_index(int(np.argmax(u.values)), u.grid.shape)
-    return np.array([u.grid.axis[i] for i in idx])
-
-
-def _argmax_index(u: Field):
-    return np.unravel_index(int(np.argmax(u.values)), u.grid.shape)
 
 
 def _recentred(u: Field, index) -> np.ndarray:
@@ -52,7 +40,7 @@ def profile_error(u: Field, w_limit: Field, eta, alpha: float) -> float:
     if abs(gu.h - gw.h) > 1e-12 * max(gu.h, gw.h):
         raise GridMismatch("incommensurate grids: unequal spacings")
     u_cent = Field(gu, _recentred(u, gu.index_of(eta)))
-    w_cent = Field(gw, _recentred(w_limit, _argmax_index(w_limit)))
+    w_cent = Field(gw, _recentred(w_limit, gw.index_of(locate_max(w_limit))))
     w_on_u = resample_field(w_cent, gu)
     diff = Field(gu, u_cent.values - w_on_u.values)
     return math.sqrt(
@@ -296,9 +284,7 @@ DECAY_WINDOW_FRAC = (0.2, 0.35)
 
 def boundary_mass_fraction(u: Field) -> float:
     """L2 mass fraction in the outer 10% shell {|x|_inf >= 0.9 R}."""
-    g = u.grid
-    sup_abs = np.max(np.abs(np.stack([c.ravel() for c in g.coords])), axis=0)
-    shell = sup_abs >= 0.9 * g.R
+    shell = u.grid.boundary_shell()
     total = float(np.dot(u.values, u.values))
     if total == 0.0:
         raise ZeroField("boundary mass of the zero field is undefined")
@@ -307,12 +293,34 @@ def boundary_mass_fraction(u: Field) -> float:
 
 @dataclass
 class BranchDiagnostics:
-    max_point: np.ndarray
     v_at_max: float
     profile_err: float
     decay_exponent: Optional[float]
     decay_r2: Optional[float]
     boundary_mass: float
+
+
+def branch_diagnostics(
+    result, problem, w_limit: Field, potential: PotentialSpec
+) -> BranchDiagnostics:
+    """Potential value at the maximum point, profile error against the limit
+    state, tail fit on the radii DECAY_WINDOW_FRAC times the grid half-width
+    R (None when the window is unusable), and boundary mass of one solve."""
+    u = result.u
+    eta = np.asarray(result.max_point)
+    R = problem.grid.R
+    try:
+        fit = decay_fit(u, eta, (DECAY_WINDOW_FRAC[0] * R, DECAY_WINDOW_FRAC[1] * R))
+        dexp, dr2 = fit.exponent, fit.r2
+    except (WindowTooSmall, NonpositiveTail):
+        dexp, dr2 = None, None
+    return BranchDiagnostics(
+        v_at_max=float(potential.evaluate(problem.eps * eta)[0]),
+        profile_err=profile_error(u, w_limit, eta, problem.alpha),
+        decay_exponent=dexp,
+        decay_r2=dr2,
+        boundary_mass=boundary_mass_fraction(u),
+    )
 
 
 @dataclass
@@ -348,102 +356,99 @@ def build_sweep_record(
     """Attach per-branch diagnostics to a branch experiment for one epsilon.
 
     omega(eps) = sqrt(eps) * c_V0 defines the low-energy set used for the
-    sigma membership column. Tails are fitted on the radii DECAY_WINDOW_FRAC
-    times the grid half-width R.
+    sigma membership column.
     """
-    diags = []
     omega = math.sqrt(eps) * c_v0
-    R = problem.grid.R
-    for br in experiment.branches:
-        u = br.result.u
-        eta = locate_max(u)
-        v_at_max = float(potential.evaluate(eps * eta)[0])
-        perr = profile_error(u, w_limit, eta, problem.alpha)
-        window = (DECAY_WINDOW_FRAC[0] * R, DECAY_WINDOW_FRAC[1] * R)
-        try:
-            fit = decay_fit(u, eta, window)
-            dexp, dr2 = fit.exponent, fit.r2
-        except (WindowTooSmall, NonpositiveTail):
-            dexp, dr2 = None, None
-        diags.append(
-            BranchDiagnostics(
-                max_point=eta,
-                v_at_max=v_at_max,
-                profile_err=perr,
-                decay_exponent=dexp,
-                decay_r2=dr2,
-                boundary_mass=boundary_mass_fraction(u),
-            )
-        )
-    c_eps = min(b.alpha_energy for b in experiment.branches)
-    sigma = [
-        b.j
-        for b in experiment.branches
-        if sigma_membership(b.result, c_v0, omega)
-    ]
     return SweepRecord(
         eps=float(eps),
         branches=experiment.branches,
-        diagnostics=diags,
-        c_eps=c_eps,
+        diagnostics=[
+            branch_diagnostics(b.result, problem, w_limit, potential) for b in experiment.branches
+        ],
+        c_eps=min(b.alpha_energy for b in experiment.branches),
         c_v0=c_v0,
         v0=v0,
         omega=omega,
-        sigma_members=sigma,
+        sigma_members=[
+            b.j for b in experiment.branches if sigma_membership(b.result, c_v0, omega)
+        ],
         w_limit=w_limit,
     )
 
 
-def concentration_row(
-    *,
-    eps: float,
-    c_eps: float,
-    c_v0: float,
-    v_at_max: float,
-    v0: float,
-    profile_err: float,
-    decay_exponent: Optional[float],
-    trusted: bool,
-) -> dict:
-    """One row of the concentration table, from the minimum-energy branch
-    of one epsilon."""
+RECORDS_SCHEMA = "fracstates-records-v1"
+
+
+def branch_record(br: BranchResult, diag: BranchDiagnostics) -> dict:
+    """One branch of records.json: the solve, its label and barycenter, and
+    its diagnostics. `fracstates solve` writes the same entry."""
+    res = br.result
     return {
-        "eps": eps,
-        "c_gap": c_eps - c_v0,
-        "v_gap": v_at_max - v0,
-        "profile_error": profile_err,
-        "decay_exponent": decay_exponent,
-        "trusted": trusted,
+        "branch": br.j,
+        "label": br.label.kind,
+        "energy": br.alpha_energy,
+        "alpha_bar": br.alpha_bar,
+        "barycenter": [float(x) for x in br.barycenter],
+        "max_point": [float(x) for x in res.max_point],
+        "converged": bool(res.converged),
+        "iterations": res.iterations,
+        "residual": res.residual,
+        "nehari_residual": res.report.nehari_residual,
+        "negative_mass": res.negative_mass,
+        "v_at_max": diag.v_at_max,
+        "profile_error": diag.profile_err,
+        "decay_exponent": diag.decay_exponent,
+        "decay_r2": diag.decay_r2,
+        "boundary_mass": diag.boundary_mass,
     }
 
 
-def concentration_table(rows: Sequence[dict]) -> dict:
-    """Rows in epsilon order plus flags telling whether the energy gap, the
-    potential gap and the profile error decrease strictly along them (no
-    flags for fewer than two rows)."""
-    rows = list(rows)
+def records_payload(records: Sequence[SweepRecord]) -> dict:
+    """The records.json payload of a sweep, one entry per epsilon."""
+    return {
+        "schema": RECORDS_SCHEMA,
+        "c_v0": records[0].c_v0,
+        "v0": records[0].v0,
+        "records": [
+            {
+                "eps": rec.eps,
+                "c_eps": rec.c_eps,
+                "c_v0": rec.c_v0,
+                "v0": rec.v0,
+                "omega": rec.omega,
+                "sigma_members": rec.sigma_members,
+                "trusted": rec.trusted,
+                "branches": [branch_record(b, d) for b, d in zip(rec.branches, rec.diagnostics)],
+            }
+            for rec in records
+        ],
+    }
+
+
+def concentration_table(stored: dict) -> dict:
+    """Per-epsilon gap table of a records.json payload, with flags telling
+    whether the energy gap, the potential gap and the profile error
+    decrease strictly along it (no flags for fewer than two records).
+
+    Each row uses the minimum-energy branch of its record and carries the
+    record's trusted mark.
+    """
+    rows = []
+    for rec in stored["records"]:
+        best = min(rec["branches"], key=lambda br: br["energy"])
+        rows.append(
+            {
+                "eps": rec["eps"],
+                "c_gap": rec["c_eps"] - stored["c_v0"],
+                "v_gap": best["v_at_max"] - stored["v0"],
+                "profile_error": best["profile_error"],
+                "decay_exponent": best["decay_exponent"],
+                "trusted": rec["trusted"],
+            }
+        )
     flags = {}
     if len(rows) >= 2:
         for key in ("c_gap", "v_gap", "profile_error"):
             vals = [r[key] for r in rows]
             flags[f"{key}_decreasing"] = all(b < a for a, b in zip(vals, vals[1:]))
     return {"rows": rows, "flags": flags}
-
-
-def concentration_report(records: Sequence[SweepRecord], c_v0: float, v0: float) -> dict:
-    """Per-epsilon gap table with monotone-trend flags.
-
-    Each row uses the minimum-energy branch of its record; rows whose
-    boundary mass exceeds the trusted threshold are marked untrusted.
-    """
-    rows = []
-    for rec in records:
-        diag = rec.diagnostics[rec.min_branch_index()]
-        rows.append(
-            concentration_row(
-                eps=rec.eps, c_eps=rec.c_eps, c_v0=c_v0, v_at_max=diag.v_at_max, v0=v0,
-                profile_err=diag.profile_err, decay_exponent=diag.decay_exponent,
-                trusted=rec.trusted,
-            )
-        )
-    return concentration_table(rows)

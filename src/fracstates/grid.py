@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid, InvalidInput, NonFinite, NonpositiveShift
+from .errors import GridMismatch, InvalidGrid, InvalidInput, NonFinite, NonpositiveShift, ZeroField
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,16 @@ class Grid:
             self._shifted[alpha] = last
         return last[1]
 
+    def boundary_shell(self) -> np.ndarray:
+        """Flat mask of the outer shell {|x|_inf >= 0.9 R}. A point lies in
+        it when one of its coordinates does, so the 1-D test is broadcast
+        along each axis and no coordinate mesh is built."""
+        edge = np.abs(self.axis) >= 0.9 * self.R
+        mask = np.zeros(self.shape, dtype=bool)
+        for i in range(self.d):
+            mask |= edge.reshape((-1,) + (1,) * (self.d - 1 - i))
+        return mask.ravel()
+
     def index_of(self, point) -> tuple:
         """Grid index of a point that must lie on the grid (within 1e-9*h)."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -133,6 +143,15 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
+
+
+def locate_max(u: Field) -> np.ndarray:
+    """Grid point of the maximal value; ties break to the lexicographically
+    smallest index."""
+    if not np.any(u.values):
+        raise ZeroField("zero field has no maximum point")
+    idx = np.unravel_index(int(np.argmax(u.values)), u.grid.shape)
+    return np.array([u.grid.axis[i] for i in idx])
 
 
 def make_grid(d: int, R: float, n: int) -> Grid:

@@ -81,14 +81,16 @@ def build_boxes(spec: PotentialSpec, l: float, L: float, nu: Optional[float] = N
     Checks pairwise disjointness of the closed boxes, containment in
     (-L, L)^d, the 2l <= L constraint, and that the potential rises above
     V0 + _BOX_MARGIN_FRAC (V_inf - V0) on every sampled box boundary.
-    nu, the classification band, defaults to l/10.
+    nu, the classification band, defaults to l/10 and must be nonnegative.
     """
-    if l <= 0 or L <= 0:
+    if not (l > 0 and L > 0):
         raise InvalidInput("box sizes l and L must be positive")
     if 2.0 * l > L:
         raise InvalidInput(f"need 2l <= L, got l={l}, L={L}")
     if nu is None:
         nu = 0.1 * l
+    if not nu >= 0:
+        raise InvalidInput(f"classification band nu must be nonnegative, got {nu}")
     centers = tuple(np.asarray(w.center, dtype=float) for w in spec.wells)
     d = spec.d
     for i in range(len(centers)):
@@ -214,12 +216,15 @@ def classify(u: Field, boxes: BoxFamily, eps: float) -> BranchLabel:
     """Branch label from the barycenter: interior/boundary of the rescaled
     box within margin boxes.nu/eps, outside otherwise. Negative mass beyond
     tolerance forces outside."""
+    return _label(u, barycenter_h(u, 2.0, eps, boxes.L), boxes, eps)
+
+
+def _label(u: Field, hb: np.ndarray, boxes: BoxFamily, eps: float) -> BranchLabel:
+    """classify, given the truncated barycenter hb of u (whose computation
+    has already rejected the zero field)."""
     mass = float(np.dot(u.values, u.values))
-    if mass == 0.0:
-        raise ZeroField("cannot classify the zero field")
     if _kernels.negative_sq_sum(u.values) > NEGATIVITY_TOL * mass:
         return BranchLabel.outside()
-    hb = barycenter_h(u, 2.0, eps, boxes.L)
     dists = [
         np.max(np.abs(hb - np.asarray(c) / eps)) for c in boxes.centers
     ]
@@ -249,21 +254,6 @@ class BranchResult:
     center: tuple
     eps: float
     l: float
-
-    def to_record(self) -> dict:
-        return {
-            "branch": self.j,
-            "label": self.label.kind,
-            "energy": self.alpha_energy,
-            "alpha_bar": self.alpha_bar,
-            "barycenter": [float(x) for x in self.barycenter],
-            "max_point": [float(x) for x in self.result.max_point],
-            "converged": bool(self.result.converged),
-            "iterations": self.result.iterations,
-            "residual": self.result.residual,
-            "nehari_residual": self.result.report.nehari_residual,
-            "negative_mass": self.result.negative_mass,
-        }
 
 
 @dataclass
@@ -296,38 +286,45 @@ def _probe_alpha_bar(p: Problem, boxes: BoxFamily, w_limit: Field, center) -> Op
     return min(energies) if energies else None
 
 
+def solve_branch(
+    p: Problem,
+    boxes: BoxFamily,
+    w_limit: Field,
+    j: int,
+    opts: Optional[SolveOptions] = None,
+) -> BranchResult:
+    """The constrained solve of branch j (1-based), seeded at its well
+    center, with its label, truncated barycenter and boundary probe floor.
+    Raises SeedNotInTheta when the seed leaves the restricted set."""
+    center = boxes.centers[j - 1]
+    try:
+        seed = seed_field(w_limit, center, p)
+    except SeedLeftTheta as exc:
+        raise SeedNotInTheta(f"branch {j}: {exc}") from exc
+    res = solve_constrained(p, seed, opts)
+    hb = barycenter_h(res.u, 2.0, p.eps, boxes.L)
+    return BranchResult(
+        j=j,
+        result=res,
+        label=_label(res.u, hb, boxes, p.eps),
+        alpha_energy=res.energy,
+        alpha_bar=_probe_alpha_bar(p, boxes, w_limit, center),
+        barycenter=hb,
+        center=tuple(center),
+        eps=p.eps,
+        l=boxes.l,
+    )
+
+
 def solve_branches(
     p: Problem,
     boxes: BoxFamily,
     w_limit: Field,
     opts: Optional[SolveOptions] = None,
 ) -> BranchExperiment:
-    """One constrained solve per well, seeded at its center, plus the
-    boundary probe floor. Escaped branches (label not interior) are reported
-    and the run continues."""
-    branches = []
-    for j, center in enumerate(boxes.centers, start=1):
-        try:
-            seed = seed_field(w_limit, center, p)
-        except SeedLeftTheta as exc:
-            raise SeedNotInTheta(f"branch {j}: {exc}") from exc
-        res = solve_constrained(p, seed, opts)
-        label = classify(res.u, boxes, p.eps)
-        hb = barycenter_h(res.u, 2.0, p.eps, boxes.L)
-        abar = _probe_alpha_bar(p, boxes, w_limit, center)
-        branches.append(
-            BranchResult(
-                j=j,
-                result=res,
-                label=label,
-                alpha_energy=res.energy,
-                alpha_bar=abar,
-                barycenter=hb,
-                center=tuple(center),
-                eps=p.eps,
-                l=boxes.l,
-            )
-        )
+    """One solve_branch per well. Escaped branches (label not interior) are
+    reported and the run continues."""
+    branches = [solve_branch(p, boxes, w_limit, j, opts) for j in range(1, boxes.k + 1)]
 
     k = len(branches)
     dist = np.zeros((k, k))

@@ -155,9 +155,7 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
     """
     vals = spec.evaluate_on_coords(grid.coords).ravel()
     v0 = float(np.min(vals))
-    sup_abs = np.max(np.abs(np.stack([c.ravel() for c in grid.coords])), axis=0)
-    shell = sup_abs >= 0.9 * grid.R
-    v_inf_proxy = float(np.min(vals[shell]))
+    v_inf_proxy = float(np.min(vals[grid.boundary_shell()]))
     margin = _V1_MARGIN_FRAC * max(spec.v_inf_level - v0, 0.0)
     pass_v1 = (v0 > 0.0) and (v_inf_proxy > v0 + margin)
 

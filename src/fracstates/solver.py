@@ -49,7 +49,7 @@ from .errors import (
     ZeroField,
 )
 from . import _kernels
-from .grid import Field, Grid, apply_frac_laplacian, helmholtz_inverse, make_grid
+from .grid import Field, Grid, apply_frac_laplacian, helmholtz_inverse, locate_max, make_grid
 from .models import NonlinearitySpec, sample_potential
 from .variational import (
     EnergyReport,
@@ -103,11 +103,6 @@ def _l2(grid: Grid, values: np.ndarray) -> float:
     return math.sqrt(grid.weight * float(np.dot(values, values)))
 
 
-def _max_point(u: Field) -> tuple:
-    idx = np.unravel_index(int(np.argmax(u.values)), u.grid.shape)
-    return tuple(float(u.grid.axis[i]) for i in idx)
-
-
 def _finish(p: Problem, u: Field, semi, iterations, converged, residual, e_hist) -> SolveResult:
     rep = energy(p, u, semi=semi)
     neg = p.grid.weight * _kernels.negative_sq_sum(u.values)
@@ -118,7 +113,7 @@ def _finish(p: Problem, u: Field, semi, iterations, converged, residual, e_hist)
         converged=converged,
         residual=residual,
         energy_history=e_hist,
-        max_point=_max_point(u),
+        max_point=tuple(float(x) for x in locate_max(u)),
         negative_mass=neg,
     )
 
@@ -159,6 +154,7 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     residual = math.inf
 
     prev = None  # (u, g, d, <u,g>, <g,d>) of the previous accepted iterate
+    pg = None
     for it in range(1, opts.max_iter + 1):
         grad = gradient(p, u, lu=lu)
         residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
@@ -174,24 +170,33 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
                 iterations = it - 1
                 break
 
-        direction = helmholtz_inverse(grad, p.alpha, shift)
-        uv, gv, dv = u.values, grad.values, direction.values
-        ug, gd = float(np.dot(uv, gv)), float(np.dot(gv, dv))
-        slope = -w * gd  # negative
-
-        sigma = _STEP_INIT
+        uv, gv = u.values, grad.values
+        ug = float(np.dot(uv, gv))
         if prev is not None:
             # BB2 pairings <s, y> and <y, P^-1 y> with s = u - u_prev,
             # y = g - g_prev, P^-1 y = d - d_prev, expanded into dot
-            # products so that no difference array is formed
+            # products so that no difference array is formed. The three
+            # cross pairings that need no d are formed before the
+            # transform, so that of the previous arrays only g_prev is
+            # held through it
             pu, pg, pd, pug, pgd = prev
-            sy = ug - float(np.dot(uv, pg)) - float(np.dot(pu, gv)) + pug
-            yy = gd - float(np.dot(gv, pd)) - float(np.dot(pg, dv)) + pgd
+            u_pg, pu_g, g_pd = float(np.dot(uv, pg)), float(np.dot(pu, gv)), float(np.dot(gv, pd))
+        # the previous u and d, also held by the loop's own names, go first
+        prev = pu = pd = direction = dv = None
+        direction = helmholtz_inverse(grad, p.alpha, shift)
+        dv = direction.values
+        gd = float(np.dot(gv, dv))
+        slope = -w * gd  # negative
+
+        sigma = _STEP_INIT
+        if pg is not None:
+            sy = ug - u_pg - pu_g + pug
+            yy = gd - g_pd - float(np.dot(pg, dv)) + pgd
             if sy > 0 and yy > 0:
                 sigma = min(max(sy / yy, _BB_CLAMP[0] * sigma), _BB_CLAMP[1] * sigma)
-        # drop the previous arrays so that the line search holds no more
-        # arrays than a unit-step search would
-        prev = pu = pg = pd = None
+        # drop g_prev so that the line search holds no more arrays than a
+        # unit-step search would
+        pg = None
         # (-Lap)^a d = g - c d exactly, so the trial seminorm is the
         # quadratic [u - sigma d]^2 = a0 - 2 sigma a1 + sigma^2 a2
         a0 = w * float(np.dot(uv, lu))

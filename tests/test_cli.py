@@ -88,6 +88,27 @@ class TestCheck:
         assert res.exit_code == 1
         assert key in res.output
 
+    def test_non_numeric_nu_is_config_error(self, tmp_path):
+        cfg = canonical_config(boxes={"nu": "abc"})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "boxes.nu" in res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("nu", [-0.5, float("nan")], ids=["negative", "nan"])
+    def test_bad_nu_fails_boxes(self, tmp_path, nu):
+        path = write_config(tmp_path, canonical_config(boxes={"nu": nu}))
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "boxes: FAIL" in res.output
+        report = json.loads((out / "validation.json").read_text())
+        assert not report["boxes"]
+        assert report["V1"] and report["f3"]
+
     _UNKNOWN_SWEEP_KEYS = [
         ("stepsize", 0.1),
         # settings the solver and diagnostics now fix as constants
@@ -185,6 +206,19 @@ class TestSolveCommand:
         assert payload["label"] == "interior"
         assert payload["converged"]
         assert (out / "fields" / "eps0.5_branch1.f64").exists()
+
+    def test_solve_json_is_sweep_branch_entry(self, sweep_run, tmp_path):
+        _, path, swept = sweep_run
+        out = tmp_path / "out"
+        res = run_cli(["solve", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((out / "solve_eps0.5_branch1.json").read_text())
+        stored = json.loads((swept / "records.json").read_text())
+        (rec,) = stored["records"]
+        (entry,) = rec["branches"]
+        assert payload == dict(entry, eps=rec["eps"], c_v0=stored["c_v0"])
+        assert {"alpha_bar", "v_at_max", "profile_error", "decay_exponent", "decay_r2",
+                "boundary_mass"} <= set(payload)
 
 
 class TestHypothesisGate:

@@ -8,10 +8,11 @@ from conftest import gaussian_field
 from fracstates.diagnostics import (
     BranchDiagnostics,
     boundary_mass_fraction,
-    concentration_report,
+    concentration_table,
     decay_fit,
     locate_max,
     profile_error,
+    records_payload,
     select_ground_state,
     sigma_membership,
 )
@@ -179,6 +180,10 @@ class _FakeResult:
     def __init__(self, total, nehari=0.0, converged=True):
         self.report = _fake_report(total, nehari)
         self.converged = converged
+        self.iterations = 1
+        self.residual = 0.0
+        self.max_point = (0.0,)
+        self.negative_mass = 0.0
 
 
 def _branch(j, energy, label="interior", converged=True, bary=None, center=(0.0,), eps=0.25, l=1.0):
@@ -255,7 +260,6 @@ def _fake_record(eps, c_gap, v_gap, perr, c_v0=3.0, v0=1.0, bmass=1e-8):
 
     br = _branch(1, c_v0 + c_gap, eps=eps)
     diag = BranchDiagnostics(
-        max_point=np.array([0.0]),
         v_at_max=v0 + v_gap,
         profile_err=perr,
         decay_exponent=-2.0,
@@ -269,22 +273,24 @@ def _fake_record(eps, c_gap, v_gap, perr, c_v0=3.0, v0=1.0, bmass=1e-8):
 
 
 class TestConcentrationReport:
+    """concentration_table on records.json payloads built from sweep records."""
+
     def test_trend_flags(self):
         recs = [
             _fake_record(0.5, 0.4, 1e-3, 0.7),
             _fake_record(0.25, 0.1, 2.5e-4, 0.4),
         ]
-        table = concentration_report(recs, 3.0, 1.0)
+        table = concentration_table(records_payload(recs))
         assert table["flags"]["c_gap_decreasing"]
         assert table["flags"]["v_gap_decreasing"]
         assert table["flags"]["profile_error_decreasing"]
 
     def test_single_record_no_flags(self):
-        table = concentration_report([_fake_record(0.5, 0.4, 1e-3, 0.7)], 3.0, 1.0)
+        table = concentration_table(records_payload([_fake_record(0.5, 0.4, 1e-3, 0.7)]))
         assert table["flags"] == {}
         assert len(table["rows"]) == 1
 
     def test_untrusted_marking(self):
         rec = _fake_record(0.5, 0.4, 1e-3, 0.7, bmass=1e-3)
-        table = concentration_report([rec], 3.0, 1.0)
+        table = concentration_table(records_payload([rec]))
         assert not table["rows"][0]["trusted"]

@@ -68,6 +68,15 @@ class TestBuildBoxes:
         with pytest.raises(InvalidInput):
             build_boxes(single_well_potential(), 3.0, 4.0)
 
+    @pytest.mark.parametrize("nu", [-0.1, float("nan")], ids=["negative", "nan"])
+    def test_bad_band_rejected(self, nu):
+        with pytest.raises(InvalidInput, match="nu"):
+            build_boxes(single_well_potential(), 1.0, 4.0, nu)
+
+    def test_nan_size_rejected(self):
+        with pytest.raises(InvalidInput, match="box sizes"):
+            build_boxes(single_well_potential(), float("nan"), 4.0, 0.1)
+
 
 class TestSeedField:
     def test_untranslated_cutoff_keeps_plateau(self, saturable, limit_state):
