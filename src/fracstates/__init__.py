@@ -32,7 +32,6 @@ from .variational import (
     gradient,
     project_to_nehari,
     ray_argmax_oracle,
-    theta_defect,
 )
 from .solver import (
     SolveOptions,

@@ -1,11 +1,11 @@
 """Pointwise numpy kernels of the saturable law f(t) = t^3/(1 + s t^2).
 
 f, f' and F vanish for t <= 0, and F(t) = t^2/(2s) - log(1 + s t^2)/(2s^2).
-``nehari_pass`` and ``nehari_final`` (the passes of the Nehari projection)
-work in place on two arrays the caller allocates once per projection, so a
-pass forms no temporary array. ``saturable_f`` and ``energy_sums`` form no
-temporary beyond one scratch array: they chain in-place operations that
-round exactly as the plain expressions do.
+``nehari_pass`` and ``nehari_final`` (the passes of the Nehari projection
+and of the energy) work in place on two arrays the caller allocates once
+per ray, so a pass forms no temporary array. ``saturable_f`` forms no
+temporary beyond one scratch array: it chains in-place operations that
+round exactly as the plain expression does.
 
 No public kernel calls another one, because perfbench's tracer counts every
 call of a public function of this module.
@@ -81,29 +81,6 @@ def nehari_final(a, r, tau, s):
     x_sum = float(np.sum(r))
     np.log1p(r, out=r)
     return psi, (x_sum - float(np.sum(r))) / (2.0 * s * s)
-
-
-def energy_sums(u, v, s):
-    """(sum v*u^2, sum F(u), sum f(u)*u) over the flat samples, in three
-    arrays: up2 = u+^2, den = 1 + s*up2 and one scratch array."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    up2 = u * u
-    pot = float(np.dot(v, up2))
-    # u+^2 equals u^2 where u > 0 and 0 elsewhere, NaN included
-    np.fmax(u, 0.0, out=up2)
-    up2 *= up2
-    den = up2 * s
-    den += 1.0
-    work = up2 * up2
-    work /= den
-    fu = float(np.sum(work))
-    np.divide(up2, 2.0 * s, out=work)
-    np.log(den, out=den)
-    den /= 2.0 * s * s
-    work -= den
-    fint = float(np.sum(work))
-    return pot, fint, fu
 
 
 def negative_sq_sum(u):

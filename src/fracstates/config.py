@@ -28,6 +28,15 @@ def _require(mapping: dict, context: str, required, optional=()):
     return mapping
 
 
+def _number(value, name: str, kind=float):
+    """value converted by kind (float or int); a value kind rejects is a
+    ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: expected a number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class ProblemBlock:
     d: int
@@ -107,8 +116,13 @@ def _parse_potential(block) -> PotentialSpec:
         center = w["center"]
         if not isinstance(center, (list, tuple)):
             center = [center]
-        wells.append(Well(tuple(float(c) for c in center), float(w["depth"]), float(w["width"])))
-    return PotentialSpec(float(block["v_inf_level"]), tuple(wells))
+        ctx = f"potential.wells[{i}]"
+        wells.append(Well(
+            tuple(_number(c, f"{ctx}.center") for c in center),
+            _number(w["depth"], f"{ctx}.depth"),
+            _number(w["width"], f"{ctx}.width"),
+        ))
+    return PotentialSpec(_number(block["v_inf_level"], "potential.v_inf_level"), tuple(wells))
 
 
 def _parse_nonlinearity(block) -> NonlinearitySpec:
@@ -121,12 +135,8 @@ def _parse_nonlinearity(block) -> NonlinearitySpec:
         )
     if "s" not in block:
         raise ConfigError("nonlinearity: saturable kind requires 's'")
-    kwargs = {}
-    if "q" in block:
-        kwargs["q"] = float(block["q"])
-    if "C0" in block:
-        kwargs["C0"] = float(block["C0"])
-    return NonlinearitySpec.saturable(float(block["s"]), **kwargs)
+    kwargs = {key: _number(block[key], f"nonlinearity.{key}") for key in ("q", "C0") if key in block}
+    return NonlinearitySpec.saturable(_number(block["s"], "nonlinearity.s"), **kwargs)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -138,48 +148,50 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
     pb = _require(data["problem"], "problem", ["d", "alpha", "R0"], ["R_cap", "h0"])
     problem = ProblemBlock(
-        d=int(pb["d"]),
-        alpha=float(pb["alpha"]),
-        R0=float(pb["R0"]),
-        R_cap=float(pb.get("R_cap", 400.0)),
-        h0=float(pb.get("h0", 0.25)),
+        d=_number(pb["d"], "problem.d", int),
+        alpha=_number(pb["alpha"], "problem.alpha"),
+        R0=_number(pb["R0"], "problem.R0"),
+        R_cap=_number(pb.get("R_cap", 400.0), "problem.R_cap"),
+        h0=_number(pb.get("h0", 0.25), "problem.h0"),
     )
+    if problem.d not in (1, 2, 3):
+        raise ConfigError(f"problem.d: must be 1, 2 or 3, got {problem.d}")
+    if not 0.0 < problem.alpha <= 1.0:
+        raise ConfigError(f"problem.alpha: must lie in (0, 1], got {problem.alpha}")
     potential = _parse_potential(data["potential"])
     nonlinearity = _parse_nonlinearity(data["nonlinearity"])
     bx = _require(data["boxes"], "boxes", ["l", "L"], ["nu"])
-    nu = bx.get("nu")
-    if nu is not None:
-        try:
-            nu = float(nu)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"boxes.nu: expected a number, got {nu!r}") from exc
-    boxes = BoxesBlock(float(bx["l"]), float(bx["L"]), nu)
+    boxes = BoxesBlock(
+        _number(bx["l"], "boxes.l"),
+        _number(bx["L"], "boxes.L"),
+        None if bx.get("nu") is None else _number(bx["nu"], "boxes.nu"),
+    )
     sw = _require(data["sweep"], "sweep", ["epsilons"], ["max_iter", "tol_residual", "point_budget"])
     if not isinstance(sw["epsilons"], list) or not sw["epsilons"]:
         raise ConfigError("sweep.epsilons: expected a non-empty list")
-    eps = tuple(float(e) for e in sw["epsilons"])
+    eps = tuple(_number(e, "sweep.epsilons") for e in sw["epsilons"])
     if min(eps) <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError(
             f"sweep.epsilons: must be positive and strictly decreasing, got {list(eps)}"
         )
     sweep = SweepBlock(
         epsilons=eps,
-        max_iter=int(sw.get("max_iter", 2000)),
-        tol_residual=float(sw.get("tol_residual", 1e-8)),
-        point_budget=int(sw.get("point_budget", 4_000_000)),
+        max_iter=_number(sw.get("max_iter", 2000), "sweep.max_iter", int),
+        tol_residual=_number(sw.get("tol_residual", 1e-8), "sweep.tol_residual"),
+        point_budget=_number(sw.get("point_budget", 4_000_000), "sweep.point_budget", int),
     )
     lim = data.get("limit", {})
     _require(lim, "limit", [], ["a_values", "R", "n"])
     limit = LimitBlock(
-        a_values=tuple(float(a) for a in lim.get("a_values", ())),
-        R=float(lim.get("R", 80.0)),
-        n=int(lim.get("n", 640)),
+        a_values=tuple(_number(a, "limit.a_values") for a in lim.get("a_values", ())),
+        R=_number(lim.get("R", 80.0), "limit.R"),
+        n=_number(lim.get("n", 640), "limit.n", int),
     )
     so = data.get("solve", {})
     _require(so, "solve", [], ["epsilon", "branch"])
     solve = SolveBlock(
-        epsilon=None if so.get("epsilon") is None else float(so["epsilon"]),
-        branch=int(so.get("branch", 1)),
+        epsilon=None if so.get("epsilon") is None else _number(so["epsilon"], "solve.epsilon"),
+        branch=_number(so.get("branch", 1), "solve.branch", int),
     )
     if solve.epsilon is not None and not solve.epsilon > 0:
         raise ConfigError(f"solve.epsilon: must be positive, got {solve.epsilon}")
@@ -195,7 +207,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         limit=limit,
         solve=solve,
         output=output,
-        rng_seed=int(data.get("rng_seed", 0)),
+        rng_seed=_number(data.get("rng_seed", 0), "rng_seed", int),
         raw=data,
     )
     try:

@@ -196,10 +196,10 @@ def decay_fit(
     deltas = []
     for c, e in zip(g.coords, eta):
         delta = np.abs(c - e)
-        deltas.append(np.minimum(delta, 2.0 * g.R - delta).ravel())  # periodic min-image
+        deltas.append(np.minimum(delta, 2.0 * g.R - delta))  # periodic min-image
     r = np.sqrt(sum(dl * dl for dl in deltas))
     mask = (r >= r_lo) & (r <= r_hi)
-    vals = u.values[mask]
+    vals = u.shaped[mask]
     if vals.size == 0:
         raise WindowTooSmall("window contains no grid points")
     if np.min(vals) <= 0:
@@ -221,7 +221,7 @@ def decay_fit(
     slope, intercept = np.polyfit(logr, logu, 1)
     ss_plain = float(np.sum((logu - (slope * logr + intercept)) ** 2))
     ss_tot = float(np.sum((logu - np.mean(logu)) ** 2))
-    delta = np.stack([dl[mask] for dl in deltas], axis=1)
+    delta = np.stack([np.broadcast_to(dl, g.shape)[mask] for dl in deltas], axis=1)
     images = _fit_image_sum(_image_model(delta, 2.0 * g.R), which, logu, g.d)
     exponent, ss_res = float(slope), ss_plain
     if images is not None and images[1] < ss_plain:

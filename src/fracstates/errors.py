@@ -41,10 +41,6 @@ class SeedNotInTheta(FracstatesError):
     """A solver seed lies outside the admissible restricted set."""
 
 
-class SeedLeftTheta(FracstatesError):
-    """Cutoff/translation destroyed admissibility of a constructed seed."""
-
-
 class SlopeOrdering(FracstatesError):
     """Constant potential level is not below the asymptotic slope."""
 

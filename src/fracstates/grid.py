@@ -62,10 +62,12 @@ class Grid:
         """1-D coordinates along one axis; x = 0 sits at index n//2."""
         return -self.R + self.h * np.arange(self.n)
 
-    @cached_property
+    @property
     def coords(self):
-        """List of d shaped coordinate arrays (meshgrid, 'ij' indexing)."""
-        return list(np.meshgrid(*([self.axis] * self.d), indexing="ij"))
+        """The open mesh of the grid: d views of axis (not to be written),
+        the i-th of shape n along dimension i and 1 elsewhere, which
+        broadcast to the grid shape. Nothing of grid size is built or kept."""
+        return np.meshgrid(*([self.axis] * self.d), indexing="ij", sparse=True, copy=False)
 
     @cached_property
     def _multipliers(self) -> dict:
@@ -104,13 +106,11 @@ class Grid:
         return last[1]
 
     def boundary_shell(self) -> np.ndarray:
-        """Flat mask of the outer shell {|x|_inf >= 0.9 R}. A point lies in
-        it when one of its coordinates does, so the 1-D test is broadcast
-        along each axis and no coordinate mesh is built."""
-        edge = np.abs(self.axis) >= 0.9 * self.R
+        """Flat mask of the outer shell {|x|_inf >= 0.9 R}: the points one
+        of whose coordinates lies in it."""
         mask = np.zeros(self.shape, dtype=bool)
-        for i in range(self.d):
-            mask |= edge.reshape((-1,) + (1,) * (self.d - 1 - i))
+        for c in self.coords:
+            mask |= np.abs(c) >= 0.9 * self.R
         return mask.ravel()
 
     def index_of(self, point) -> tuple:

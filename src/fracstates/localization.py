@@ -22,7 +22,6 @@ from .errors import (
     InvalidInput,
     NotInTheta,
     OverlappingBoxes,
-    SeedLeftTheta,
     SeedNotInTheta,
     ZeroField,
 )
@@ -30,7 +29,7 @@ from . import _kernels
 from .grid import Field, resample_field
 from .models import PotentialSpec
 from .solver import SolveOptions, SolveResult, solve_constrained
-from .variational import Problem, project_to_nehari, theta_defect
+from .variational import Problem, project_to_nehari
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,9 @@ def _cutoff(r: np.ndarray) -> np.ndarray:
 def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     """Cut-off translate of the limit state centered at y/eps:
     psi(x) = eta(|eps x - y|) * w(x - y/eps), with the translate rounded to
-    whole grid cells. Raises SeedLeftTheta when the construction leaves the
-    restricted set (eps too large for this box)."""
+    whole grid cells. The seed is not tested for the restricted set here:
+    the Nehari projection that every seed goes through rejects it
+    (NotInTheta) when eps is too large for this box."""
     g = problem.grid
     eps = problem.eps
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -155,15 +155,7 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     r2 = np.zeros(g.shape)
     for c, yi in zip(g.coords, y):
         r2 += (eps * c - yi) ** 2
-    vals = vals * _cutoff(np.sqrt(r2))
-    out = Field(g, vals)
-    q = theta_defect(problem, out)
-    if q >= 0:
-        raise SeedLeftTheta(
-            f"cut-off translate at y={tuple(y)} has theta defect {q:.6g} >= 0 "
-            f"(eps={eps} too large)"
-        )
-    return out
+    return Field(g, vals * _cutoff(np.sqrt(r2)))
 
 
 def truncated_coordinate(t, eps: float, L: float):
@@ -270,7 +262,8 @@ def _probe_alpha_bar(p: Problem, boxes: BoxFamily, w_limit: Field, center) -> Op
 
     Probes stay on the boundary branch set by construction, so each one is
     an upper bound of the boundary infimum; descent would migrate off the
-    boundary and is deliberately not applied.
+    boundary and is deliberately not applied. A probe whose ray misses the
+    manifold (NotInTheta) is skipped.
     """
     energies = []
     for axis in range(boxes.d):
@@ -280,7 +273,7 @@ def _probe_alpha_bar(p: Problem, boxes: BoxFamily, w_limit: Field, center) -> Op
             try:
                 psi = seed_field(w_limit, y, p)
                 rep = project_to_nehari(p, psi).report
-            except (SeedLeftTheta, NotInTheta, ZeroField):
+            except (NotInTheta, ZeroField):
                 continue
             energies.append(rep.total)
     return min(energies) if energies else None
@@ -295,13 +288,14 @@ def solve_branch(
 ) -> BranchResult:
     """The constrained solve of branch j (1-based), seeded at its well
     center, with its label, truncated barycenter and boundary probe floor.
-    Raises SeedNotInTheta when the seed leaves the restricted set."""
+    Raises SeedNotInTheta, naming the branch and eps, when the seed lies
+    outside the restricted set (eps too large for the box)."""
     center = boxes.centers[j - 1]
+    seed = seed_field(w_limit, center, p)
     try:
-        seed = seed_field(w_limit, center, p)
-    except SeedLeftTheta as exc:
-        raise SeedNotInTheta(f"branch {j}: {exc}") from exc
-    res = solve_constrained(p, seed, opts)
+        res = solve_constrained(p, seed, opts)
+    except SeedNotInTheta as exc:
+        raise SeedNotInTheta(f"branch {j} at eps={p.eps}: {exc}") from exc
     hb = barycenter_h(res.u, 2.0, p.eps, boxes.L)
     return BranchResult(
         j=j,

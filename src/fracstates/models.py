@@ -88,13 +88,15 @@ class PotentialSpec:
         return out
 
     def evaluate_on_coords(self, coords, scale: float = 1.0) -> np.ndarray:
-        """V(scale * x) on shaped coordinate arrays (one per axis)."""
+        """V(scale * x) on coordinate arrays (one per axis) that broadcast
+        together, such as Grid.coords; the result has the broadcast shape."""
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
         if self.func is not None:
-            pts = np.stack([scale * c.ravel() for c in coords], axis=1)
-            return self.evaluate(pts).reshape(coords[0].shape)
-        out = np.full(coords[0].shape, self.v_inf_level)
+            pts = np.stack([np.broadcast_to(scale * c, shape).ravel() for c in coords], axis=1)
+            return self.evaluate(pts).reshape(shape)
+        out = np.full(shape, self.v_inf_level)
         for w in self.wells:
-            r2 = np.zeros(coords[0].shape)
+            r2 = np.zeros(shape)
             for c, ci in zip(coords, w.center):
                 r2 += (scale * c - ci) ** 2
             out -= w.depth * np.exp(-r2 / w.width)
@@ -307,17 +309,6 @@ class NonlinearitySpec:
         t = math.sqrt(tau)
         fv, big = self._custom(t * ray.v, self._f, self._big_f)
         return float(np.dot(fv, ray.v)) / t, float(np.sum(big))
-
-    def energy_sums(self, u_flat: np.ndarray, v_flat: np.ndarray):
-        """(sum V*u^2, sum F(u), sum f(u)*u) without the quadrature weight."""
-        if self.kind == "saturable":
-            return _kernels.energy_sums(u_flat, v_flat, self.s)
-        fv, big = self._custom(u_flat, self._f, self._big_f)
-        return (
-            float(np.dot(v_flat, u_flat * u_flat)),
-            float(np.sum(big)),
-            float(np.dot(fv, u_flat)),
-        )
 
 
 def nonlin_eval(spec: NonlinearitySpec, t: float):

@@ -254,12 +254,10 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
 
 
 def _gaussian_seed(grid: Grid, width: float, center=None) -> Field:
-    # r^2 from the 1-D axis broadcast along each dimension, so that no
-    # meshgrid is built (or cached on the grid) for a seed
     r2 = np.zeros(grid.shape)
-    for i in range(grid.d):
+    for i, c in enumerate(grid.coords):
         ci = 0.0 if center is None else center[i]
-        r2 += ((grid.axis - ci) ** 2).reshape((-1,) + (1,) * (grid.d - 1 - i))
+        r2 += (c - ci) ** 2
     np.negative(r2, out=r2)
     r2 /= 2.0 * width**2
     np.exp(r2, out=r2)

@@ -1,16 +1,19 @@
-"""Energy functional, its L2 gradient, the restricted-set defect, and the
-unique ray projection onto the Nehari manifold.
+"""Energy functional, its L2 gradient, and the unique ray projection onto
+the Nehari manifold.
 
 For a problem with potential samples V(eps*x) and nonlinearity f, the energy
 is I(u) = (1/2)(<u,(-Lap)^a u> + int V u^2) - int F(u). The Nehari residual
 is J(u) = <I'(u), u> and the defect Q(u) = [u]^2 + int V u^2 - l0 |u|^2
 decides membership in the restricted set (Q < 0). Rays from Q-negative
 fields cross the manifold exactly once because f(t)/t is increasing, which
-makes g(t) = |u|^2_eps - int f(tu)u/t strictly decreasing.
+makes g(t) = |u|^2_eps - int f(tu)u/t strictly decreasing; so the
+projection's own test Q(u) < 0 is the membership test.
 
-The projection returns the energy report of the projected field along with
-it: every part of I(tv), J(tv) and Q(tv) scales with tau = t^2 from sums
-over v taken once, except int F(tv), which its final pass evaluates.
+energy and project_to_nehari evaluate I, J and Q on one models.Ray: every
+part of I(tv), J(tv) and Q(tv) scales with tau = t^2 from sums over v taken
+once, except int F(tv) and int f(tv)v, which one final pass at tau
+evaluates. energy makes that pass at tau = 1; the projection makes it at
+the root and returns the energy report of the projected field.
 """
 
 from __future__ import annotations
@@ -62,17 +65,27 @@ class EnergyReport:
 
 
 def energy(p: Problem, u: Field, semi: Optional[float] = None) -> EnergyReport:
-    """All parts of I(u) plus the Nehari residual J and the defect Q.
+    """All parts of I(u) plus the Nehari residual J and the defect Q, from
+    the ray of u and one final pass at tau = 1.
 
     semi, when given, is the seminorm [u]^2 = <u, (-Lap)^a u> already known
     to the caller; otherwise it is computed by FFT.
     """
+    semi, ray, pot, mass = _ray_sums(p, u, semi)
+    fu_sum, f_int = p.nonlinearity.rate_primitive(ray, 1.0)
+    return _report(p, semi, pot, f_int, fu_sum, mass)
+
+
+def _ray_sums(p: Problem, u: Field, semi: Optional[float]):
+    """([u]^2, the Ray of u, sum V u^2, sum u^2): what energy and
+    project_to_nehari share; [u]^2 is computed by FFT unless given as semi."""
     if semi is None:
         semi = gagliardo_sq(u, p.alpha)
-    pot_sum, f_int, fu_sum = p.nonlinearity.energy_sums(
-        u.values, p.potential_field.values
-    )
-    return _report(p, semi, pot_sum, f_int, fu_sum, float(np.dot(u.values, u.values)))
+    v = u.values
+    ray = Ray(v)
+    np.multiply(v, v, out=ray.r)
+    pot = float(np.dot(p.potential_field.values, ray.r))
+    return semi, ray, pot, float(np.dot(v, v))
 
 
 def _report(p: Problem, semi, pot_sum, f_int, fu_sum, mass) -> EnergyReport:
@@ -108,22 +121,6 @@ def gradient(p: Problem, u: Field, lu: Optional[np.ndarray] = None) -> Field:
     if not np.all(np.isfinite(out)):
         raise NonFinite("gradient produced NaN or Inf")
     return Field(p.grid, out)
-
-
-def norm_eps_sq(p: Problem, u: Field, semi: Optional[float] = None) -> float:
-    """[u]^2_alpha + int V(eps x) u^2, with [u]^2_alpha computed by FFT
-    unless given as semi."""
-    if semi is None:
-        semi = gagliardo_sq(u, p.alpha)
-    return semi + p.grid.weight * float(
-        np.dot(p.potential_field.values, u.values * u.values)
-    )
-
-
-def theta_defect(p: Problem, u: Field) -> float:
-    """Q(u) = [u]^2 + int V u^2 - l0 |u|^2; u is admissible iff Q(u) < 0."""
-    mass = p.grid.weight * float(np.dot(u.values, u.values))
-    return norm_eps_sq(p, u) - p.nonlinearity.l0 * mass
 
 
 class NehariProjection(NamedTuple):
@@ -164,16 +161,10 @@ def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> Neh
     """
     w = p.grid.weight
     nl = p.nonlinearity
-    v = u.values
-    if not np.any(v):
+    if not np.any(u.values):
         raise ZeroField("cannot project the zero field")
-    if semi is None:
-        semi = gagliardo_sq(u, p.alpha)
-    ray = Ray(v)
-    np.multiply(v, v, out=ray.r)
-    pot = float(np.dot(p.potential_field.values, ray.r))
+    semi, ray, pot, mass = _ray_sums(p, u, semi)
     nsq = semi + w * pot
-    mass = float(np.dot(v, v))
     if nsq - nl.l0 * w * mass >= 0:
         raise NotInTheta(
             f"theta defect {nsq - nl.l0 * w * mass:.6g} >= 0: "
@@ -196,7 +187,7 @@ def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> Neh
     ray = None  # frees the pass arrays before the projected field is formed
     t_star = math.sqrt(tau)
     report = _report(p, tau * semi, tau * pot, f_int, tau * psi, tau * mass)
-    return NehariProjection(t_star, Field(p.grid, t_star * v), report)
+    return NehariProjection(t_star, Field(p.grid, t_star * u.values), report)
 
 
 def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float):

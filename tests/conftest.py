@@ -61,7 +61,7 @@ def gaussian_field(grid, width, center=None, amplitude=1.0):
 
 def random_theta_field(problem, rng, width_range=(2.0, 5.0)):
     """Random positive bump guaranteed inside the restricted set."""
-    from fracstates.variational import theta_defect
+    from fracstates.variational import energy
 
     for _ in range(100):
         width = rng.uniform(*width_range)
@@ -69,7 +69,7 @@ def random_theta_field(problem, rng, width_range=(2.0, 5.0)):
         amp = rng.uniform(0.5, 3.0)
         u = gaussian_field(problem.grid, width, center, amp)
         bumps = 1.0 + 0.3 * np.sin(rng.uniform(0, 2 * np.pi) + problem.grid.coords[0] / width)
-        u = Field(problem.grid, u.values * bumps.ravel())
-        if theta_defect(problem, u) < 0:
+        u = Field(problem.grid, u.shaped * bumps)
+        if energy(problem, u).theta_defect < 0:
             return u
     raise AssertionError("could not draw an admissible random field")

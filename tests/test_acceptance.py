@@ -79,11 +79,11 @@ def test_criterion_1_operator_suite():
         out = apply_frac_laplacian(Field(g, np.ones(g.size)), alpha)
         ok &= np.max(np.abs(out.values)) <= 1e-10
         # single-mode eigenfunction: cos(x_0), eigenvalue 1
-        u = Field(g, np.cos(g.coords[0]).ravel())
+        u = Field(g, np.broadcast_to(np.cos(g.coords[0]), g.shape))
         out = apply_frac_laplacian(u, alpha)
         ok &= np.max(np.abs(out.values - u.values)) <= 1e-10
         # mode (2, ...) along axis 0: eigenvalue |2|^(2 alpha)
-        u2 = Field(g, np.cos(2 * g.coords[0]).ravel())
+        u2 = Field(g, np.broadcast_to(np.cos(2 * g.coords[0]), g.shape))
         out2 = apply_frac_laplacian(u2, alpha)
         ok &= np.max(np.abs(out2.values - 2 ** (2 * alpha) * u2.values)) <= 1e-10
         # self-adjointness on random pairs

@@ -98,6 +98,26 @@ class TestCheck:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
 
+    _BAD_PROBLEM_NUMBERS = [
+        ("problem", "alpha", "abc"),
+        ("sweep", "max_iter", "many"),
+        ("problem", "alpha", 1.5),
+        ("problem", "d", 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "block,key,value", _BAD_PROBLEM_NUMBERS,
+        ids=["alpha-text", "max_iter-text", "alpha-above-1", "d-4"],
+    )
+    def test_bad_number_is_config_error(self, tmp_path, block, key, value):
+        path = write_config(tmp_path, canonical_config(**{block: {key: value}}))
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert f"{block}.{key}" in res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+
     @pytest.mark.parametrize("nu", [-0.5, float("nan")], ids=["negative", "nan"])
     def test_bad_nu_fails_boxes(self, tmp_path, nu):
         path = write_config(tmp_path, canonical_config(boxes={"nu": nu}))

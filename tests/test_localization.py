@@ -10,7 +10,7 @@ from fracstates.errors import (
     InvalidInput,
     NotInTheta,
     OverlappingBoxes,
-    SeedLeftTheta,
+    SeedNotInTheta,
     ZeroField,
 )
 from fracstates.grid import Field, make_grid
@@ -20,18 +20,27 @@ from fracstates.localization import (
     build_boxes,
     classify,
     seed_field,
+    solve_branch,
     solve_branches,
     truncated_coordinate,
 )
 from fracstates.models import PotentialSpec, Well, sample_potential
 from fracstates.solver import SolveOptions, grid_for_epsilon, solve_constrained
-from fracstates.variational import Problem, project_to_nehari, theta_defect
+from fracstates.variational import Problem, energy, project_to_nehari
 
 
 def _eps_problem(potential, eps, saturable, R0=16.0):
     g = grid_for_epsilon(1, eps, R0, 400.0, 0.25, 4_000_000)
     vf = sample_potential(potential, g, eps)
     return Problem(grid=g, alpha=0.5, eps=eps, potential_field=vf, nonlinearity=saturable)
+
+
+def _large_eps_problem(saturable):
+    """The single well at eps = 10: the cutoff support is a fraction of a
+    cell, so seeds leave the restricted set."""
+    g = make_grid(1, 16.0, 128)
+    vf = sample_potential(single_well_potential(), g, 10.0)
+    return Problem(grid=g, alpha=0.5, eps=10.0, potential_field=vf, nonlinearity=saturable)
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +110,10 @@ class TestSeedField:
         assert np.max(np.abs(hb - np.array([-2.0]) / p.eps)) < boxes.l / p.eps
 
     def test_large_eps_leaves_theta(self, saturable, limit_state):
-        # eps = 10: the cutoff support is a fraction of a cell
-        pot = single_well_potential()
-        g = make_grid(1, 16.0, 128)
-        vf = sample_potential(pot, g, 10.0)
-        p = Problem(grid=g, alpha=0.5, eps=10.0, potential_field=vf, nonlinearity=saturable)
-        with pytest.raises(SeedLeftTheta):
-            seed_field(limit_state.u, (1.0 / 3.0,), p)
+        p = _large_eps_problem(saturable)
+        psi = seed_field(limit_state.u, (1.0 / 3.0,), p)
+        with pytest.raises(NotInTheta):
+            project_to_nehari(p, psi)
 
     def test_defect_increasing_in_eps_with_positive_threshold(self, saturable, limit_state):
         pot = single_well_potential()
@@ -115,11 +121,12 @@ class TestSeedField:
         defects = []
         for eps in eps_grid:
             p = _eps_problem(pot, eps, saturable)
-            try:
-                psi = seed_field(limit_state.u, (1.0 / 3.0,), p)
-                defects.append(theta_defect(p, psi))
-            except SeedLeftTheta:
-                defects.append(np.inf)
+            psi = seed_field(limit_state.u, (1.0 / 3.0,), p)
+            q = energy(p, psi).theta_defect
+            if q >= 0:
+                with pytest.raises(NotInTheta):
+                    project_to_nehari(p, psi)
+            defects.append(q)
         assert all(b > a for a, b in zip(defects, defects[1:]))
         assert defects[0] < 0  # threshold epsilon_1 is positive
 
@@ -245,6 +252,12 @@ class TestSolveBranches:
         assert ex.branches[0].alpha_energy < ex.branches[1].alpha_energy
         assert all(b.label.kind == "interior" for b in ex.branches)
 
+    def test_inadmissible_seed_names_branch(self, saturable, limit_state):
+        p = _large_eps_problem(saturable)
+        boxes = build_boxes(single_well_potential(), 1.0, 4.0)
+        with pytest.raises(SeedNotInTheta, match=r"branch 1 at eps=10\.0"):
+            solve_branch(p, boxes, limit_state.u, 1)
+
     def test_single_well_reduces_to_constrained_solve(self, saturable, limit_state):
         pot = single_well_potential()
         p = _eps_problem(pot, 0.25, saturable)
@@ -289,3 +302,59 @@ class TestProbeAlphaBar:
 
         monkeypatch.setattr(loc, "project_to_nehari", all_fail)
         assert loc._probe_alpha_bar(p, boxes, w, center) is None
+
+
+def _record_round_trips(monkeypatch):
+    """Record the field of every grid.apply_frac_laplacian call from now on,
+    wherever a fracstates module binds it."""
+    import sys
+
+    import fracstates.grid as grid_mod
+
+    orig = grid_mod.apply_frac_laplacian
+    fields = []
+
+    def recorded(u, alpha):
+        fields.append(u)
+        return orig(u, alpha)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fracstates") and getattr(mod, "apply_frac_laplacian", None) is orig:
+            monkeypatch.setattr(mod, "apply_frac_laplacian", recorded)
+    return fields
+
+
+class TestRoundTrips:
+    """The Nehari projection is the one restricted-set test of a seed, so a
+    seed is transformed once."""
+
+    def test_one_per_probe(self, saturable, limit_state, monkeypatch):
+        import fracstates.localization as loc
+
+        pot = double_well_potential()
+        p = _eps_problem(pot, 0.25, saturable)
+        boxes = build_boxes(pot, 1.0, 4.0)
+        fields = _record_round_trips(monkeypatch)
+        assert loc._probe_alpha_bar(p, boxes, limit_state.u, boxes.centers[0]) is not None
+        assert len(fields) == 2 * boxes.d
+
+    def test_one_per_branch_seed(self, saturable, limit_state, monkeypatch):
+        import fracstates.localization as loc
+
+        pot = single_well_potential()
+        p = _eps_problem(pot, 0.25, saturable)
+        boxes = build_boxes(pot, 1.0, 4.0)
+        seeds = []
+
+        def recorded_seed(*args):
+            seeds.append(seed_field(*args))
+            return seeds[-1]
+
+        monkeypatch.setattr(loc, "seed_field", recorded_seed)
+        monkeypatch.setattr(loc, "_probe_alpha_bar", lambda *args: None)
+        fields = _record_round_trips(monkeypatch)
+        br = solve_branch(p, boxes, limit_state.u, 1, SolveOptions(max_iter=20000))
+        assert br.result.converged
+        # the seed's transform comes first; the rest certify iterates
+        assert fields[0] is seeds[0]
+        assert sum(u is seeds[0] for u in fields) == 1

@@ -12,10 +12,8 @@ from fracstates.variational import (
     Problem,
     energy,
     gradient,
-    norm_eps_sq,
     project_to_nehari,
     ray_argmax_oracle,
-    theta_defect,
 )
 
 
@@ -42,7 +40,7 @@ def _reference_t_star(p, u):
     """Root of g(t) = |u|^2_eps - int f(tu)u/t by plain bisection: double the
     upper end until g < 0, then 80 halvings from [1e-6, t_hi]."""
     w = p.grid.weight
-    nsq = norm_eps_sq(p, u)
+    nsq = energy(p, u).norm_eps_sq
 
     def g(t):
         return nsq - w * p.nonlinearity.rate_sum(u.values, t)
@@ -198,7 +196,7 @@ class TestThetaDefect:
         nl = NonlinearitySpec.saturable(0.5)  # l0 = 2
         p = _const_problem(g, 0.5, 1.0, nl)
         u = gaussian_field(g, 4.0)
-        assert theta_defect(p, u) < 0
+        assert energy(p, u).theta_defect < 0
 
     def test_slope_below_potential_never_admissible(self):
         g = make_grid(1, 20.0, 256)
@@ -207,11 +205,11 @@ class TestThetaDefect:
         rng = np.random.default_rng(15)
         for _ in range(10):
             u = Field(g, rng.standard_normal(g.size))
-            assert theta_defect(p, u) > 0
+            assert energy(p, u).theta_defect > 0
 
     def test_zero_field_defect_is_zero(self, small_problem):
         g = small_problem.grid
-        assert theta_defect(small_problem, Field(g, np.zeros(g.size))) == 0.0
+        assert energy(small_problem, Field(g, np.zeros(g.size))).theta_defect == 0.0
 
 
 class TestProjection:
@@ -249,7 +247,7 @@ class TestProjection:
         # high-frequency carrier blows up the seminorm
         carrier = np.cos((np.pi * (g.n // 2 - 1) / g.R) * g.axis)
         bad = Field(g, u.values * carrier)
-        assert theta_defect(small_problem, bad) >= 0
+        assert energy(small_problem, bad).theta_defect >= 0
         with pytest.raises(NotInTheta):
             project_to_nehari(small_problem, bad)
 
@@ -269,13 +267,11 @@ class TestProjection:
             assert np.allclose(proj.values, proj_ref.values, rtol=1e-9, atol=1e-12)
 
     def test_nehari_rate_strictly_decreasing(self, small_problem):
-        from fracstates.variational import norm_eps_sq
-
         rng = np.random.default_rng(21)
         w = small_problem.grid.weight
         for _ in range(100):
             u = random_theta_field(small_problem, rng)
-            nsq = norm_eps_sq(small_problem, u)
+            nsq = energy(small_problem, u).norm_eps_sq
             ts = np.geomspace(1e-2, 1e3, 60)
             g_vals = np.array(
                 [nsq - w * small_problem.nonlinearity.rate_sum(u.values, t) for t in ts]
@@ -353,6 +349,8 @@ class TestProjection:
     def test_corrupted_final_pass_raises(self, small_problem, monkeypatch):
         from fracstates import _kernels
 
+        # drawn first: the draw's energy evaluation runs a final pass too
+        u = random_theta_field(small_problem, np.random.default_rng(33))
         final = _kernels.nehari_final
         calls = []
 
@@ -362,7 +360,6 @@ class TestProjection:
             return psi * (1.0 + 1e-6), f_int
 
         monkeypatch.setattr(_kernels, "nehari_final", perturbed)
-        u = random_theta_field(small_problem, np.random.default_rng(33))
         with pytest.raises(NotInTheta, match="stalled"):
             project_to_nehari(small_problem, u)
         # the failed check sends Newton on, and the second check decides
@@ -371,6 +368,7 @@ class TestProjection:
     def test_newton_recovers_from_one_failed_check(self, small_problem, monkeypatch):
         from fracstates import _kernels
 
+        u = random_theta_field(small_problem, np.random.default_rng(34))
         final = _kernels.nehari_final
         calls = []
 
@@ -380,7 +378,6 @@ class TestProjection:
             return (psi * (1.0 + 1e-6) if len(calls) == 1 else psi), f_int
 
         monkeypatch.setattr(_kernels, "nehari_final", perturbed_once)
-        u = random_theta_field(small_problem, np.random.default_rng(34))
         t_star, proj, _ = project_to_nehari(small_problem, u)
         assert len(calls) == 2
         assert t_star == pytest.approx(_reference_t_star(small_problem, u), rel=1e-13)
@@ -401,7 +398,7 @@ class TestProjection:
         fallbacks = 0
         for _ in range(10):
             u = Field(p.grid, 0.3 * random_theta_field(p, rng).values)
-            nsq = norm_eps_sq(p, u)
+            nsq = energy(p, u).norm_eps_sq
             evals.append([])
             t_star, proj, _ = project_to_nehari(p, u)
             # count evaluations that are not the Newton iterate of the previous one

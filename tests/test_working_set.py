@@ -1,6 +1,6 @@
 """The descent's hot kernels run in place: they reproduce the plain numpy
 expressions bit for bit while allocating no full-size temporaries beyond
-their result and one scratch array."""
+their result and one scratch array (the energy, beyond its Ray's two)."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ from fracstates import _kernels
 from fracstates.grid import Field, apply_frac_laplacian, helmholtz_inverse, make_grid
 from fracstates.models import NonlinearitySpec
 from fracstates.solver import _gaussian_seed
-from fracstates.variational import Problem, gradient
+from fracstates.variational import Problem, _report, energy, gradient
 
 GRIDS = [(1, 64), (2, 24), (3, 16)]
 
@@ -24,6 +24,7 @@ def _plain_f(t, s):
 
 
 def _plain_energy_sums(u, v, s):
+    """(sum v u^2, sum F(u), sum f(u) u) by the saturable law's formulas."""
     u2 = u * u
     pot = float(np.dot(v, u2))
     up2 = np.where(u > 0.0, u2, 0.0)
@@ -33,17 +34,27 @@ def _plain_energy_sums(u, v, s):
     return pot, fint, fu
 
 
+def _plain_pass_sums(u, v, s):
+    """The same sums as the energy's final pass at tau = 1 forms them: with
+    a = u+^2 and x = s a, sum f(u) u = a . a/(1 + x) and
+    sum F(u) = (sum x - sum log1p(x)) / (2 s^2)."""
+    a = np.where(u > 0.0, u * u, 0.0)
+    x = a * s
+    fint = (float(np.sum(x)) - float(np.sum(np.log1p(x)))) / (2.0 * s * s)
+    return float(np.dot(v, u * u)), fint, float(np.dot(a, a / (1.0 + x)))
+
+
 def _plain_round_trip(u, m):
     g = u.grid
     return np.fft.irfftn(np.fft.rfftn(u.shaped) * m, s=g.shape, axes=range(g.d)).ravel()
 
 
-def _problem(d, n, seed=0):
+def _problem(d, n, seed=0, s=CANON_S):
     g = make_grid(d, 4.0, n)
     rng = np.random.default_rng(seed)
     v = Field(g, rng.uniform(0.5, 2.0, g.size))
     return Problem(grid=g, alpha=0.6, eps=1.0, potential_field=v,
-                   nonlinearity=NonlinearitySpec.saturable(CANON_S))
+                   nonlinearity=NonlinearitySpec.saturable(s))
 
 
 def _mixed_samples(size, seed):
@@ -106,10 +117,20 @@ class TestBitIdentity:
     @pytest.mark.parametrize("d,n", GRIDS)
     @pytest.mark.parametrize("s", [0.2, CANON_S])
     def test_energy_sums(self, d, n, s):
-        size = n**d
-        u = _mixed_samples(size, 5 + d)
-        v = np.random.default_rng(d).uniform(0.5, 2.0, size)
-        assert _kernels.energy_sums(u, v, s) == _plain_energy_sums(u, v, s)
+        p = _problem(d, n, seed=d, s=s)
+        u = Field(p.grid, _mixed_samples(p.grid.size, 5 + d))
+        v = p.potential_field.values
+        semi = 1.5
+        rep = energy(p, u, semi=semi)
+        mass = float(np.dot(u.values, u.values))
+        assert rep == _report(p, semi, *_plain_pass_sums(u.values, v, s), mass)
+        # and the pass agrees with the law's own formulas to rounding
+        w = p.grid.weight
+        pot, fint, fu = _plain_energy_sums(u.values, v, s)
+        assert rep.potential_part == pytest.approx(0.5 * w * pot, rel=1e-14)
+        assert rep.nonlinear_part == pytest.approx(w * fint, rel=1e-14)
+        scale = semi + w * (pot + fu)
+        assert rep.nehari_residual == pytest.approx(semi + w * (pot - fu), abs=1e-14 * scale)
 
     @pytest.mark.parametrize("d,n", GRIDS)
     @pytest.mark.parametrize("center", [None, (0.3, -1.1, 0.7)])
@@ -153,5 +174,7 @@ class TestPeakMemory:
         assert peak <= 2.2
 
     def test_energy_sums(self, problem_3d, field_3d):
-        u, v = field_3d.values, problem_3d.potential_field.values
-        assert _peak_fields(lambda: _kernels.energy_sums(u, v, CANON_S), u.nbytes) <= 3.2
+        # the sums of energy, its seminorm given, hold only the Ray's a and r
+        nbytes = field_3d.values.nbytes
+        peak = _peak_fields(lambda: energy(problem_3d, field_3d, semi=1.0), nbytes)
+        assert peak <= 2.2
