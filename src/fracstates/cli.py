@@ -105,32 +105,21 @@ SUMMARY_COLUMNS = [
 
 
 def _summary_rows(stored: dict):
+    """One row per branch: its records.json entry plus the record's cells."""
     for rec in stored["records"]:
         for br in rec["branches"]:
-            yield {
-                "eps": rec["eps"],
-                "branch": br["branch"],
-                "label": br["label"],
-                "converged": br["converged"],
-                "energy": br["energy"],
-                "alpha_bar": br["alpha_bar"],
-                "c_eps": rec["c_eps"],
-                "c_v0": rec["c_v0"],
-                "nehari_residual": br["nehari_residual"],
-                "residual": br["residual"],
-                "negative_mass": br["negative_mass"],
-                "barycenter": ";".join(repr(float(x)) for x in br["barycenter"]),
-                "max_point": ";".join(repr(float(x)) for x in br["max_point"]),
-                "v_at_max": br["v_at_max"],
-                "v_gap": br["v_at_max"] - rec["v0"],
-                "c_gap": rec["c_eps"] - rec["c_v0"],
-                "profile_error": br["profile_error"],
-                "decay_exponent": br["decay_exponent"],
-                "decay_r2": br["decay_r2"],
-                "boundary_mass": br["boundary_mass"],
-                "sigma_member": br["branch"] in rec["sigma_members"],
-                "trusted": rec["trusted"],
-            }
+            yield dict(
+                br,
+                eps=rec["eps"],
+                c_eps=rec["c_eps"],
+                c_v0=rec["c_v0"],
+                barycenter=";".join(repr(float(x)) for x in br["barycenter"]),
+                max_point=";".join(repr(float(x)) for x in br["max_point"]),
+                v_gap=br["v_at_max"] - rec["v0"],
+                c_gap=rec["c_eps"] - rec["c_v0"],
+                sigma_member=br["branch"] in rec["sigma_members"],
+                trusted=rec["trusted"],
+            )
 
 
 def write_summary_csv(path: Path, stored: dict):

@@ -1,12 +1,19 @@
 """Experiment configuration: strict YAML parsing into validated blocks.
 
-Unknown keys anywhere in the file are hard errors so typos in hypothesis
-parameters cannot pass silently.
+The block dataclasses (ProblemBlock ... OutputBlock, and ExperimentConfig
+for the top level) are the schema: a field without a default is a required
+key, a field with one is optional, and its annotation says how the value is
+parsed. Unknown keys anywhere in the file are hard errors so typos in
+hypothesis parameters cannot pass silently. Every bad value is a
+ConfigError naming its key or block: a non-number, a fractional value of an
+integer key, a value a model or SolveOptions rejects, and the ranges
+parse_config checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 from .errors import ConfigError, InvalidInput
@@ -28,13 +35,27 @@ def _require(mapping: dict, context: str, required, optional=()):
     return mapping
 
 
-def _number(value, name: str, kind=float):
-    """value converted by kind (float or int); a value kind rejects is a
-    ConfigError naming the key."""
+def _number(value, name: str) -> float:
+    """value as a float; a value float rejects is a ConfigError naming the key."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: expected a number, got {value!r}") from exc
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a number with a fractional part (or an infinite or
+    NaN one) is a ConfigError naming the key, an integral float is accepted."""
+    number = _number(value, name)
+    if not number.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(number)
+
+
+def _numbers(value, name: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name}: expected a list, got {value!r}")
+    return tuple(_number(x, name) for x in value)
 
 
 @dataclass(frozen=True)
@@ -56,8 +77,8 @@ class BoxesBlock:
 @dataclass(frozen=True)
 class SweepBlock:
     epsilons: tuple
-    max_iter: int = 2000
-    tol_residual: float = 1e-8
+    max_iter: int = SolveOptions.max_iter
+    tol_residual: float = SolveOptions.tol_residual
     point_budget: int = 4_000_000
 
 
@@ -90,7 +111,8 @@ class ExperimentConfig:
     solve: SolveBlock = field(default_factory=SolveBlock)
     output: OutputBlock = field(default_factory=OutputBlock)
     rng_seed: int = 0
-    raw: dict = field(default_factory=dict)
+    # the mapping parse_config read, for the manifest
+    raw: dict = field(default_factory=dict, init=False)
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(max_iter=self.sweep.max_iter, tol_residual=self.sweep.tol_residual)
@@ -106,114 +128,101 @@ class ExperimentConfig:
         return float("inf")
 
 
-def _parse_potential(block) -> PotentialSpec:
-    _require(block, "potential", ["v_inf_level", "wells"])
+def _parse_potential(block, name: str) -> PotentialSpec:
+    _require(block, name, ["v_inf_level", "wells"])
     wells = []
     if not isinstance(block["wells"], list) or not block["wells"]:
-        raise ConfigError("potential.wells: expected a non-empty list")
+        raise ConfigError(f"{name}.wells: expected a non-empty list")
     for i, w in enumerate(block["wells"]):
-        _require(w, f"potential.wells[{i}]", ["center", "depth", "width"])
+        ctx = f"{name}.wells[{i}]"
+        _require(w, ctx, ["center", "depth", "width"])
         center = w["center"]
         if not isinstance(center, (list, tuple)):
             center = [center]
-        ctx = f"potential.wells[{i}]"
         wells.append(Well(
             tuple(_number(c, f"{ctx}.center") for c in center),
             _number(w["depth"], f"{ctx}.depth"),
             _number(w["width"], f"{ctx}.width"),
         ))
-    return PotentialSpec(_number(block["v_inf_level"], "potential.v_inf_level"), tuple(wells))
+    return PotentialSpec(_number(block["v_inf_level"], f"{name}.v_inf_level"), tuple(wells))
 
 
-def _parse_nonlinearity(block) -> NonlinearitySpec:
-    _require(block, "nonlinearity", ["kind"], ["s", "q", "C0"])
+def _parse_nonlinearity(block, name: str) -> NonlinearitySpec:
+    _require(block, name, ["kind"], ["s", "q"])
     kind = block["kind"]
     if kind != "saturable":
         raise ConfigError(
-            f"nonlinearity.kind: only 'saturable' is configurable, got {kind!r} "
+            f"{name}.kind: only 'saturable' is configurable, got {kind!r} "
             "(custom triples are library-level)"
         )
     if "s" not in block:
-        raise ConfigError("nonlinearity: saturable kind requires 's'")
-    kwargs = {key: _number(block[key], f"nonlinearity.{key}") for key in ("q", "C0") if key in block}
-    return NonlinearitySpec.saturable(_number(block["s"], "nonlinearity.s"), **kwargs)
+        raise ConfigError(f"{name}: saturable kind requires 's'")
+    kwargs = {"q": _number(block["q"], f"{name}.q")} if "q" in block else {}
+    return NonlinearitySpec.saturable(_number(block["s"], f"{name}.s"), **kwargs)
+
+
+def _parse_sweep(block, name: str) -> SweepBlock:
+    sweep = _build(SweepBlock, block, name)
+    # SolveOptions holds the rules of these two keys
+    SolveOptions(max_iter=sweep.max_iter, tol_residual=sweep.tol_residual)
+    return sweep
+
+
+def _build(cls, mapping, path: str = ""):
+    """cls built from mapping through its dataclass fields, which are the
+    schema: a field without a default is a required key, one with a default
+    an optional key, any other key is unknown, and each value is parsed by
+    the field's annotation. A model constructor's InvalidInput becomes a
+    ConfigError naming the key."""
+    schema = {f.name: f for f in fields(cls) if f.init}
+    required = [k for k, f in schema.items()
+                if f.default is MISSING and f.default_factory is MISSING]
+    _require(mapping, path or "config", required, schema)
+    values = {}
+    for key, value in mapping.items():
+        name = f"{path}.{key}" if path else key
+        try:
+            values[key] = _PARSERS[schema[key].type](value, name)
+        except InvalidInput as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return cls(**values)
+
+
+# field annotation -> parser(value, key name)
+_PARSERS = {
+    "int": _integer,
+    "float": _number,
+    "Optional[float]": lambda value, name: None if value is None else _number(value, name),
+    "tuple": _numbers,
+    "str": lambda value, name: str(value),
+    "PotentialSpec": _parse_potential,
+    "NonlinearitySpec": _parse_nonlinearity,
+    "SweepBlock": _parse_sweep,
+}
+_PARSERS.update({
+    cls.__name__: partial(_build, cls)
+    for cls in (ProblemBlock, BoxesBlock, LimitBlock, SolveBlock, OutputBlock)
+})
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    _require(
-        data,
-        "config",
-        ["problem", "potential", "nonlinearity", "boxes", "sweep"],
-        ["limit", "solve", "output", "rng_seed"],
-    )
-    pb = _require(data["problem"], "problem", ["d", "alpha", "R0"], ["R_cap", "h0"])
-    problem = ProblemBlock(
-        d=_number(pb["d"], "problem.d", int),
-        alpha=_number(pb["alpha"], "problem.alpha"),
-        R0=_number(pb["R0"], "problem.R0"),
-        R_cap=_number(pb.get("R_cap", 400.0), "problem.R_cap"),
-        h0=_number(pb.get("h0", 0.25), "problem.h0"),
-    )
+    """An ExperimentConfig from a mapping: each block through its schema
+    (_build), then the range checks of the problem, sweep and solve keys."""
+    config = _build(ExperimentConfig, data)
+    config.raw = data
+    problem, eps, solve = config.problem, config.sweep.epsilons, config.solve
     if problem.d not in (1, 2, 3):
         raise ConfigError(f"problem.d: must be 1, 2 or 3, got {problem.d}")
     if not 0.0 < problem.alpha <= 1.0:
         raise ConfigError(f"problem.alpha: must lie in (0, 1], got {problem.alpha}")
-    potential = _parse_potential(data["potential"])
-    nonlinearity = _parse_nonlinearity(data["nonlinearity"])
-    bx = _require(data["boxes"], "boxes", ["l", "L"], ["nu"])
-    boxes = BoxesBlock(
-        _number(bx["l"], "boxes.l"),
-        _number(bx["L"], "boxes.L"),
-        None if bx.get("nu") is None else _number(bx["nu"], "boxes.nu"),
-    )
-    sw = _require(data["sweep"], "sweep", ["epsilons"], ["max_iter", "tol_residual", "point_budget"])
-    if not isinstance(sw["epsilons"], list) or not sw["epsilons"]:
+    if not eps:
         raise ConfigError("sweep.epsilons: expected a non-empty list")
-    eps = tuple(_number(e, "sweep.epsilons") for e in sw["epsilons"])
     if min(eps) <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError(
             f"sweep.epsilons: must be positive and strictly decreasing, got {list(eps)}"
         )
-    sweep = SweepBlock(
-        epsilons=eps,
-        max_iter=_number(sw.get("max_iter", 2000), "sweep.max_iter", int),
-        tol_residual=_number(sw.get("tol_residual", 1e-8), "sweep.tol_residual"),
-        point_budget=_number(sw.get("point_budget", 4_000_000), "sweep.point_budget", int),
-    )
-    lim = data.get("limit", {})
-    _require(lim, "limit", [], ["a_values", "R", "n"])
-    limit = LimitBlock(
-        a_values=tuple(_number(a, "limit.a_values") for a in lim.get("a_values", ())),
-        R=_number(lim.get("R", 80.0), "limit.R"),
-        n=_number(lim.get("n", 640), "limit.n", int),
-    )
-    so = data.get("solve", {})
-    _require(so, "solve", [], ["epsilon", "branch"])
-    solve = SolveBlock(
-        epsilon=None if so.get("epsilon") is None else _number(so["epsilon"], "solve.epsilon"),
-        branch=_number(so.get("branch", 1), "solve.branch", int),
-    )
     if solve.epsilon is not None and not solve.epsilon > 0:
         raise ConfigError(f"solve.epsilon: must be positive, got {solve.epsilon}")
-    ob = data.get("output", {})
-    _require(ob, "output", [], ["directory"])
-    output = OutputBlock(directory=str(ob.get("directory", "out")))
-    config = ExperimentConfig(
-        problem=problem,
-        potential=potential,
-        nonlinearity=nonlinearity,
-        boxes=boxes,
-        sweep=sweep,
-        limit=limit,
-        solve=solve,
-        output=output,
-        rng_seed=_number(data.get("rng_seed", 0), "rng_seed", int),
-        raw=data,
-    )
-    try:
-        config.solve_options()
-    except InvalidInput as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
     return config
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -106,21 +105,14 @@ def build_boxes(spec: PotentialSpec, l: float, L: float, nu: Optional[float] = N
 
     v0 = spec.v0_proxy
     margin = _BOX_MARGIN_FRAC * max(spec.v_inf_level - v0, 0.0)
+    # the tick lattice of [-l, l]^d and its surface, the points with a
+    # coordinate at +-l
     ticks = np.linspace(-l, l, _SAMPLES_PER_FACE)
+    lattice = np.stack(np.meshgrid(*[ticks] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    surface = lattice[np.max(np.abs(lattice), axis=1) == l]
     center_vals = spec.center_values()
     for i, c in enumerate(centers):
-        pts = []
-        for axis in range(d):
-            others = [ticks] * (d - 1)
-            for combo in product(*others) if d > 1 else [()]:
-                for sgn in (-l, l):
-                    p = np.array(c)
-                    p[axis] += sgn
-                    rest = [a for a in range(d) if a != axis]
-                    for a, val in zip(rest, combo):
-                        p[a] += val
-                    pts.append(p)
-        vals = spec.evaluate(np.array(pts))
+        vals = spec.evaluate(c + surface)
         if np.min(vals) <= max(center_vals[i], v0) + margin:
             raise BoundaryNotSeparating(
                 f"potential does not rise above the well level on the boundary "

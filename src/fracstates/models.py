@@ -79,21 +79,16 @@ class PotentialSpec:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """V at an (m, d) array of points (or a scalar point)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.func is not None:
-            return np.asarray(self.func(pts), dtype=float).reshape(pts.shape[0])
-        out = np.full(pts.shape[0], self.v_inf_level)
-        for w in self.wells:
-            r2 = np.sum((pts - np.asarray(w.center)) ** 2, axis=1)
-            out -= w.depth * np.exp(-r2 / w.width)
-        return out
+        return self.evaluate_on_coords(tuple(pts.T))
 
     def evaluate_on_coords(self, coords, scale: float = 1.0) -> np.ndarray:
         """V(scale * x) on coordinate arrays (one per axis) that broadcast
-        together, such as Grid.coords; the result has the broadcast shape."""
+        together, such as Grid.coords or the columns of a point array; the
+        result has the broadcast shape."""
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
         if self.func is not None:
             pts = np.stack([np.broadcast_to(scale * c, shape).ravel() for c in coords], axis=1)
-            return self.evaluate(pts).reshape(shape)
+            return np.asarray(self.func(pts), dtype=float).reshape(shape)
         out = np.full(shape, self.v_inf_level)
         for w in self.wells:
             r2 = np.zeros(shape)
@@ -240,13 +235,11 @@ class NonlinearitySpec:
             raise InvalidInput(f"growth exponent q must exceed 2, got {q}")
 
     @classmethod
-    def saturable(cls, s: float, q: float = 2.5, C0: Optional[float] = None):
+    def saturable(cls, s: float, q: float = 2.5):
         if s <= 0:
             raise InvalidInput(f"saturation parameter must be positive, got {s}")
-        # sup |f'| = 9/(8s), attained at s*t^2 = 3
-        if C0 is None:
-            C0 = 9.0 / (8.0 * s)
-        return cls("saturable", l0=1.0 / s, q=q, C0=C0, s=float(s))
+        # C0 = sup |f'| = 9/(8s), attained at s*t^2 = 3
+        return cls("saturable", l0=1.0 / s, q=q, C0=9.0 / (8.0 * s), s=float(s))
 
     @classmethod
     def custom(
@@ -259,6 +252,23 @@ class NonlinearitySpec:
         C0: float,
     ):
         return cls("custom", l0=l0, q=q, C0=C0, f=f, fprime=fprime, big_f=big_f)
+
+    def _nehari_floor(self, ray: Ray, nsq: float, w: float, pos_mass: float) -> float:
+        """A lower bound of the root tau of nsq = w psi(tau) on ray, where
+        pos_mass = sum v+^2; 0 when none is known (custom laws).
+
+        For the saturable law psi(tau) = sum (a/s) phi(s tau a) with the
+        concave phi(x) = x/(1+x), so psi(tau) <= B phi(tau A/B) by Jensen's
+        inequality, with B = sum a/s and A = sum a^2, and the root is at
+        least the root of that bound. m < 1 when the ray meets the Nehari
+        manifold, but for rounding.
+        """
+        if self.kind != "saturable":
+            return 0.0
+        m = nsq * self.s / (w * pos_mass)
+        if not m < 1.0:
+            return 0.0
+        return (nsq / w) / (float(np.dot(ray.a, ray.a)) * (1.0 - m))
 
     # -- array evaluation ---------------------------------------------------
 

@@ -149,15 +149,16 @@ def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> Neh
     psi(tau) = int f(tu)u/t. Safeguarded Newton, one fused (psi, psi') pass
     per step on arrays allocated once per projection: [lo, hi] brackets the
     root by the sign of G, and a step leaving it falls back to bisection
-    (doubling while hi is open). For the saturable law psi is increasing
-    and concave, so Newton converges monotonically after its first step,
-    and Jensen's inequality bounds the root from below; Newton starts at
-    max(1, that bound) and jumps to the bound when a step falls below it.
-    Custom laws start at tau = 1 with lo = 0. Newton stops when its step
-    falls below _STEP_TOL * tau; a final pass at the last iterate gives
-    psi for the residual check |J(t* u)| <= _NEHARI_TOL |u|^2_eps and
-    int F(t* u) for the report. If the check fails, Newton goes on to rounding-level
-    steps and checks once more before raising NotInTheta.
+    (doubling while hi is open). The nonlinearity gives a lower bound of
+    the root (NonlinearitySpec._nehari_floor: Jensen's inequality for the
+    saturable law, whose psi is increasing and concave, so Newton converges
+    monotonically after its first step; 0 for custom laws). Newton starts
+    at max(1, that bound) and jumps to the bound when a step falls below
+    it. It stops when its step falls below _STEP_TOL * tau; a final pass at
+    the last iterate gives psi for the residual check
+    |J(t* u)| <= _NEHARI_TOL |u|^2_eps and int F(t* u) for the report. If
+    the check fails, Newton goes on to rounding-level steps and checks once
+    more before raising NotInTheta.
     """
     w = p.grid.weight
     nl = p.nonlinearity
@@ -175,14 +176,7 @@ def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> Neh
         raise NotInTheta(
             "positive-part mass too small: g(t) stays positive along the ray"
         )
-    floor = 0.0
-    # psi(tau) = sum (a/s) phi(s tau a) for the saturable law, with the
-    # concave phi(x) = x/(1+x), so psi(tau) <= B phi(tau A/B) with B = sum a/s
-    # and A = sum a^2, and the root of nsq = w psi is at least the root of
-    # that bound; the check above makes m < 1 but for rounding
-    m = nsq * nl.s / (w * pos_mass) if nl.kind == "saturable" else 1.0
-    if m < 1.0:
-        floor = (nsq / w) / (float(np.dot(ray.a, ray.a)) * (1.0 - m))
+    floor = nl._nehari_floor(ray, nsq, w, pos_mass)
     tau, psi, f_int = _ray_root(nl, ray, nsq, w, floor)
     ray = None  # frees the pass arrays before the projected field is formed
     t_star = math.sqrt(tau)

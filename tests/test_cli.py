@@ -63,12 +63,14 @@ class TestCheck:
         assert any("f3" in m for m in report["messages"])
 
     def test_unknown_key_is_hard_error(self, tmp_path):
-        cfg = canonical_config()
-        cfg["problem"]["spacing"] = 0.1
-        path = write_config(tmp_path, cfg)
-        res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert res.exit_code == 1
-        assert "spacing" in res.output
+        # nonlinearity.C0 was removed: C0 = sup |f'| follows from s
+        for block, key in [("problem", "spacing"), ("nonlinearity", "C0")]:
+            cfg = canonical_config()
+            cfg[block][key] = 0.1
+            path = write_config(tmp_path, cfg)
+            res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
+            assert res.exit_code == 1
+            assert f"{block}: unknown keys ['{key}']" in res.output
 
     def test_missing_config_is_validation_error(self, tmp_path):
         res = run_cli(["check", "--config", str(tmp_path / "nope.yaml"),
@@ -103,11 +105,15 @@ class TestCheck:
         ("sweep", "max_iter", "many"),
         ("problem", "alpha", 1.5),
         ("problem", "d", 4),
+        # integer keys must be integral: int() would truncate these
+        ("problem", "d", 1.9),
+        ("sweep", "max_iter", 2.7),
     ]
 
     @pytest.mark.parametrize(
         "block,key,value", _BAD_PROBLEM_NUMBERS,
-        ids=["alpha-text", "max_iter-text", "alpha-above-1", "d-4"],
+        ids=["alpha-text", "max_iter-text", "alpha-above-1", "d-4", "d-fraction",
+             "max_iter-fraction"],
     )
     def test_bad_number_is_config_error(self, tmp_path, block, key, value):
         path = write_config(tmp_path, canonical_config(**{block: {key: value}}))
@@ -117,6 +123,33 @@ class TestCheck:
         assert f"{block}.{key}" in res.output
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
+
+    def test_integral_float_accepted(self):
+        from fracstates.config import parse_config
+
+        cfg = parse_config(canonical_config(problem={"d": 1.0}, sweep={"max_iter": 300.0}))
+        assert cfg.problem.d == 1 and isinstance(cfg.problem.d, int)
+        assert cfg.sweep.max_iter == 300 and isinstance(cfg.sweep.max_iter, int)
+
+    _OUT_OF_RANGE_MODELS = [
+        ("nonlinearity", {"nonlinearity": {"kind": "saturable", "s": -0.4}}),
+        ("potential", {"potential": {
+            "v_inf_level": 2.0,
+            "wells": [{"center": [1.0 / 3.0], "depth": -1.0, "width": 2.0}],
+        }}),
+    ]
+
+    @pytest.mark.parametrize(
+        "block,overrides", _OUT_OF_RANGE_MODELS, ids=["s-negative", "depth-negative"]
+    )
+    def test_model_range_error_is_config_error(self, tmp_path, block, overrides):
+        path = write_config(tmp_path, canonical_config(**overrides))
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{block}: ")
 
     @pytest.mark.parametrize("nu", [-0.5, float("nan")], ids=["negative", "nan"])
     def test_bad_nu_fails_boxes(self, tmp_path, nu):
@@ -146,6 +179,52 @@ class TestCheck:
         res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert key in res.output
+
+
+def _readme_section(heading):
+    """The README text under a '## heading', up to the next '## '."""
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadmeConfig:
+    """The README's example config and key table agree with the schema."""
+
+    def test_example_parses(self):
+        import re
+
+        from fracstates.config import parse_config
+
+        (block,) = re.findall(r"```yaml\n(.*?)```", _readme_section("CLI"), re.S)
+        cfg = parse_config(yaml.safe_load(block))
+        assert cfg.sweep.epsilons == (0.5, 0.25, 0.125)
+
+    def test_key_table_matches_blocks(self):
+        import dataclasses
+
+        from fracstates import config
+
+        rows = {}
+        for line in _readme_section("CLI").splitlines():
+            cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 4:
+                rows[(cells[0], cells[1])] = cells[3]
+        blocks = {"problem": config.ProblemBlock, "boxes": config.BoxesBlock,
+                  "sweep": config.SweepBlock, "limit": config.LimitBlock,
+                  "solve": config.SolveBlock, "output": config.OutputBlock}
+        top = {f.name for f in dataclasses.fields(config.ExperimentConfig) if f.init}
+        assert {b for b, _ in rows} | {"rng_seed"} == top
+        for block, cls in blocks.items():
+            fields = dataclasses.fields(cls)
+            assert {k for b, k in rows if b == block} == {f.name for f in fields}
+            for f in fields:
+                cell = rows[(block, f.name)]
+                if f.default is dataclasses.MISSING:
+                    assert cell == "required", (block, f.name)
+                else:
+                    assert cell.split("` ")[0] == repr(f.default), (block, f.name)
 
 
 class TestLimit:

@@ -86,6 +86,35 @@ class TestBuildBoxes:
         with pytest.raises(InvalidInput, match="box sizes"):
             build_boxes(single_well_potential(), float("nan"), 4.0, 0.1)
 
+    @staticmethod
+    def _dipped_well(d, offset):
+        """A Gaussian well at the origin with a narrow dip at offset that
+        brings V there below the well level."""
+        offset = np.asarray(offset, dtype=float)
+
+        def func(pts):
+            r2 = np.sum(pts ** 2, axis=1)
+            dip = np.sum((pts - offset) ** 2, axis=1)
+            return 2.0 - np.exp(-r2 / 0.5) - np.exp(-dip / 0.01)
+
+        return PotentialSpec.from_callable(func, [(0.0,) * d], 2.0, well_scale=0.5)
+
+    @pytest.mark.parametrize(
+        "offset",
+        [(1.0, 0.5), (-0.5, -1.0), (1.0, 0.5, -0.5), (1.0, -1.0, 0.5)],
+        ids=["2d-face", "2d-face-other-axis", "3d-face", "3d-edge"],
+    )
+    def test_off_axis_surface_dip_rejected(self, offset):
+        with pytest.raises(BoundaryNotSeparating):
+            build_boxes(self._dipped_well(len(offset), offset), 1.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "offset", [(0.5, 0.5), (0.5, -0.5, 0.0)], ids=["2d-inside", "3d-inside"]
+    )
+    def test_dip_inside_box_accepted(self, offset):
+        boxes = build_boxes(self._dipped_well(len(offset), offset), 1.0, 4.0)
+        assert boxes.d == len(offset) and boxes.k == 1
+
 
 class TestSeedField:
     def test_untranslated_cutoff_keeps_plateau(self, saturable, limit_state):

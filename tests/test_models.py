@@ -42,6 +42,40 @@ class TestSamplePotential:
             sample_potential(_single_well(v_inf=0.5, depth=1.0), g, 1.0)
 
 
+class TestEvaluate:
+    _WELLS = {
+        1: (Well((0.4,), 1.0, 2.0), Well((-1.5,), 0.7, 0.5)),
+        2: (Well((0.4, -0.2), 1.0, 2.0), Well((-1.5, 1.0), 0.7, 0.5)),
+        3: (Well((0.4, -0.2, 0.1), 1.0, 2.0), Well((-1.5, 1.0, 0.3), 0.7, 0.5)),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_sum_bit_for_bit(self, d):
+        spec = PotentialSpec(2.0, self._WELLS[d])
+        pts = np.random.default_rng(d).uniform(-3.0, 3.0, size=(40, d))
+        expected = np.full(40, 2.0)
+        for w in spec.wells:
+            r2 = np.zeros(40)
+            for a in range(d):
+                r2 = r2 + (pts[:, a] - w.center[a]) ** 2
+            expected = expected - w.depth * np.exp(-r2 / w.width)
+        assert np.array_equal(spec.evaluate(pts), expected)
+
+    def test_callable_same_through_evaluate_and_sampling(self):
+        def func(pts):
+            assert pts.ndim == 2 and pts.shape[1] == 2
+            return 2.0 - np.exp(-np.sum(pts ** 2, axis=1)) + 0.1 * np.sin(pts[:, 0])
+
+        spec = PotentialSpec.from_callable(func, [(0.0, 0.0)], 2.0)
+        g = make_grid(2, 4.0, 16)
+        eps = 0.3
+        mesh = np.meshgrid(g.axis, g.axis, indexing="ij")
+        pts = np.stack([(eps * c).ravel() for c in mesh], axis=1)
+        sampled = sample_potential(spec, g, eps).values
+        assert np.array_equal(spec.evaluate(pts), sampled)
+        assert np.array_equal(sampled, func(pts))
+
+
 class TestValidatePotential:
     def test_symmetric_double_well_passes(self):
         spec = PotentialSpec(2.0, (Well((-2.0,), 1.0, 0.5), Well((2.0,), 1.0, 0.5)))
