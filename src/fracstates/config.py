@@ -207,7 +207,8 @@ _PARSERS.update({
 
 def parse_config(data: dict) -> ExperimentConfig:
     """An ExperimentConfig from a mapping: each block through its schema
-    (_build), then the range checks of the problem, sweep and solve keys."""
+    (_build), then the range checks of the problem, potential, sweep, limit
+    and solve keys."""
     config = _build(ExperimentConfig, data)
     config.raw = data
     problem, eps, solve = config.problem, config.sweep.epsilons, config.solve
@@ -215,6 +216,18 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"problem.d: must be 1, 2 or 3, got {problem.d}")
     if not 0.0 < problem.alpha <= 1.0:
         raise ConfigError(f"problem.alpha: must lie in (0, 1], got {problem.alpha}")
+    for name, value in (("problem.R0", problem.R0), ("problem.R_cap", problem.R_cap),
+                        ("problem.h0", problem.h0), ("limit.R", config.limit.R)):
+        if not value > 0:
+            raise ConfigError(f"{name}: must be positive, got {value}")
+    if config.limit.n < 8 or config.limit.n % 2:
+        raise ConfigError(f"limit.n: must be even and >= 8, got {config.limit.n}")
+    for i, well in enumerate(config.potential.wells):
+        if len(well.center) != problem.d:
+            raise ConfigError(
+                f"potential.wells[{i}].center: expected {problem.d} coordinates "
+                f"(problem.d), got {len(well.center)}"
+            )
     if not eps:
         raise ConfigError("sweep.epsilons: expected a non-empty list")
     if min(eps) <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):

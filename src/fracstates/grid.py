@@ -11,8 +11,9 @@ apply_frac_laplacian and helmholtz_inverse both use it, and the latter also
 keeps its denominator |xi|^(2*alpha) + c for the last shift c of each alpha,
 since a descent passes one shift for a whole solve.
 
-Both operators run one round trip, _round_trip: rfftn into a freshly
-allocated spectrum, an in-place multiply or divide by the cached array, an
+Both operators, and the sub-cell translate _translate (a phase
+multiplier), run one round trip, _round_trip: rfftn into a freshly
+allocated spectrum, an in-place multiply or divide by the multiplier, an
 in-place ifftn over the leading axes in irfftn's axis order, and irfft into
 the output. That is the arithmetic of irfftn(rfftn(u) * m) bit for bit, but
 only the spectrum and the output are allocated, where irfftn forms a fresh
@@ -73,15 +74,22 @@ class Grid:
     def _multipliers(self) -> dict:
         return {}
 
+    @property
+    def _wavenumbers(self) -> tuple:
+        """The d 1-D wavenumber axes of the real-transform layout: the
+        full axis for the leading dimensions, the halved one for the last.
+        Built on each use: a few small arrays kept alive after the first
+        multiplier measured 0.9 MB more peak RSS on a 48^3 solve."""
+        full = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+        half = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
+        return (full,) * (self.d - 1) + (half,)
+
     def _multiplier(self, alpha: float) -> np.ndarray:
         """|xi|^(2*alpha) on the real-transform layout (last axis halved),
         zero mode 0; built once per alpha and read-only."""
         mult = self._multipliers.get(alpha)
         if mult is None:
-            full = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
-            half = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
-            axes = [full] * (self.d - 1) + [half]
-            parts = np.meshgrid(*axes, indexing="ij")
+            parts = np.meshgrid(*self._wavenumbers, indexing="ij")
             xi_sq = np.zeros_like(parts[0])
             for p in parts:
                 xi_sq += p * p
@@ -196,6 +204,20 @@ def _round_trip(u: Field, op, mult: np.ndarray) -> Field:
         # ifftn runs its axes last to first, irfftn first to last
         np.fft.ifftn(spec, axes=tuple(range(g.d - 2, -1, -1)), out=spec)
     return Field(g, np.fft.irfft(spec, n=g.n, axis=-1))
+
+
+def _translate(u: Field, shift) -> Field:
+    """u(x - s) for a real shift s (one length per axis, in units of x):
+    the phase multiplier exp(-i xi.s) in one round trip. A whole-cell s
+    agrees with np.roll to rounding; for a sub-cell s, irfft drops the
+    imaginary part of the Nyquist mode, which keeps the result real.
+
+    Raises NonFinite when u has a NaN or Inf sample, or samples so large
+    that their sum overflows.
+    """
+    xi = np.meshgrid(*u.grid._wavenumbers, indexing="ij", sparse=True)
+    phase = np.exp(-1j * sum(s * k for s, k in zip(shift, xi, strict=True)))
+    return _round_trip(u, np.multiply, phase)
 
 
 def apply_frac_laplacian(u: Field, alpha: float) -> Field:

@@ -25,7 +25,7 @@ from .errors import (
     ZeroField,
 )
 from . import _kernels
-from .grid import Field, resample_field
+from .grid import Field, _translate, resample_field
 from .models import PotentialSpec
 from .solver import SolveOptions, SolveResult, solve_constrained
 from .variational import Problem, project_to_nehari
@@ -134,16 +134,15 @@ def _cutoff(r: np.ndarray) -> np.ndarray:
 
 def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     """Cut-off translate of the limit state centered at y/eps:
-    psi(x) = eta(|eps x - y|) * w(x - y/eps), with the translate rounded to
-    whole grid cells. The seed is not tested for the restricted set here:
-    the Nehari projection that every seed goes through rejects it
-    (NotInTheta) when eps is too large for this box."""
+    psi(x) = eta(|eps x - y|) * w(x - y/eps), the translate taken exactly,
+    by any fraction of a cell, as a spectral phase shift. The seed is not
+    tested for the restricted set here: the Nehari projection that every
+    seed goes through rejects it (NotInTheta) when eps is too large for
+    this box."""
     g = problem.grid
     eps = problem.eps
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    w = resample_field(w_limit, g)
-    shifts = [int(round(yi / eps / g.h)) for yi in y]
-    vals = np.roll(w.shaped, shifts, axis=tuple(range(g.d)))
+    vals = _translate(resample_field(w_limit, g), y / eps).shaped
     r2 = np.zeros(g.shape)
     for c, yi in zip(g.coords, y):
         r2 += (eps * c - yi) ** 2

@@ -14,7 +14,9 @@ differences of the last two projected iterates and of their gradients
 any iteration where a pairing is not positive, starts from _STEP_INIT
 instead. A unit-step start contracts the soft translational mode of
 V(eps x) by only 1 - O(eps^2) per iteration, so the BB2 start is what keeps
-small-eps solves short.
+small-eps solves short. Branch seeds are exact sub-cell translates centred
+at the well minimum (localization.seed_field), which removes most of that
+translational transient before the descent starts.
 
 The loop carries Lu = (-Lap)^a u across iterations instead of transforming
 u again: the gradient is Lu + V u - f(u), and the preconditioned direction

@@ -108,12 +108,20 @@ class TestCheck:
         # integer keys must be integral: int() would truncate these
         ("problem", "d", 1.9),
         ("sweep", "max_iter", 2.7),
+        # grid keys out of range
+        ("problem", "R0", 0.0),
+        ("problem", "R_cap", -400.0),
+        ("problem", "h0", -0.25),
+        ("limit", "R", -5.0),
+        ("limit", "n", 0),
+        ("limit", "n", 161),
     ]
 
     @pytest.mark.parametrize(
         "block,key,value", _BAD_PROBLEM_NUMBERS,
         ids=["alpha-text", "max_iter-text", "alpha-above-1", "d-4", "d-fraction",
-             "max_iter-fraction"],
+             "max_iter-fraction", "R0-zero", "R_cap-negative", "h0-negative",
+             "limit-R-negative", "limit-n-zero", "limit-n-odd"],
     )
     def test_bad_number_is_config_error(self, tmp_path, block, key, value):
         path = write_config(tmp_path, canonical_config(**{block: {key: value}}))
@@ -121,6 +129,19 @@ class TestCheck:
         res = run_cli(["check", "--config", str(path), "--out", str(out)])
         assert res.exit_code == 1
         assert f"{block}.{key}" in res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+
+    def test_center_length_must_match_d(self, tmp_path):
+        cfg = canonical_config(potential={
+            "v_inf_level": 2.0,
+            "wells": [{"center": [0.3, 0.1], "depth": 1.0, "width": 2.0}],
+        })
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "potential.wells[0].center" in res.output
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
 

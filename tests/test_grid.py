@@ -4,6 +4,7 @@ Helmholtz inverse."""
 import numpy as np
 import pytest
 
+from conftest import gaussian_field
 from fracstates.errors import (
     GridMismatch,
     InvalidGrid,
@@ -12,6 +13,7 @@ from fracstates.errors import (
 )
 from fracstates.grid import (
     Field,
+    _translate,
     apply_frac_laplacian,
     gagliardo_sq,
     helmholtz_inverse,
@@ -288,3 +290,39 @@ class TestResample:
         u = Field(g1, np.ones(g1.size))
         with pytest.raises(GridMismatch):
             resample_field(u, g2)
+
+
+class TestTranslate:
+    """_translate(u, s) is u(x - s) for any real shift s."""
+
+    def test_whole_cells_match_roll(self):
+        g = make_grid(2, 5.0, 32)
+        u = np.random.default_rng(0).standard_normal(g.shape)
+        out = _translate(Field(g, u), (3 * g.h, -5 * g.h)).shaped
+        rolled = np.roll(u, (3, -5), axis=(0, 1))
+        assert np.max(np.abs(out - rolled)) <= 1e-13 * np.max(np.abs(u))
+
+    def test_shift_and_back_is_identity(self):
+        g = make_grid(2, 12.0, 64)
+        u = gaussian_field(g, 1.0, center=(0.7, -1.1))
+        s = (0.37 * g.h, -2.71 * g.h)
+        back = _translate(_translate(u, s), tuple(-si for si in s))
+        assert np.max(np.abs(back.values - u.values)) <= 1e-12
+
+    def test_subcell_shift_of_trig_polynomial_is_exact(self):
+        g = make_grid(2, np.pi, 16)
+        x, y = g.coords
+        s = (g.h / 3.0, -0.45 * g.h)
+
+        def trig(x, y):
+            return 1.0 + np.cos(3 * x + 0.2) * np.sin(2 * y) + 0.5 * np.sin(7 * y - x)
+
+        out = _translate(Field(g, trig(x, y)), s)
+        assert np.max(np.abs(out.shaped - trig(x - s[0], y - s[1]))) <= 1e-13
+
+    def test_non_finite_rejected(self):
+        g = make_grid(1, 5.0, 32)
+        u = np.ones(g.size)
+        u[4] = np.nan
+        with pytest.raises(NonFinite):
+            _translate(Field(g, u), (0.3,))

@@ -160,6 +160,43 @@ class TestSeedField:
         assert defects[0] < 0  # threshold epsilon_1 is positive
 
 
+class TestSeedCentre:
+    """Seeds are exact translates: centred at y/eps to a fraction of a cell,
+    wherever y falls between grid points."""
+
+    @staticmethod
+    def _first_moment(psi):
+        w = psi.shaped / np.sum(psi.shaped)
+        return np.array([np.sum(c * w) for c in psi.grid.coords])
+
+    def test_first_moment_at_rescaled_centre_1d(self, saturable, limit_state):
+        p = _eps_problem(single_well_potential(), 0.25, saturable)
+        y = np.array([1.0 / 3.0 + 0.013])
+        psi = seed_field(limit_state.u, y, p)
+        assert np.max(np.abs(self._first_moment(psi) - y / p.eps)) < 1e-3 * p.grid.h
+
+    def test_first_moment_at_rescaled_centre_2d(self, saturable):
+        g = make_grid(2, 16.0, 128)
+        eps = 0.25
+        p = Problem(grid=g, alpha=0.5, eps=eps, potential_field=Field(g, np.full(g.size, 2.0)),
+                    nonlinearity=saturable)
+        w = gaussian_field(g, 1.0)
+        y = np.array([0.4 / 3.0, -0.271])
+        psi = seed_field(w, y, p)
+        assert np.max(np.abs(self._first_moment(psi) - y / eps)) < 1e-3 * g.h
+
+    def test_small_eps_branch_solve_is_short(self, saturable, limit_state):
+        # the seed starts on the well minimum, so the descent need not carry
+        # the bump along the soft translational mode: from a seed a third of
+        # a cell off, this solve takes 139 iterations
+        pot = single_well_potential()
+        p = _eps_problem(pot, 0.125, saturable)
+        boxes = build_boxes(pot, 1.0, 4.0)
+        br = solve_branch(p, boxes, limit_state.u, 1, SolveOptions(max_iter=20000))
+        assert br.result.converged
+        assert br.result.iterations <= 40
+
+
 class TestTruncatedCoordinate:
     def test_identity_at_zero(self):
         assert truncated_coordinate(0.0, 0.25, 4.0) == 0.0
