@@ -222,6 +222,14 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{name}: must be positive, got {value}")
     if config.limit.n < 8 or config.limit.n % 2:
         raise ConfigError(f"limit.n: must be even and >= 8, got {config.limit.n}")
+    # the limit state seeds the eps grids through resample_field, which
+    # needs the same spacing to the same relative tolerance
+    h_limit = 2.0 * config.limit.R / config.limit.n
+    if abs(h_limit - problem.h0) > 1e-12 * max(h_limit, problem.h0):
+        raise ConfigError(
+            f"limit.n: the limit grid spacing 2*limit.R/limit.n = {h_limit:g} must equal "
+            f"problem.h0 = {problem.h0:g}; set limit.n = 2*limit.R/problem.h0"
+        )
     for i, well in enumerate(config.potential.wells):
         if len(well.center) != problem.d:
             raise ConfigError(

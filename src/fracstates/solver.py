@@ -289,29 +289,30 @@ def solve_limit(
     opts: Optional[SolveOptions] = None,
     seed_widths: Sequence[float] = DEFAULT_SEED_WIDTHS,
 ) -> SolveResult:
-    """Ground state of (-Lap)^a u + a u = f(u) by multistart descent.
+    """Ground state of (-Lap)^a u + a u = f(u), descended from the first
+    admissible seed.
 
-    Seeds are origin-centered Gaussians of the given widths; widths whose
-    defect is nonnegative are skipped. Lowest energy wins, earliest seed
-    index breaking ties.
+    Seeds are origin-centered Gaussians of the given widths, tried in order;
+    a width whose ray misses the Nehari manifold (SeedNotInTheta) is skipped,
+    and the descent from the first admissible width is returned. The ground
+    state is positive and radial (Felmer, Quaas & Tan, Proc. Roy. Soc.
+    Edinburgh A 142, 2012), and every admissible width descends to it, so the
+    widths are an ordered fallback for admissibility, not a multistart.
+    Raises InvalidInput for an empty width list or a width that is not
+    positive, and SeedNotInTheta when no width is admissible.
     """
+    seed_widths = tuple(seed_widths)
+    if not seed_widths or not all(width > 0 for width in seed_widths):
+        raise InvalidInput(f"seed_widths must be one or more positive widths, got {seed_widths}")
     p = limit_problem(a, nonlinearity, grid, alpha)
-    best = None
-    tried = 0
     for width in seed_widths:
-        seed = _gaussian_seed(grid, width)
         try:
-            res = solve_constrained(p, seed, opts)
+            return solve_constrained(p, _gaussian_seed(grid, width), opts)
         except SeedNotInTheta:
             continue
-        tried += 1
-        if best is None or res.energy < best.energy - 1e-10:
-            best = res
-    if best is None:
-        raise SeedNotInTheta(
-            f"no Gaussian seed width in {tuple(seed_widths)} is admissible for a = {a}"
-        )
-    return best
+    raise SeedNotInTheta(
+        f"no Gaussian seed width in {seed_widths} is admissible for a = {a}"
+    )
 
 
 def energy_curve(

@@ -145,6 +145,19 @@ class TestCheck:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
 
+    def test_limit_spacing_must_equal_h0(self, tmp_path):
+        # the default limit block (R = 80, n = 640) has spacing 0.25; sweep
+        # would fail to resample its state onto the h0 = 0.125 grids
+        cfg = canonical_config(problem={"h0": 0.125})
+        cfg["limit"] = {"a_values": [0.8, 1.2]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "limit.n" in res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+
     def test_integral_float_accepted(self):
         from fracstates.config import parse_config
 

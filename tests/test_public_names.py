@@ -1,10 +1,13 @@
 """Callables the benchmark harness (perfbench/) reaches by module and name.
 
-The harness wraps and times these from outside the package, so renaming or
-moving one breaks the benchmark without failing any other test.
+The harness wraps and times these from outside the package, and its
+workloads build their inputs and call the solver through them, so renaming
+or moving one, or one of the keywords its workloads pass, breaks the
+benchmark without failing any other test.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -36,18 +39,62 @@ HARNESS_NAMES = [
     ("grid", "apply_frac_laplacian"),
     ("grid", "helmholtz_inverse"),
     ("_kernels", "negative_sq_sum"),
+    # classes the workloads read attributes of; what they call is in
+    # HARNESS_CALLS below (cli.main, a click group, is left out: its
+    # __module__ is click's)
+    ("models", "NonlinearitySpec"),
+]
+
+# (module, name, positional count, keywords): the entry points
+# perfbench/workloads.py imports and the call shapes it uses them with
+HARNESS_CALLS = [
+    ("solver", "solve_limit", 5, ("seed_widths",)),
+    ("solver", "SolveOptions", 0, ("max_iter", "tol_residual")),
+    ("solver", "grid_for_epsilon", 6, ()),
+    ("solver", "sweep_epsilon", 1, ()),
+    ("localization", "build_boxes", 3, ()),
+    ("localization", "solve_branches", 4, ()),
+    ("models", "sample_potential", 3, ()),
+    ("models", "NonlinearitySpec.saturable", 1, ()),
+    ("models", "NonlinearitySpec.custom", 3, ("l0", "q", "C0")),
+    ("models", "PotentialSpec", 2, ()),
+    ("models", "Well", 3, ()),
+    ("grid", "make_grid", 3, ()),
+    ("variational", "Problem", 0, ("grid", "alpha", "eps", "potential_field", "nonlinearity")),
+    ("config", "ProblemBlock", 0, ("d", "alpha", "R0", "R_cap", "h0")),
+    ("config", "BoxesBlock", 3, ()),
+    ("config", "SweepBlock", 0, ("epsilons", "max_iter", "tol_residual")),
+    ("config", "LimitBlock", 0, ("a_values", "R", "n")),
+    ("config", "ExperimentConfig", 0,
+     ("problem", "potential", "nonlinearity", "boxes", "sweep", "limit")),
 ]
 
 
-@pytest.mark.parametrize(
-    "module, name", HARNESS_NAMES, ids=[f"{m}.{n}" for m, n in HARNESS_NAMES]
-)
-def test_harness_name_exists(module, name):
+def _resolve(module, name):
     mod = importlib.import_module(f"fracstates.{module}")
     obj = mod
     for part in name.split("."):
         obj = getattr(obj, part)
+    return mod, obj
+
+
+_ALL_NAMES = HARNESS_NAMES + [(m, n) for m, n, *_ in HARNESS_CALLS if (m, n) not in HARNESS_NAMES]
+
+
+@pytest.mark.parametrize(
+    "module, name", _ALL_NAMES, ids=[f"{m}.{n}" for m, n in _ALL_NAMES]
+)
+def test_harness_name_exists(module, name):
+    mod, obj = _resolve(module, name)
     assert callable(obj)
     # defined where the harness looks for it, not merely imported there
     owner = obj.__module__ if "." not in name else getattr(mod, name.split(".")[0]).__module__
     assert owner == mod.__name__
+
+
+@pytest.mark.parametrize(
+    "module, name, n_args, keywords", HARNESS_CALLS, ids=[f"{m}.{n}" for m, n, *_ in HARNESS_CALLS]
+)
+def test_harness_call_shape_binds(module, name, n_args, keywords):
+    _, obj = _resolve(module, name)
+    inspect.signature(obj).bind(*range(n_args), **{k: None for k in keywords})

@@ -14,9 +14,12 @@ from fracstates.grid import Field, make_grid
 from fracstates.localization import build_boxes, solve_branches
 from fracstates.models import PotentialSpec, Well, sample_potential
 from fracstates.solver import (
+    DEFAULT_SEED_WIDTHS,
     SolveOptions,
+    _gaussian_seed,
     energy_curve,
     grid_for_epsilon,
+    limit_problem,
     solve_constrained,
     solve_limit,
     sweep_epsilon,
@@ -123,6 +126,62 @@ class TestSolveLimit:
         assert limit_state.converged
         assert limit_state.energy > 0
         assert limit_state.negative_mass == pytest.approx(0.0, abs=1e-12)
+
+
+class TestFirstAdmissibleSeed:
+    """solve_limit returns the descent from the first admissible width."""
+
+    OPTS = SolveOptions(max_iter=20000)
+
+    def test_default_widths_reach_one_energy(self, saturable):
+        # the premise: on the canonical limit fixture every default width
+        # descends to the same ground state, so later widths add nothing
+        g = make_grid(1, 80.0, 640)
+        p = limit_problem(1.0, saturable, g, 0.5)
+        energies = [solve_constrained(p, _gaussian_seed(g, width), self.OPTS).energy
+                    for width in DEFAULT_SEED_WIDTHS]
+        assert max(energies) - min(energies) <= 1e-10
+
+    def test_first_width_descent_bit_for_bit(self, saturable, limit_state):
+        g = limit_state.u.grid
+        ref = solve_constrained(limit_problem(1.0, saturable, g, 0.5),
+                                _gaussian_seed(g, 1.0), self.OPTS)
+        assert limit_state.energy == ref.energy
+        assert limit_state.iterations == ref.iterations
+        assert np.array_equal(limit_state.u.values, ref.u.values)
+
+    def test_one_descent_when_first_width_admissible(self, saturable, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_constrained(*args, **kwargs)
+
+        monkeypatch.setattr("fracstates.solver.solve_constrained", counting)
+        solve_limit(1.0, saturable, make_grid(1, 80.0, 640), 0.5, self.OPTS)
+        assert len(calls) == 1
+
+    def test_inadmissible_first_width_falls_back(self, saturable):
+        # criterion 4's grid at its top level: width 1.0 lies outside Theta
+        g = make_grid(1, 40.0, 1024)
+        p = limit_problem(2.0, saturable, g, 0.5)
+        with pytest.raises(SeedNotInTheta):
+            solve_constrained(p, _gaussian_seed(g, 1.0), self.OPTS)
+        res = solve_limit(2.0, saturable, g, 0.5, self.OPTS)
+        ref = solve_constrained(p, _gaussian_seed(g, 1.7), self.OPTS)
+        assert res.energy == ref.energy
+        assert np.array_equal(res.u.values, ref.u.values)
+
+    def test_no_admissible_width_raises(self, saturable):
+        g = make_grid(1, 40.0, 1024)
+        with pytest.raises(SeedNotInTheta, match="no Gaussian seed width"):
+            solve_limit(2.0, saturable, g, 0.5, self.OPTS, seed_widths=(1.0,))
+
+    @pytest.mark.parametrize("widths", [(), (1.0, 0.0), (1.0, -1.0)],
+                             ids=["empty", "zero", "negative"])
+    def test_bad_widths_rejected(self, saturable, widths):
+        with pytest.raises(InvalidInput, match="positive widths"):
+            solve_limit(1.0, saturable, make_grid(1, 20.0, 128), 0.5, seed_widths=widths)
 
 
 class TestEnergyCurve:
