@@ -13,14 +13,12 @@ from .grid import (
     helmholtz_inverse,
     inner_l2,
     make_grid,
-    norm_lp,
     resample_field,
 )
 from .models import (
     NonlinearitySpec,
     PotentialSpec,
     Well,
-    nonlin_eval,
     sample_potential,
     validate_nonlinearity,
     validate_potential,
@@ -31,7 +29,6 @@ from .variational import (
     energy,
     gradient,
     project_to_nehari,
-    ray_argmax_oracle,
 )
 from .solver import (
     SolveOptions,
@@ -45,7 +42,6 @@ from .localization import (
     BoxFamily,
     BranchLabel,
     barycenter_h,
-    beta_map,
     build_boxes,
     classify,
     seed_field,

@@ -280,8 +280,6 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
         eps = config.sweep.epsilons[0]
     j = config.solve.branch
     boxes = config.box_family()
-    if not (1 <= j <= boxes.k):
-        raise ConfigError(f"solve.branch must be in 1..{boxes.k}, got {j}")
     w_res = limit_state(config)
     p = problem_for_epsilon(config, eps)
     br = solve_branch(p, boxes, w_res.u, j, config.solve_options())

@@ -16,10 +16,10 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Optional
 
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, SlopeOrdering
 from .localization import BoxFamily, build_boxes
 from .models import NonlinearitySpec, PotentialSpec, Well
-from .solver import SolveOptions
+from .solver import SolveOptions, check_levels
 
 
 def _require(mapping: dict, context: str, required, optional=()):
@@ -208,7 +208,8 @@ _PARSERS.update({
 def parse_config(data: dict) -> ExperimentConfig:
     """An ExperimentConfig from a mapping: each block through its schema
     (_build), then the range checks of the problem, potential, sweep, limit
-    and solve keys."""
+    and solve keys; limit.a_values by the solver's own rules
+    (solver.check_levels)."""
     config = _build(ExperimentConfig, data)
     config.raw = data
     problem, eps, solve = config.problem, config.sweep.epsilons, config.solve
@@ -230,6 +231,10 @@ def parse_config(data: dict) -> ExperimentConfig:
             f"limit.n: the limit grid spacing 2*limit.R/limit.n = {h_limit:g} must equal "
             f"problem.h0 = {problem.h0:g}; set limit.n = 2*limit.R/problem.h0"
         )
+    try:
+        check_levels(config.limit.a_values, config.nonlinearity)
+    except (InvalidInput, SlopeOrdering) as exc:
+        raise ConfigError(f"limit.a_values: {exc}") from exc
     for i, well in enumerate(config.potential.wells):
         if len(well.center) != problem.d:
             raise ConfigError(
@@ -244,6 +249,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         )
     if solve.epsilon is not None and not solve.epsilon > 0:
         raise ConfigError(f"solve.epsilon: must be positive, got {solve.epsilon}")
+    k = len(config.potential.wells)  # one branch per well
+    if not 1 <= solve.branch <= k:
+        raise ConfigError(f"solve.branch: must be in 1..{k}, got {solve.branch}")
     return config
 
 

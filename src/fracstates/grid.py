@@ -243,13 +243,6 @@ def gagliardo_sq(u: Field, alpha: float) -> float:
     return inner_l2(u, apply_frac_laplacian(u, alpha))
 
 
-def norm_lp(u: Field, p: float) -> float:
-    if p < 1:
-        raise InvalidInput(f"exponent p must be >= 1, got {p}")
-    _check_finite(u)
-    return float(u.grid.weight * np.sum(np.abs(u.values) ** p)) ** (1.0 / p)
-
-
 def helmholtz_inverse(v: Field, alpha: float, c: float) -> Field:
     """Solve ((-Lap)^alpha + c) w = v exactly in Fourier space.
 

@@ -171,27 +171,6 @@ def barycenter_h(u: Field, p: float, eps: float, L: float) -> np.ndarray:
     return out
 
 
-def beta_map(u: Field, rho: float, eps: float) -> np.ndarray:
-    """Mass barycenter of u^2 under the radial clamp chi (identity inside
-    the rho-ball of the original variables, radial projection outside)."""
-    if rho <= 0:
-        raise InvalidInput(f"rho must be positive, got {rho}")
-    w = u.shaped * u.shaped
-    total = float(np.sum(w))
-    if total == 0.0:
-        raise ZeroField("beta map of the zero field is undefined")
-    g = u.grid
-    r = np.zeros(g.shape)
-    for c in g.coords:
-        r += (eps * c) ** 2
-    r = np.sqrt(r)
-    scale = np.where(r > rho, rho / np.where(r > 0, r, 1.0), 1.0)
-    out = np.empty(g.d)
-    for i, c in enumerate(g.coords):
-        out[i] = float(np.sum(eps * c * scale * w)) / total
-    return out
-
-
 NEGATIVITY_TOL = 1e-6
 
 

@@ -255,11 +255,10 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
 # --------------------------------------------------------------------------
 
 
-def _gaussian_seed(grid: Grid, width: float, center=None) -> Field:
+def _gaussian_seed(grid: Grid, width: float) -> Field:
     r2 = np.zeros(grid.shape)
-    for i, c in enumerate(grid.coords):
-        ci = 0.0 if center is None else center[i]
-        r2 += (c - ci) ** 2
+    for c in grid.coords:
+        r2 += c**2
     np.negative(r2, out=r2)
     r2 /= 2.0 * width**2
     np.exp(r2, out=r2)
@@ -267,16 +266,29 @@ def _gaussian_seed(grid: Grid, width: float, center=None) -> Field:
     return Field(grid, r2)
 
 
-DEFAULT_SEED_WIDTHS = (1.0, 1.7, 2.9, 4.9, 8.3)
+# ratio about 1.7; the wide end admits levels close below l0, whose Gaussian
+# ray meets the Nehari manifold only when its seminorm per unit mass is
+# below l0 - a
+DEFAULT_SEED_WIDTHS = (1.0, 1.7, 2.9, 4.9, 8.3, 14.1, 24.0)
+
+
+def check_levels(a_values: Sequence[float], nonlinearity: NonlinearitySpec):
+    """The rules of the constant potential levels of a c_a curve: strictly
+    increasing (InvalidInput), positive (InvalidInput) and below the
+    asymptotic slope l0 (SlopeOrdering)."""
+    if not all(b > a for a, b in zip(a_values, a_values[1:])):
+        raise InvalidInput(f"a_values must be strictly increasing, got {list(a_values)}")
+    for a in a_values:
+        if not a > 0:
+            raise InvalidInput(f"constant potential level must be positive, got {a}")
+        if a >= nonlinearity.l0:
+            raise SlopeOrdering(
+                f"level a = {a} is not below the asymptotic slope l0 = {nonlinearity.l0}"
+            )
 
 
 def limit_problem(a: float, nonlinearity: NonlinearitySpec, grid: Grid, alpha: float) -> Problem:
-    if a <= 0:
-        raise InvalidInput(f"constant potential level must be positive, got {a}")
-    if a >= nonlinearity.l0:
-        raise SlopeOrdering(
-            f"level a = {a} is not below the asymptotic slope l0 = {nonlinearity.l0}"
-        )
+    check_levels((a,), nonlinearity)
     const = Field(grid, np.full(grid.size, float(a)))
     return Problem(grid=grid, alpha=alpha, eps=1.0, potential_field=const, nonlinearity=nonlinearity)
 
@@ -298,6 +310,10 @@ def solve_limit(
     state is positive and radial (Felmer, Quaas & Tan, Proc. Roy. Soc.
     Edinburgh A 142, 2012), and every admissible width descends to it, so the
     widths are an ordered fallback for admissibility, not a multistart.
+    A level close below l0 needs a wide seed: with s = 0.4 (l0 = 2.5) on
+    the R = 80, n = 640 grid, a = 2.45 first admits the default width 14.1
+    and a = 2.47 the width 24.0, while a = 2.49 needs about 40.8 (R/2),
+    beyond the defaults.
     Raises InvalidInput for an empty width list or a width that is not
     positive, and SeedNotInTheta when no width is admissible.
     """
@@ -322,10 +338,10 @@ def energy_curve(
     alpha: float,
     opts: Optional[SolveOptions] = None,
 ):
-    """(a, c_a) pairs along a strictly increasing list of levels."""
+    """(a, c_a) pairs along a strictly increasing list of levels, all
+    checked (check_levels) before the first solve."""
     a_values = list(a_values)
-    if any(b <= a for a, b in zip(a_values, a_values[1:])):
-        raise InvalidInput("a_values must be strictly increasing")
+    check_levels(a_values, nonlinearity)
     out = []
     for a in a_values:
         res = solve_limit(a, nonlinearity, grid, alpha, opts)
@@ -391,6 +407,10 @@ def sweep_epsilon(config) -> list:
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidInput("epsilon list must be strictly decreasing")
 
+    # the finest epsilon has the largest grid: a point budget it exceeds
+    # fails here, before any solve
+    pb = config.problem
+    grid_for_epsilon(pb.d, eps_list[-1], pb.R0, pb.R_cap, pb.h0, config.sweep.point_budget)
     opts = config.solve_options()
     boxes = config.box_family()
     v0 = config.potential.v0_proxy

@@ -218,21 +218,3 @@ def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float
     raise NotInTheta(
         f"Newton projection stalled: |J(t* u)| = {abs(residual):.3g} exceeds tolerance"
     )
-
-
-class RayScan(NamedTuple):
-    t_best: float
-    interior: bool
-
-
-def ray_argmax_oracle(p: Problem, u: Field, t_max: float, steps: int) -> RayScan:
-    """Brute-force argmax of t -> I(tu) on a uniform t-grid; test oracle for
-    the Nehari projection. interior=False flags a boundary maximum."""
-    if steps < 100:
-        raise InvalidInput(f"need at least 100 steps, got {steps}")
-    if t_max <= 0:
-        raise InvalidInput(f"t_max must be positive, got {t_max}")
-    ts = np.linspace(t_max / steps, t_max, steps)
-    vals = np.array([energy(p, Field(p.grid, t * u.values)).total for t in ts])
-    k = int(np.argmax(vals))
-    return RayScan(float(ts[k]), bool(0 < k < steps - 1))

@@ -1,9 +1,12 @@
 """Shared fixtures: canonical problem families and cached expensive solves."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from fracstates.grid import Field, make_grid
+from fracstates.errors import InvalidInput
+from fracstates.grid import Field, gagliardo_sq, make_grid
 from fracstates.models import NonlinearitySpec, PotentialSpec, Well, sample_potential
 from fracstates.solver import SolveOptions, solve_limit
 from fracstates.variational import Problem
@@ -73,3 +76,31 @@ def random_theta_field(problem, rng, width_range=(2.0, 5.0)):
         if energy(problem, u).theta_defect < 0:
             return u
     raise AssertionError("could not draw an admissible random field")
+
+
+class RayScan(NamedTuple):
+    t_best: float
+    interior: bool
+
+
+def ray_energies(p, u, ts):
+    """I(tu) = t^2/2 ([u]^2 + int V u^2) - int F(tu) at every t of ts at
+    once, from one seminorm and the law's pointwise triple: no code path
+    shared with the Nehari projection or variational.energy."""
+    v = u.values
+    w = p.grid.weight
+    quad = gagliardo_sq(u, p.alpha) + w * float(np.dot(p.potential_field.values, v * v))
+    big_f = p.nonlinearity.triple(np.outer(ts, v))[2]
+    return 0.5 * ts**2 * quad - w * np.sum(big_f, axis=1)
+
+
+def ray_argmax_oracle(p, u, t_max, steps):
+    """Brute-force argmax of t -> I(tu) on a uniform t-grid; the test
+    oracle of the Nehari projection. interior=False flags a boundary maximum."""
+    if steps < 100:
+        raise InvalidInput(f"need at least 100 steps, got {steps}")
+    if t_max <= 0:
+        raise InvalidInput(f"t_max must be positive, got {t_max}")
+    ts = np.linspace(t_max / steps, t_max, steps)
+    k = int(np.argmax(ray_energies(p, u, ts)))
+    return RayScan(float(ts[k]), bool(0 < k < steps - 1))

@@ -18,6 +18,7 @@ from conftest import (
     CANON_ALPHA,
     double_well_potential,
     random_theta_field,
+    ray_argmax_oracle,
     single_well_potential,
 )
 from fracstates.cli import main as cli_main
@@ -39,7 +40,7 @@ from fracstates.solver import (
     solve_limit,
     sweep_epsilon,
 )
-from fracstates.variational import Problem, project_to_nehari, ray_argmax_oracle
+from fracstates.variational import Problem, project_to_nehari
 from fracstates.variational import energy as energy_of
 from fracstates.variational import gradient as gradient_of
 

@@ -115,13 +115,22 @@ class TestCheck:
         ("limit", "R", -5.0),
         ("limit", "n", 0),
         ("limit", "n", 161),
+        # levels the limit solve rejects (l0 = 2.5 for s = 0.4)
+        ("limit", "a_values", [1.2, 0.8]),
+        ("limit", "a_values", [0.0, 1.2]),
+        ("limit", "a_values", [0.8, 2.5]),
+        # one branch per well
+        ("solve", "branch", 5),
+        ("solve", "branch", 0),
     ]
 
     @pytest.mark.parametrize(
         "block,key,value", _BAD_PROBLEM_NUMBERS,
         ids=["alpha-text", "max_iter-text", "alpha-above-1", "d-4", "d-fraction",
              "max_iter-fraction", "R0-zero", "R_cap-negative", "h0-negative",
-             "limit-R-negative", "limit-n-zero", "limit-n-odd"],
+             "limit-R-negative", "limit-n-zero", "limit-n-odd",
+             "a_values-decreasing", "a_values-zero", "a_values-at-l0",
+             "branch-above-k", "branch-zero"],
     )
     def test_bad_number_is_config_error(self, tmp_path, block, key, value):
         path = write_config(tmp_path, canonical_config(**{block: {key: value}}))
@@ -373,6 +382,30 @@ class TestExitCodes:
         assert res.exit_code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "BudgetExceeded"
+
+    def test_budget_fails_before_any_solve(self, tmp_path, monkeypatch):
+        # with R0 = 16, 600 points hold the eps = 0.5 and 0.25 grids (256
+        # and 512 points) but not the 0.125 one (1024)
+        import fracstates.localization
+        import fracstates.solver
+
+        calls = []
+        solve_constrained = fracstates.solver.solve_constrained
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_constrained(*args, **kwargs)
+
+        for module in (fracstates.solver, fracstates.localization):
+            monkeypatch.setattr(module, "solve_constrained", counting)
+        cfg = canonical_config(problem={"R0": 16.0},
+                               sweep={"epsilons": [0.5, 0.25, 0.125], "point_budget": 600})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli(["sweep", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "BudgetExceeded"
+        assert calls == []
 
     def test_report_without_records_is_io_error(self, tmp_path):
         path = write_config(tmp_path, canonical_config())

@@ -19,7 +19,6 @@ from fracstates.grid import (
     helmholtz_inverse,
     inner_l2,
     make_grid,
-    norm_lp,
     resample_field,
 )
 
@@ -177,22 +176,6 @@ class TestQuadrature:
         g2 = make_grid(1, np.pi, 32)
         with pytest.raises(GridMismatch):
             inner_l2(Field(g1, np.ones(g1.size)), Field(g2, np.ones(g2.size)))
-
-    def test_norm_lp_constant(self):
-        g = make_grid(1, np.pi, 64)
-        assert norm_lp(Field(g, np.ones(g.size)), 2) == pytest.approx(np.sqrt(2 * np.pi))
-
-    def test_norm_lp_zero(self):
-        g = make_grid(1, np.pi, 64)
-        for p in (1, 2, 3.5):
-            assert norm_lp(Field(g, np.zeros(g.size)), p) == 0.0
-
-    def test_norm_lp_single_cell(self):
-        g = make_grid(1, 2.0, 16)
-        vals = np.zeros(g.size)
-        vals[5] = 2.0
-        for p in (1.0, 2.0, 4.0):
-            assert norm_lp(Field(g, vals), p) == pytest.approx((g.h * 2.0**p) ** (1 / p))
 
 
 class TestHelmholtz:

@@ -16,7 +16,6 @@ from fracstates.errors import (
 from fracstates.grid import Field, make_grid
 from fracstates.localization import (
     barycenter_h,
-    beta_map,
     build_boxes,
     classify,
     seed_field,
@@ -238,28 +237,6 @@ class TestBarycenter:
         g = make_grid(1, 8.0, 64)
         with pytest.raises(ZeroField):
             barycenter_h(Field(g, np.zeros(g.size)), 2.0, 0.5, 4.0)
-
-
-class TestBetaMap:
-    def test_even_field_maps_to_origin(self):
-        g = make_grid(1, 16.0, 256)
-        u = gaussian_field(g, 2.0)
-        assert np.max(np.abs(beta_map(u, 4.0, 0.25))) < 1e-10
-
-    def test_translate_recovers_center(self, saturable, limit_state):
-        pot = double_well_potential()
-        for eps, tol in ((0.25, 0.25), (0.125, 0.15)):
-            p = _eps_problem(pot, eps, saturable)
-            psi = seed_field(limit_state.u, (2.0,), p)
-            b = beta_map(psi, 4.0, eps)
-            assert abs(b[0] - 2.0) < tol
-
-    def test_range_clamped(self):
-        g = make_grid(1, 64.0, 1024)
-        rho, eps = 2.0, 1.0
-        u = gaussian_field(g, 1.5, center=(30.0,))
-        b = beta_map(u, rho, eps)
-        assert np.linalg.norm(b) <= rho + 1e-12
 
 
 class TestClassify:

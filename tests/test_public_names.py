@@ -98,3 +98,27 @@ def test_harness_name_exists(module, name):
 def test_harness_call_shape_binds(module, name, n_args, keywords):
     _, obj = _resolve(module, name)
     inspect.signature(obj).bind(*range(n_args), **{k: None for k in keywords})
+
+
+# the names `import fracstates` exports: what the program, the benchmark
+# harness and the README's library example use
+PACKAGE_EXPORTS = {
+    "BoxFamily", "BranchLabel", "EnergyReport", "Field", "Grid", "NonlinearitySpec",
+    "PotentialSpec", "Problem", "SolveOptions", "SolveResult", "SweepRecord", "Well",
+    "apply_frac_laplacian", "barycenter_h", "build_boxes", "classify",
+    "concentration_table", "decay_fit", "energy", "energy_curve", "gagliardo_sq",
+    "gradient", "helmholtz_inverse", "inner_l2", "kernel_backend", "locate_max",
+    "make_grid", "profile_error", "project_to_nehari", "resample_field",
+    "sample_potential", "seed_field", "select_ground_state", "sigma_membership",
+    "solve_branch", "solve_branches", "solve_constrained", "solve_limit",
+    "sweep_epsilon", "truncated_coordinate", "validate_nonlinearity",
+    "validate_potential",
+}
+
+
+def test_package_exports_are_pinned():
+    import fracstates
+
+    exported = {name for name, obj in vars(fracstates).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported == PACKAGE_EXPORTS

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_field, single_well_potential
+from conftest import gaussian_field, ray_argmax_oracle, single_well_potential
 from fracstates.errors import (
     BudgetExceeded,
     InvalidInput,
@@ -24,7 +24,7 @@ from fracstates.solver import (
     solve_limit,
     sweep_epsilon,
 )
-from fracstates.variational import Problem, ray_argmax_oracle
+from fracstates.variational import Problem
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,17 @@ class TestFirstAdmissibleSeed:
         ref = solve_constrained(p, _gaussian_seed(g, 1.7), self.OPTS)
         assert res.energy == ref.energy
         assert np.array_equal(res.u.values, ref.u.values)
+
+    def test_level_near_slope_converges(self, saturable):
+        # l0 = 2.5: no width up to 8.3 is admissible at a = 2.45 on this grid
+        g = make_grid(1, 80.0, 640)
+        res = solve_limit(2.45, saturable, g, 0.5, self.OPTS)
+        ref = solve_constrained(limit_problem(2.45, saturable, g, 0.5),
+                                _gaussian_seed(g, 14.1), self.OPTS)
+        assert res.converged
+        assert res.energy == ref.energy
+        with pytest.raises(SeedNotInTheta):
+            solve_limit(2.45, saturable, g, 0.5, self.OPTS, seed_widths=DEFAULT_SEED_WIDTHS[:5])
 
     def test_no_admissible_width_raises(self, saturable):
         g = make_grid(1, 40.0, 1024)

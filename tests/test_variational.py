@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_field, random_theta_field
+from conftest import gaussian_field, random_theta_field, ray_argmax_oracle, ray_energies
 from fracstates.errors import NotInTheta, ZeroField
 from fracstates.grid import Field, gagliardo_sq, inner_l2, make_grid
 from fracstates.models import NonlinearitySpec, Ray
@@ -13,7 +13,6 @@ from fracstates.variational import (
     energy,
     gradient,
     project_to_nehari,
-    ray_argmax_oracle,
 )
 
 
@@ -425,6 +424,13 @@ class TestProjection:
 
 
 class TestRayOracle:
+    def test_ray_energy_is_energy(self, small_problem):
+        u = random_theta_field(small_problem, np.random.default_rng(21))
+        ts = np.array([0.1, 0.5, 1.0, 2.0, 7.0])
+        for t, e in zip(ts, ray_energies(small_problem, u, ts)):
+            ref = energy(small_problem, Field(small_problem.grid, t * u.values)).total
+            assert e == pytest.approx(ref, rel=1e-12)
+
     def test_agrees_with_bisection(self, small_problem):
         rng = np.random.default_rng(22)
         for _ in range(5):
