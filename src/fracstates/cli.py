@@ -26,10 +26,11 @@ from .diagnostics import (
     records_payload,
 )
 from .errors import ConfigError, FracstatesError
-from .grid import Field, make_grid
+from .grid import Field
 from .localization import solve_branch
 from .models import validate_nonlinearity, validate_potential
-from .solver import energy_curve, limit_state, problem_for_epsilon, sweep_epsilon
+from .solver import (budgeted_grid, energy_curve, limit_grid, limit_state,
+                     problem_for_epsilon, sweep_epsilon)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -161,78 +162,63 @@ def dump_field(out_dir: Path, name: str, field: Field, extra=None):
     _write_json(out_dir / f"{name}.json", meta)
 
 
-def _hypotheses(config: ExperimentConfig):
-    """(V1)-(V2) and (f1)-(f5) on the validation grid, plus the growth
-    exponent check; returns both reports, the q verdict and all messages."""
-    pb = config.problem
+_VERDICTS = ("V1", "V2", "f1", "f2", "f3", "f4", "f5", "boxes")
+
+
+def _hypotheses(config: ExperimentConfig) -> dict:
+    """The validation.json payload: the verdicts of (V1)-(V2) on the
+    validation grid [-R0, R0]^d (within the point budget), of (f1)-(f5) with
+    the growth exponent rule in f2, and of the box family; V0, V_inf_proxy,
+    l0, the horizon, every failure message and the overall pass."""
+    pb, q, q_star = config.problem, config.nonlinearity.q, config.star_exponent()
     n_val = min(max(int(2 * pb.R0 / pb.h0), 64), 4096)
-    if n_val % 2:
-        n_val += 1
-    grid = make_grid(pb.d, pb.R0, n_val)
+    grid = budgeted_grid(pb.d, pb.R0, n_val + n_val % 2, config.sweep.point_budget, "validation")
     pot = validate_potential(config.potential, grid)
     nl = validate_nonlinearity(config.nonlinearity, sup_v=config.potential.sup_level)
-    q_ok = 2.0 < config.nonlinearity.q < config.star_exponent()
-    messages = list(pot.messages) + list(nl.messages)
+    messages = pot.messages + nl.messages
+    q_ok = 2.0 < q < q_star
     if not q_ok:
-        messages.append(
-            f"(f2) fail: growth exponent q = {config.nonlinearity.q} outside "
-            f"(2, {config.star_exponent()})"
-        )
-    return pot, nl, q_ok, messages
-
-
-def run_check(config: ExperimentConfig, out_dir: Path) -> int:
-    """Hypothesis validators only; exit 1 on any failure."""
-    pot_report, nl_report, q_ok, messages = _hypotheses(config)
+        messages.append(f"(f2) fail: growth exponent q = {q} outside (2, {q_star})")
     boxes_ok = True
     try:
         config.box_family()
     except FracstatesError as exc:
         boxes_ok = False
         messages.append(f"boxes fail: {exc}")
-    ok = pot_report.all_pass and nl_report.all_pass and q_ok and boxes_ok
-    payload = {
-        "pass": ok,
-        "V1": pot_report.pass_v1,
-        "V2": pot_report.pass_v2,
-        "f1": nl_report.pass_f1,
-        "f2": nl_report.pass_f2 and q_ok,
-        "f3": nl_report.pass_f3,
-        "f4": nl_report.pass_f4,
-        "f5": nl_report.pass_f5,
-        "boxes": boxes_ok,
-        "V0": pot_report.v0,
-        "V_inf_proxy": pot_report.v_inf_proxy,
-        "l0": config.nonlinearity.l0,
-        "horizon": nl_report.horizon,
-        "messages": messages,
-    }
+    verdicts = dict(zip(_VERDICTS, (pot.pass_v1, pot.pass_v2, nl.pass_f1, nl.pass_f2 and q_ok,
+                                    nl.pass_f3, nl.pass_f4, nl.pass_f5, boxes_ok)))
+    return {**verdicts, "pass": all(verdicts.values()), "V0": pot.v0,
+            "V_inf_proxy": pot.v_inf_proxy, "l0": config.nonlinearity.l0,
+            "horizon": nl.horizon, "messages": messages}
+
+
+def run_check(config: ExperimentConfig, out_dir: Path) -> int:
+    """Hypothesis validators only; exit 1 on any failure."""
+    payload = _hypotheses(config)
     _write_json(out_dir / "validation.json", payload)
-    for name in ("V1", "V2", "f1", "f2", "f3", "f4", "f5", "boxes"):
+    for name in _VERDICTS:
         click.echo(f"{name}: {'pass' if payload[name] else 'FAIL'}")
-    for m in messages:
+    for m in payload["messages"]:
         click.echo(f"  {m}")
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return EXIT_OK if payload["pass"] else EXIT_VALIDATION
 
 
 def ensure_hypotheses(config: ExperimentConfig):
-    """Hypothesis gate: no solve launches on a failing (V1)-(V2)/(f1)-(f5)
-    or an inadmissible growth exponent. Box errors surface later, from the
-    solver."""
-    pot, nl, q_ok, messages = _hypotheses(config)
-    if not (pot.all_pass and nl.all_pass and q_ok):
-        raise ConfigError("hypothesis validation failed: " + "; ".join(messages))
+    """The gate of limit, solve and sweep, passed before any solve: where
+    check fails, it raises ConfigError with check's messages; a validation
+    grid over the point budget raises BudgetExceeded in both."""
+    payload = _hypotheses(config)
+    if not payload["pass"]:
+        raise ConfigError("hypothesis validation failed: " + "; ".join(payload["messages"]))
 
 
 def run_limit(config: ExperimentConfig, out_dir: Path) -> int:
-    pb = config.problem
     if not config.limit.a_values:
         raise ConfigError("limit.a_values is empty; nothing to solve")
     ensure_hypotheses(config)
-    grid = make_grid(pb.d, config.limit.R, config.limit.n)
     curve = energy_curve(
-        list(config.limit.a_values), config.nonlinearity, grid, pb.alpha,
-        config.solve_options(),
+        list(config.limit.a_values), config.nonlinearity, limit_grid(config),
+        config.problem.alpha, config.solve_options(),
     )
     lines = ["# schema: fracstates-limit-v1", "a,c_a"]
     for a, c in curve:
@@ -280,8 +266,9 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
         eps = config.sweep.epsilons[0]
     j = config.solve.branch
     boxes = config.box_family()
-    w_res = limit_state(config)
+    # the eps grid's budget is checked before the limit solve
     p = problem_for_epsilon(config, eps)
+    w_res = limit_state(config)
     br = solve_branch(p, boxes, w_res.u, j, config.solve_options())
     diag = branch_diagnostics(br.result, p, w_res.u, config.potential)
     payload = dict(branch_record(br, diag), eps=eps, c_v0=w_res.energy)

@@ -157,11 +157,14 @@ def _fit_image_sum(s_p, which, logu, d):
     return float(-d - depth), value
 
 
+# radial shells of the tail-fit window; a fit needs 8 of them populated
+_N_SHELLS = 16
+
+
 def decay_fit(
     u: Field,
     eta,
     window: Sequence[float],
-    n_shells: int = 16,
 ) -> DecayFit:
     """Power-law exponent of the tail of u around eta, fitted in log-log
     coordinates over radial shells of |x - eta| inside the window.
@@ -190,8 +193,6 @@ def decay_fit(
             f"window [{r_lo}, {r_hi}] must lie inside [0.2R, 0.5R] = "
             f"[{0.2 * g.R}, {0.5 * g.R}]"
         )
-    if n_shells < 8:
-        raise WindowTooSmall(f"need at least 8 shells, got {n_shells}")
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     deltas = []
     for c, e in zip(g.coords, eta):
@@ -205,10 +206,10 @@ def decay_fit(
     if np.min(vals) <= 0:
         raise NonpositiveTail("field is not strictly positive on the window")
     rw = r[mask]
-    edges = np.linspace(r_lo, r_hi, n_shells + 1)
-    which = np.clip(np.searchsorted(edges, rw, side="right") - 1, 0, n_shells - 1)
+    edges = np.linspace(r_lo, r_hi, _N_SHELLS + 1)
+    which = np.clip(np.searchsorted(edges, rw, side="right") - 1, 0, _N_SHELLS - 1)
     logr, logu = [], []
-    for s in range(n_shells):
+    for s in range(_N_SHELLS):
         sel = which == s
         if not np.any(sel):
             continue

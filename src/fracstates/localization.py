@@ -258,8 +258,11 @@ def solve_branch(
 ) -> BranchResult:
     """The constrained solve of branch j (1-based), seeded at its well
     center, with its label, truncated barycenter and boundary probe floor.
-    Raises SeedNotInTheta, naming the branch and eps, when the seed lies
-    outside the restricted set (eps too large for the box)."""
+    Raises InvalidInput for j outside 1..k, and SeedNotInTheta, naming the
+    branch and eps, when the seed lies outside the restricted set (eps too
+    large for the box)."""
+    if not 1 <= j <= boxes.k:
+        raise InvalidInput(f"branch index j must be in 1..{boxes.k}, got {j}")
     center = boxes.centers[j - 1]
     seed = seed_field(w_limit, center, p)
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -337,24 +337,19 @@ class NonlinearityReport:
         return self.pass_f1 and self.pass_f2 and self.pass_f3 and self.pass_f4 and self.pass_f5
 
 
-def validate_nonlinearity(
-    spec: NonlinearitySpec,
-    t_grid: Optional[Sequence[float]] = None,
-    horizon: float = 1e3,
-    sup_v: Optional[float] = None,
-) -> NonlinearityReport:
-    """Sampled checks of (f1)-(f5) on (0, horizon].
+# (f1)-(f5) are sampled at 400 log-spaced t in [1e-3, _HORIZON]
+_HORIZON = 1e3
+
+
+def validate_nonlinearity(spec: NonlinearitySpec, sup_v: Optional[float] = None) -> NonlinearityReport:
+    """Sampled checks of (f1)-(f5) on (0, _HORIZON].
 
     (f5) cannot be certified at infinity: we certify monotone growth up to
     the horizon (last value at least 10x the value at t ~ 1) and record the
     horizon in the report. When sup_v is given, (f3) additionally requires
     l0 > sup_v.
     """
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, horizon, 400)
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0) or t[-1] < horizon * (1 - 1e-12):
-        raise InvalidInput("t_grid must be positive and reach the horizon")
+    t = np.geomspace(1e-3, _HORIZON, 400)
     f, fp, big = spec.triple(t)
     msgs = []
 
@@ -390,7 +385,7 @@ def validate_nonlinearity(
         msgs.append("(f4) fail: f(t)/t is not strictly increasing on samples")
 
     fbar = 0.5 * f * t - big
-    ref = fbar[np.searchsorted(t, 1.0, side="left")] if t[-1] >= 1.0 else fbar[0]
+    ref = fbar[np.searchsorted(t, 1.0, side="left")]
     growing = bool(np.all(np.diff(fbar) >= -1e-12 * np.max(np.abs(fbar))))
     unbounded = bool(fbar[-1] >= 10.0 * max(ref, 0.0)) and fbar[-1] > 0
     pass_f5 = growing and unbounded
@@ -400,5 +395,5 @@ def validate_nonlinearity(
         msgs.append("(f5) fail: f(t)t/2 - F(t) shows no growth up to the horizon")
 
     return NonlinearityReport(
-        pass_f1, pass_f2, pass_f3, pass_f4, pass_f5, spec.l0, float(horizon), msgs
+        pass_f1, pass_f2, pass_f3, pass_f4, pass_f5, spec.l0, _HORIZON, msgs
     )

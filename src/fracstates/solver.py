@@ -354,6 +354,15 @@ def energy_curve(
 # --------------------------------------------------------------------------
 
 
+def budgeted_grid(d: int, R: float, n: int, point_budget: int, name: str) -> Grid:
+    """make_grid(d, R, n) for the grid called name, once its n^d points fit
+    the point budget; BudgetExceeded, before any array exists, otherwise.
+    Every grid a config run builds comes from here."""
+    if n**d > point_budget:
+        raise BudgetExceeded(f"{name} grid {n}^{d} exceeds the point budget {point_budget}")
+    return make_grid(d, R, n)
+
+
 def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, point_budget: int) -> Grid:
     """Rescaled-box grid: half-width min(R0/eps, R_cap) at fixed spacing h0
     (half-width rounded up so n is even)."""
@@ -362,11 +371,13 @@ def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, poi
     if n % 2:
         n += 1
     n = max(n, 8)
-    if n**d > point_budget:
-        raise BudgetExceeded(
-            f"grid {n}^{d} exceeds the point budget {point_budget} at eps={eps}"
-        )
-    return make_grid(d, n * h0 / 2.0, n)
+    return budgeted_grid(d, n * h0 / 2.0, n, point_budget, f"eps={eps}")
+
+
+def limit_grid(config) -> Grid:
+    """The configured limit grid, within the point budget."""
+    return budgeted_grid(config.problem.d, config.limit.R, config.limit.n,
+                         config.sweep.point_budget, "limit")
 
 
 def problem_for_epsilon(config, eps: float) -> Problem:
@@ -383,10 +394,9 @@ def problem_for_epsilon(config, eps: float) -> Problem:
 
 def limit_state(config) -> SolveResult:
     """Limit ground state at the well level V0 on the configured limit grid."""
-    pb = config.problem
-    grid = make_grid(pb.d, config.limit.R, config.limit.n)
     return solve_limit(
-        config.potential.v0_proxy, config.nonlinearity, grid, pb.alpha, config.solve_options()
+        config.potential.v0_proxy, config.nonlinearity, limit_grid(config),
+        config.problem.alpha, config.solve_options(),
     )
 
 

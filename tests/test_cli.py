@@ -42,6 +42,47 @@ def run_cli(args):
     return CliRunner().invoke(main, args)
 
 
+def count_solves(monkeypatch):
+    """The args of every constrained solve, from the solver and from the
+    branch solves, in a list that fills as the solves are called."""
+    import fracstates.localization
+    import fracstates.solver
+
+    calls = []
+    solve_constrained = fracstates.solver.solve_constrained
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_constrained(*args, **kwargs)
+
+    for module in (fracstates.solver, fracstates.localization):
+        monkeypatch.setattr(module, "solve_constrained", counting)
+    return calls
+
+
+def recording_stub(monkeypatch, module, name):
+    """Replace module.name by a stub that records its call and stops the
+    command before it allocates anything; returns the list of calls."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError(f"{name} reached past the point budget")
+
+    monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+def config_3d():
+    """The canonical well moved into 3-D, with the default limit block
+    (R = 80, n = 640: 640^3 points, over the default point budget)."""
+    cfg = canonical_config()
+    cfg["problem"].update(d=3, R0=4.0)
+    cfg["potential"]["wells"][0]["center"] = [1.0 / 3.0, 0.0, 0.0]
+    del cfg["limit"]
+    return cfg
+
+
 class TestCheck:
     def test_canonical_passes(self, tmp_path):
         path = write_config(tmp_path, canonical_config())
@@ -373,6 +414,51 @@ class TestHypothesisGate:
         assert not (out / "summary.csv").exists()
 
 
+# two wells at -2 and +2, and box families that fail around them
+TWO_WELLS = {
+    "v_inf_level": 2.0,
+    "wells": [{"center": [-2.0], "depth": 1.0, "width": 0.5},
+              {"center": [2.0], "depth": 1.0, "width": 0.5}],
+}
+_BAD_BOXES = [
+    ({"l": 2.5, "L": 4.0}, "need 2l <= L"),
+    ({"l": 2.0, "L": 8.0}, "intersect"),
+    ({"l": 0.05, "L": 4.0}, "does not rise above the well level"),
+    ({"l": 1.0, "L": 4.0, "nu": -0.5}, "must be nonnegative"),
+    ({"l": 0.0, "L": 4.0}, "must be positive"),
+]
+_BAD_BOX_IDS = ["l-above-half-L", "overlap", "not-separating", "nu-negative", "l-zero"]
+
+
+class TestBoxGate:
+    """A box family that fails check stops every solving command before
+    its first solve."""
+
+    @pytest.mark.parametrize("boxes,reason", _BAD_BOXES, ids=_BAD_BOX_IDS)
+    def test_check_fails_boxes(self, tmp_path, boxes, reason):
+        path = write_config(tmp_path, canonical_config(potential=TWO_WELLS, boxes=boxes))
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert not report["boxes"] and not report["pass"]
+        assert all(report[v] for v in ("V1", "V2", "f1", "f2", "f3", "f4", "f5"))
+        assert any(m.startswith("boxes fail:") and reason in m for m in report["messages"])
+
+    @pytest.mark.parametrize("command", ["limit", "solve", "sweep"])
+    @pytest.mark.parametrize("boxes,reason", _BAD_BOXES, ids=_BAD_BOX_IDS)
+    def test_solving_command_refuses(self, tmp_path, monkeypatch, command, boxes, reason):
+        calls = count_solves(monkeypatch)
+        path = write_config(tmp_path, canonical_config(potential=TWO_WELLS, boxes=boxes))
+        out = tmp_path / "out"
+        res = run_cli([command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert "boxes fail:" in err["message"] and reason in err["message"]
+        assert calls == []
+
+
 class TestExitCodes:
     def test_budget_exceeded_is_solver_error(self, tmp_path):
         cfg = canonical_config(sweep={"epsilons": [0.5], "point_budget": 10})
@@ -386,18 +472,7 @@ class TestExitCodes:
     def test_budget_fails_before_any_solve(self, tmp_path, monkeypatch):
         # with R0 = 16, 600 points hold the eps = 0.5 and 0.25 grids (256
         # and 512 points) but not the 0.125 one (1024)
-        import fracstates.localization
-        import fracstates.solver
-
-        calls = []
-        solve_constrained = fracstates.solver.solve_constrained
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_constrained(*args, **kwargs)
-
-        for module in (fracstates.solver, fracstates.localization):
-            monkeypatch.setattr(module, "solve_constrained", counting)
+        calls = count_solves(monkeypatch)
         cfg = canonical_config(problem={"R0": 16.0},
                                sweep={"epsilons": [0.5, 0.25, 0.125], "point_budget": 600})
         path = write_config(tmp_path, cfg)
@@ -405,6 +480,44 @@ class TestExitCodes:
         res = run_cli(["sweep", "--config", str(path), "--out", str(out)])
         assert res.exit_code == 2
         assert json.loads((out / "error.json").read_text())["error"] == "BudgetExceeded"
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_validation_grid_obeys_budget(self, tmp_path, monkeypatch, command):
+        # [-16, 16]^3 at h0 = 0.125 is 256^3 = 16.8M points, over 4M
+        import fracstates.cli
+
+        calls = recording_stub(monkeypatch, fracstates.cli, "validate_potential")
+        cfg = config_3d()
+        cfg["problem"].update(R0=16.0, h0=0.125)
+        cfg["limit"] = {"R": 20.0, "n": 320}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli([command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "BudgetExceeded"
+        assert err["message"].startswith("validation grid 256^3 exceeds")
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["limit", "solve", "sweep"])
+    def test_limit_grid_obeys_budget(self, tmp_path, monkeypatch, command):
+        # the default limit grid is 640^3 = 262M points in 3-D; the eps
+        # grid (64^3 at eps = 0.5) and the validation grid (64^3) fit
+        import fracstates.solver
+
+        calls = recording_stub(monkeypatch, fracstates.solver, "solve_limit")
+        cfg = config_3d()
+        if command == "limit":
+            # limit needs levels; R and n keep their defaults
+            cfg["limit"] = {"a_values": [0.8, 1.2]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli([command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "BudgetExceeded"
+        assert err["message"].startswith("limit grid 640^3 exceeds")
         assert calls == []
 
     def test_report_without_records_is_io_error(self, tmp_path):

@@ -108,10 +108,11 @@ class TestDecayFit:
             decay_fit(u, (0.0,), (1.0, 10.0))
 
     def test_too_few_shells(self):
-        g = make_grid(1, 40.0, 1024)
+        # unit spacing puts only |x| = 2, 3, 4 in the window [1.6, 4]
+        g = make_grid(1, 8.0, 16)
         u = Field(g, 1.0 / (1.0 + np.abs(g.axis) ** 2))
-        with pytest.raises(WindowTooSmall):
-            decay_fit(u, (0.0,), (0.2 * g.R, 0.5 * g.R), n_shells=4)
+        with pytest.raises(WindowTooSmall, match="only 3 populated shells"):
+            decay_fit(u, (0.0,), (0.2 * g.R, 0.5 * g.R))
 
     def test_recovers_planted_exponent_with_images_1d(self):
         g = make_grid(1, 40.0, 1024)

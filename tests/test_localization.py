@@ -301,6 +301,13 @@ class TestSolveBranches:
         with pytest.raises(SeedNotInTheta, match=r"branch 1 at eps=10\.0"):
             solve_branch(p, boxes, limit_state.u, 1)
 
+    @pytest.mark.parametrize("j", [0, -1, 3], ids=["zero", "negative", "above-k"])
+    def test_branch_index_outside_1_to_k(self, saturable, limit_state, j):
+        p = _eps_problem(double_well_potential(), 0.25, saturable)
+        boxes = build_boxes(double_well_potential(), 1.0, 4.0)
+        with pytest.raises(InvalidInput, match=rf"1\.\.2, got {j}"):
+            solve_branch(p, boxes, limit_state.u, j)
+
     def test_single_well_reduces_to_constrained_solve(self, saturable, limit_state):
         pot = single_well_potential()
         p = _eps_problem(pot, 0.25, saturable)

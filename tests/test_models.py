@@ -181,8 +181,7 @@ class TestValidateNonlinearity:
             lambda t: t**3, lambda t: 3 * t**2, lambda t: t**4 / 4,
             l0=np.inf, q=4.0, C0=10.0,
         )
-        rep = validate_nonlinearity(spec, horizon=100.0,
-                                    t_grid=np.geomspace(1e-3, 100.0, 200))
+        rep = validate_nonlinearity(spec)
         assert not rep.pass_f3
 
     def test_linear_fails_f1(self):
