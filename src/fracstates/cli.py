@@ -29,8 +29,8 @@ from .errors import ConfigError, FracstatesError
 from .grid import Field
 from .localization import solve_branch
 from .models import validate_nonlinearity, validate_potential
-from .solver import (budgeted_grid, energy_curve, limit_grid, limit_state,
-                     problem_for_epsilon, sweep_epsilon)
+from .solver import (budgeted_grid, energy_curve, grid_for_epsilon, limit_grid,
+                     limit_state, problem_for_epsilon, sweep_epsilon)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -142,7 +142,7 @@ def _write_tables(out_dir: Path):
     _write_json(out_dir / "concentration.json", concentration_table(stored))
 
 
-def dump_field(out_dir: Path, name: str, field: Field, extra=None):
+def dump_field(out_dir: Path, name: str, field: Field, extra: dict):
     """Flat little-endian float64 dump with a JSON grid sidecar."""
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = field.values.astype("<f8").tobytes()
@@ -156,9 +156,8 @@ def dump_field(out_dir: Path, name: str, field: Field, extra=None):
         "n": field.grid.n,
         "R": field.grid.R,
         "h": field.grid.h,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     _write_json(out_dir / f"{name}.json", meta)
 
 
@@ -167,14 +166,21 @@ _VERDICTS = ("V1", "V2", "f1", "f2", "f3", "f4", "f5", "boxes")
 
 def _hypotheses(config: ExperimentConfig) -> dict:
     """The validation.json payload: the verdicts of (V1)-(V2) on the
-    validation grid [-R0, R0]^d (within the point budget), of (f1)-(f5) with
-    the growth exponent rule in f2, and of the box family; V0, V_inf_proxy,
-    l0, the horizon, every failure message and the overall pass."""
+    validation grid [-R0, R0]^d, of (f1)-(f5) with the growth exponent rule
+    in f2, and of the box family; V0, V_inf_proxy, l0, the horizon, every
+    failure message and the overall pass. The validation, limit and
+    largest eps grids (the smallest of sweep.epsilons and solve.epsilon)
+    must fit the point budget: BudgetExceeded otherwise, before any array
+    of them exists."""
     pb, q, q_star = config.problem, config.nonlinearity.q, config.star_exponent()
+    budget = config.sweep.point_budget
     n_val = min(max(int(2 * pb.R0 / pb.h0), 64), 4096)
-    grid = budgeted_grid(pb.d, pb.R0, n_val + n_val % 2, config.sweep.point_budget, "validation")
+    grid = budgeted_grid(pb.d, pb.R0, n_val + n_val % 2, budget, "validation")
+    limit_grid(config)
+    eps = min(e for e in (*config.sweep.epsilons, config.solve.epsilon) if e is not None)
+    grid_for_epsilon(pb.d, eps, pb.R0, pb.R_cap, pb.h0, budget)
     pot = validate_potential(config.potential, grid)
-    nl = validate_nonlinearity(config.nonlinearity, sup_v=config.potential.sup_level)
+    nl = validate_nonlinearity(config.nonlinearity, sup_v=config.potential.v_inf_level)
     messages = pot.messages + nl.messages
     q_ok = 2.0 < q < q_star
     if not q_ok:
@@ -205,8 +211,8 @@ def run_check(config: ExperimentConfig, out_dir: Path) -> int:
 
 def ensure_hypotheses(config: ExperimentConfig):
     """The gate of limit, solve and sweep, passed before any solve: where
-    check fails, it raises ConfigError with check's messages; a validation
-    grid over the point budget raises BudgetExceeded in both."""
+    check fails, it raises ConfigError with check's messages; a grid over
+    the point budget raises BudgetExceeded in both."""
     payload = _hypotheses(config)
     if not payload["pass"]:
         raise ConfigError("hypothesis validation failed: " + "; ".join(payload["messages"]))
@@ -266,7 +272,6 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
         eps = config.sweep.epsilons[0]
     j = config.solve.branch
     boxes = config.box_family()
-    # the eps grid's budget is checked before the limit solve
     p = problem_for_epsilon(config, eps)
     w_res = limit_state(config)
     br = solve_branch(p, boxes, w_res.u, j, config.solve_options())

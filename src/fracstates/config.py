@@ -81,6 +81,10 @@ class SweepBlock:
     tol_residual: float = SolveOptions.tol_residual
     point_budget: int = 4_000_000
 
+    def __post_init__(self):
+        # SolveOptions holds the rules of the solver keys (InvalidInput)
+        SolveOptions(max_iter=self.max_iter, tol_residual=self.tol_residual)
+
 
 @dataclass(frozen=True)
 class LimitBlock:
@@ -161,13 +165,6 @@ def _parse_nonlinearity(block, name: str) -> NonlinearitySpec:
     return NonlinearitySpec.saturable(_number(block["s"], f"{name}.s"), **kwargs)
 
 
-def _parse_sweep(block, name: str) -> SweepBlock:
-    sweep = _build(SweepBlock, block, name)
-    # SolveOptions holds the rules of these two keys
-    SolveOptions(max_iter=sweep.max_iter, tol_residual=sweep.tol_residual)
-    return sweep
-
-
 def _build(cls, mapping, path: str = ""):
     """cls built from mapping through its dataclass fields, which are the
     schema: a field without a default is a required key, one with a default
@@ -197,11 +194,10 @@ _PARSERS = {
     "str": lambda value, name: str(value),
     "PotentialSpec": _parse_potential,
     "NonlinearitySpec": _parse_nonlinearity,
-    "SweepBlock": _parse_sweep,
 }
 _PARSERS.update({
     cls.__name__: partial(_build, cls)
-    for cls in (ProblemBlock, BoxesBlock, LimitBlock, SolveBlock, OutputBlock)
+    for cls in (ProblemBlock, BoxesBlock, SweepBlock, LimitBlock, SolveBlock, OutputBlock)
 })
 
 

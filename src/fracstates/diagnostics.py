@@ -12,7 +12,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    GridMismatch,
     InvalidInput,
     NoInteriorSolutions,
     NonpositiveTail,
@@ -33,12 +32,9 @@ def _recentred(u: Field, index) -> np.ndarray:
 
 def profile_error(u: Field, w_limit: Field, eta, alpha: float) -> float:
     """Discrete H^alpha distance between u recentred at eta and the limit
-    profile recentred at its own maximum, on u's grid."""
+    profile recentred at its own maximum, on u's grid. Grids of unequal
+    dimension or spacing raise GridMismatch (resample_field)."""
     gu, gw = u.grid, w_limit.grid
-    if gu.d != gw.d:
-        raise GridMismatch("profile comparison needs equal dimensions")
-    if abs(gu.h - gw.h) > 1e-12 * max(gu.h, gw.h):
-        raise GridMismatch("incommensurate grids: unequal spacings")
     u_cent = Field(gu, _recentred(u, gu.index_of(eta)))
     w_cent = Field(gw, _recentred(w_limit, gw.index_of(locate_max(w_limit))))
     w_on_u = resample_field(w_cent, gu)
@@ -345,20 +341,16 @@ class SweepRecord:
         return int(np.argmin(energies))
 
 
-def build_sweep_record(
-    eps: float,
-    problem,
-    experiment,
-    w_limit: Field,
-    c_v0: float,
-    potential: PotentialSpec,
-    v0: float,
-) -> SweepRecord:
-    """Attach per-branch diagnostics to a branch experiment for one epsilon.
+def build_sweep_record(problem, experiment, limit, potential: PotentialSpec) -> SweepRecord:
+    """Attach per-branch diagnostics to the branch experiment of one
+    epsilon (problem.eps), given the limit ground state's SolveResult: its
+    field is the profile reference and w_limit, its energy c_V0. v0 is the
+    potential's well level (v0_proxy).
 
     omega(eps) = sqrt(eps) * c_V0 defines the low-energy set used for the
     sigma membership column.
     """
+    eps, w_limit, c_v0 = problem.eps, limit.u, limit.energy
     omega = math.sqrt(eps) * c_v0
     return SweepRecord(
         eps=float(eps),
@@ -368,7 +360,7 @@ def build_sweep_record(
         ],
         c_eps=min(b.alpha_energy for b in experiment.branches),
         c_v0=c_v0,
-        v0=v0,
+        v0=potential.v0_proxy,
         omega=omega,
         sigma_members=[
             b.j for b in experiment.branches if sigma_membership(b.result, c_v0, omega)

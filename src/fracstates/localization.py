@@ -54,18 +54,6 @@ class BranchLabel:
     kind: str  # "interior" | "boundary" | "outside"
     j: Optional[int] = None  # 1-based branch index, None for outside
 
-    @classmethod
-    def interior(cls, j: int):
-        return cls("interior", j)
-
-    @classmethod
-    def boundary(cls, j: int):
-        return cls("boundary", j)
-
-    @classmethod
-    def outside(cls):
-        return cls("outside", None)
-
 
 # the potential must rise this fraction of V_inf - V0 above the well level
 # on every box boundary, sampled at this many ticks per face and axis
@@ -157,11 +145,9 @@ def truncated_coordinate(t, eps: float, L: float):
     return np.clip(t, -bound, bound)
 
 
-def barycenter_h(u: Field, p: float, eps: float, L: float) -> np.ndarray:
-    """Truncated-coordinate barycenter with weight |u|^p per component."""
-    if p < 2:
-        raise InvalidInput(f"weight exponent p must be >= 2, got {p}")
-    weight = np.abs(u.shaped) ** p
+def barycenter_h(u: Field, eps: float, L: float) -> np.ndarray:
+    """Truncated-coordinate barycenter with weight |u|^2 per component."""
+    weight = np.abs(u.shaped) ** 2.0
     total = float(np.sum(weight))
     if total == 0.0:
         raise ZeroField("barycenter of the zero field is undefined")
@@ -178,7 +164,7 @@ def classify(u: Field, boxes: BoxFamily, eps: float) -> BranchLabel:
     """Branch label from the barycenter: interior/boundary of the rescaled
     box within margin boxes.nu/eps, outside otherwise. Negative mass beyond
     tolerance forces outside."""
-    return _label(u, barycenter_h(u, 2.0, eps, boxes.L), boxes, eps)
+    return _label(u, barycenter_h(u, eps, boxes.L), boxes, eps)
 
 
 def _label(u: Field, hb: np.ndarray, boxes: BoxFamily, eps: float) -> BranchLabel:
@@ -186,7 +172,7 @@ def _label(u: Field, hb: np.ndarray, boxes: BoxFamily, eps: float) -> BranchLabe
     has already rejected the zero field)."""
     mass = float(np.dot(u.values, u.values))
     if _kernels.negative_sq_sum(u.values) > NEGATIVITY_TOL * mass:
-        return BranchLabel.outside()
+        return BranchLabel("outside")
     dists = [
         np.max(np.abs(hb - np.asarray(c) / eps)) for c in boxes.centers
     ]
@@ -194,10 +180,10 @@ def _label(u: Field, hb: np.ndarray, boxes: BoxFamily, eps: float) -> BranchLabe
     half = boxes.l / eps
     band = boxes.nu / eps
     if dists[j] < half - band:
-        return BranchLabel.interior(j + 1)
+        return BranchLabel("interior", j + 1)
     if dists[j] <= half + band:
-        return BranchLabel.boundary(j + 1)
-    return BranchLabel.outside()
+        return BranchLabel("boundary", j + 1)
+    return BranchLabel("outside")
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +209,6 @@ class BranchExperiment:
     branches: list
     distinct: bool
     pairwise_distance: np.ndarray
-    escaped: list
 
 
 def _probe_alpha_bar(p: Problem, boxes: BoxFamily, w_limit: Field, center) -> Optional[float]:
@@ -269,7 +254,7 @@ def solve_branch(
         res = solve_constrained(p, seed, opts)
     except SeedNotInTheta as exc:
         raise SeedNotInTheta(f"branch {j} at eps={p.eps}: {exc}") from exc
-    hb = barycenter_h(res.u, 2.0, p.eps, boxes.L)
+    hb = barycenter_h(res.u, p.eps, boxes.L)
     return BranchResult(
         j=j,
         result=res,
@@ -289,8 +274,8 @@ def solve_branches(
     w_limit: Field,
     opts: Optional[SolveOptions] = None,
 ) -> BranchExperiment:
-    """One solve_branch per well. Escaped branches (label not interior) are
-    reported and the run continues."""
+    """One solve_branch per well. A branch that escapes its box keeps its
+    label (not interior) and the run continues."""
     branches = [solve_branch(p, boxes, w_limit, j, opts) for j in range(1, boxes.k + 1)]
 
     k = len(branches)
@@ -313,5 +298,4 @@ def solve_branches(
         and len(set(interior_js)) == k
         and (k < 2 or float(np.min(dist[np.triu_indices(k, 1)])) > 0.1)
     )
-    escaped = [b.j for b in branches if b.label.kind != "interior"]
-    return BranchExperiment(branches, distinct, dist, escaped)
+    return BranchExperiment(branches, distinct, dist)

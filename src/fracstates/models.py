@@ -60,21 +60,15 @@ class PotentialSpec:
 
     @classmethod
     def from_callable(cls, func: Callable, minima, v_inf_level: float,
-                      well_scale: float = 1.0, depth_scale: float = 1.0):
+                      well_scale: float = 1.0):
         """Wrap a vectorized expression V(points -> values); the declared
-        minima and scales only steer the numeric (V2) probes."""
-        wells = tuple(Well(tuple(np.atleast_1d(m)), depth_scale, well_scale)
-                      for m in minima)
+        minima and scale only steer the numeric (V2) probes."""
+        wells = tuple(Well(tuple(np.atleast_1d(m)), 1.0, well_scale) for m in minima)
         return cls(float(v_inf_level), wells, func=func)
 
     @property
     def d(self) -> int:
         return len(self.wells[0].center)
-
-    @property
-    def sup_level(self) -> float:
-        """Supremum of V (for the Gaussian family, the far-field level)."""
-        return self.v_inf_level
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """V at an (m, d) array of points (or a scalar point)."""
@@ -124,15 +118,9 @@ def sample_potential(spec: PotentialSpec, grid: Grid, eps: float) -> Field:
 class PotentialReport:
     v0: float
     v_inf_proxy: float
-    minima: list
     pass_v1: bool
     pass_v2: bool
-    well_ok: list
     messages: list = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.pass_v1 and self.pass_v2
 
 
 # (V1) margin, as a fraction of V_inf - V0, and (V2) tolerance, as a
@@ -167,10 +155,9 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 
     achieve_tol = _V2_ACHIEVE_FRAC * max(w.depth for w in spec.wells)
     centers = spec.center_values()
-    well_ok = []
-    minima = []
+    pass_v2 = True
     for w, vc in zip(spec.wells, centers):
-        achieves = abs(vc - v0) <= achieve_tol
+        achieves = bool(abs(vc - v0) <= achieve_tol)
         # strictness probe: V on a ring of radius 2*sqrt(width) around the center
         r = 2.0 * np.sqrt(w.width)
         ring = []
@@ -181,10 +168,7 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
                 ring.append(p)
         ring_vals = spec.evaluate(np.array(ring))
         strict = bool(vc < np.min(ring_vals))
-        ok = achieves and strict
-        well_ok.append(ok)
-        if ok:
-            minima.append(w.center)
+        pass_v2 = pass_v2 and achieves and strict
         if not achieves:
             msgs.append(
                 f"(V2) fail: well at {w.center} attains {vc:.6g}, global "
@@ -192,8 +176,7 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
             )
         if not strict:
             msgs.append(f"(V2) fail: well at {w.center} is not a strict minimum")
-    pass_v2 = all(well_ok)
-    return PotentialReport(v0, v_inf_proxy, minima, pass_v1, pass_v2, well_ok, msgs)
+    return PotentialReport(v0, v_inf_proxy, pass_v1, pass_v2, msgs)
 
 
 # --------------------------------------------------------------------------
@@ -328,13 +311,8 @@ class NonlinearityReport:
     pass_f3: bool
     pass_f4: bool
     pass_f5: bool
-    l0: float
     horizon: float
     messages: list = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.pass_f1 and self.pass_f2 and self.pass_f3 and self.pass_f4 and self.pass_f5
 
 
 # (f1)-(f5) are sampled at 400 log-spaced t in [1e-3, _HORIZON]
@@ -377,7 +355,7 @@ def validate_nonlinearity(spec: NonlinearitySpec, sup_v: Optional[float] = None)
         msgs.append(
             f"(f3) fail: f(T)/T = {slope_end:.6g} not within 5% of l0 = {spec.l0:.6g}"
         )
-    if not above_v:
+    if finite_l0 and not above_v:
         msgs.append(f"(f3) fail: l0 = {spec.l0:.6g} <= sup V = {sup_v:.6g}")
 
     pass_f4 = bool(np.all(np.diff(rate) > 0))
@@ -395,5 +373,5 @@ def validate_nonlinearity(spec: NonlinearitySpec, sup_v: Optional[float] = None)
         msgs.append("(f5) fail: f(t)t/2 - F(t) shows no growth up to the horizon")
 
     return NonlinearityReport(
-        pass_f1, pass_f2, pass_f3, pass_f4, pass_f5, spec.l0, _HORIZON, msgs
+        pass_f1, pass_f2, pass_f3, pass_f4, pass_f5, _HORIZON, msgs
     )

@@ -423,20 +423,11 @@ def sweep_epsilon(config) -> list:
     grid_for_epsilon(pb.d, eps_list[-1], pb.R0, pb.R_cap, pb.h0, config.sweep.point_budget)
     opts = config.solve_options()
     boxes = config.box_family()
-    v0 = config.potential.v0_proxy
-    w_limit = limit_state(config)
+    limit = limit_state(config)
 
     def one(eps):
         p = problem_for_epsilon(config, eps)
-        experiment = solve_branches(p, boxes, w_limit.u, opts)
-        return build_sweep_record(
-            eps=eps,
-            problem=p,
-            experiment=experiment,
-            w_limit=w_limit.u,
-            c_v0=w_limit.energy,
-            potential=config.potential,
-            v0=v0,
-        )
+        experiment = solve_branches(p, boxes, limit.u, opts)
+        return build_sweep_record(p, experiment, limit, config.potential)
 
     return [one(eps) for eps in eps_list]

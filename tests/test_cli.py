@@ -120,11 +120,14 @@ class TestCheck:
 
     @pytest.mark.parametrize("key,value", [("max_iter", 0), ("tol_residual", 0.0)])
     def test_bad_solver_knob_is_config_error(self, tmp_path, key, value):
-        from fracstates.config import parse_config
-        from fracstates.errors import ConfigError
+        from fracstates.config import SweepBlock, parse_config
+        from fracstates.errors import ConfigError, InvalidInput
 
+        # the block itself rejects the value, for library callers too
+        with pytest.raises(InvalidInput, match=key):
+            SweepBlock(epsilons=(0.5,), **{key: value})
         cfg = canonical_config(sweep={key: value})
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"sweep: {key}"):
             parse_config(cfg)
         path = write_config(tmp_path, cfg)
         res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -482,6 +485,23 @@ class TestExitCodes:
         assert json.loads((out / "error.json").read_text())["error"] == "BudgetExceeded"
         assert calls == []
 
+    @pytest.mark.parametrize("solve_eps", [None, 0.125])
+    def test_check_budgets_eps_grid(self, tmp_path, solve_eps):
+        # R0 = 16, 600 points: the eps = 0.125 grid (1024 points) is over
+        # the budget, whether a sweep epsilon or solve.epsilon asks for it
+        epsilons = [0.5, 0.25] if solve_eps else [0.5, 0.25, 0.125]
+        cfg = canonical_config(problem={"R0": 16.0},
+                               sweep={"epsilons": epsilons, "point_budget": 600},
+                               solve={"epsilon": solve_eps})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "BudgetExceeded"
+        assert err["message"].startswith("eps=0.125 grid 1024^1 exceeds")
+        assert not (out / "validation.json").exists()
+
     @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_validation_grid_obeys_budget(self, tmp_path, monkeypatch, command):
         # [-16, 16]^3 at h0 = 0.125 is 256^3 = 16.8M points, over 4M
@@ -500,7 +520,7 @@ class TestExitCodes:
         assert err["message"].startswith("validation grid 256^3 exceeds")
         assert calls == []
 
-    @pytest.mark.parametrize("command", ["limit", "solve", "sweep"])
+    @pytest.mark.parametrize("command", ["check", "limit", "solve", "sweep"])
     def test_limit_grid_obeys_budget(self, tmp_path, monkeypatch, command):
         # the default limit grid is 640^3 = 262M points in 3-D; the eps
         # grid (64^3 at eps = 0.5) and the validation grid (64^3) fit

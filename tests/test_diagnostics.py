@@ -191,7 +191,7 @@ def _branch(j, energy, label="interior", converged=True, bary=None, center=(0.0,
     return BranchResult(
         j=j,
         result=_FakeResult(energy, converged=converged),
-        label=getattr(BranchLabel, label)(j) if label != "outside" else BranchLabel.outside(),
+        label=BranchLabel(label, None if label == "outside" else j),
         alpha_energy=energy,
         alpha_bar=None,
         barycenter=np.array(bary if bary is not None else np.asarray(center) / eps),

@@ -134,7 +134,7 @@ class TestSeedField:
         p = _eps_problem(pot, 0.125, saturable)
         boxes = build_boxes(pot, 1.0, 4.0)
         psi = seed_field(limit_state.u, (-2.0,), p)
-        hb = barycenter_h(psi, 2.0, p.eps, boxes.L)
+        hb = barycenter_h(psi, p.eps, boxes.L)
         assert np.max(np.abs(hb - np.array([-2.0]) / p.eps)) < boxes.l / p.eps
 
     def test_large_eps_leaves_theta(self, saturable, limit_state):
@@ -213,7 +213,7 @@ class TestBarycenter:
     def test_even_bump_at_origin(self):
         g = make_grid(1, 16.0, 256)
         u = gaussian_field(g, 1.5)
-        hb = barycenter_h(u, 2.0, 0.25, 4.0)
+        hb = barycenter_h(u, 0.25, 4.0)
         assert np.max(np.abs(hb)) < g.h
 
     def test_translated_bump_recovers_center(self):
@@ -221,7 +221,7 @@ class TestBarycenter:
         eps, L = 0.25, 4.0
         y = 2.0
         u = gaussian_field(g, 1.0, center=(y / eps,))
-        hb = barycenter_h(u, 2.0, eps, L)
+        hb = barycenter_h(u, eps, L)
         assert abs(hb[0] - y / eps) <= g.h
 
     def test_clamping_bias_beyond_range(self):
@@ -229,14 +229,14 @@ class TestBarycenter:
         eps, L = 0.5, 4.0
         center = 2.5 * L / eps  # beyond the 2L/eps clamp
         u = gaussian_field(g, 1.0, center=(center,))
-        hb = barycenter_h(u, 2.0, eps, L)
+        hb = barycenter_h(u, eps, L)
         assert hb[0] < center
         assert hb[0] <= 2 * L / eps
 
     def test_zero_field_rejected(self):
         g = make_grid(1, 8.0, 64)
         with pytest.raises(ZeroField):
-            barycenter_h(Field(g, np.zeros(g.size)), 2.0, 0.5, 4.0)
+            barycenter_h(Field(g, np.zeros(g.size)), 0.5, 4.0)
 
 
 class TestClassify:
@@ -273,7 +273,7 @@ class TestSolveBranches:
         _, _, ex = double_well_run
         assert len(ex.branches) == 2
         assert ex.distinct
-        assert ex.escaped == []
+        assert all(b.label.kind == "interior" for b in ex.branches)
         assert ex.pairwise_distance[0, 1] > 0.1
 
     def test_symmetric_energies_agree(self, double_well_run):

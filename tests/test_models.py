@@ -88,18 +88,19 @@ class TestValidatePotential:
         rep = validate_potential(spec, g)
         assert rep.pass_v1 and rep.pass_v2
         assert rep.v0 == pytest.approx(1.0, abs=1e-3)
-        assert len(rep.minima) == 2
+        assert rep.messages == []
 
     def test_single_well_passes(self):
         rep = validate_potential(_single_well(), make_grid(1, 10.0, 512))
-        assert rep.all_pass
-        assert len(rep.minima) == 1
+        assert rep.pass_v1 and rep.pass_v2
+        assert rep.messages == []
 
     def test_unequal_depths_fail_v2_for_shallower(self):
         spec = PotentialSpec(2.0, (Well((-2.0,), 1.0, 0.5), Well((2.0,), 0.8, 0.5)))
         rep = validate_potential(spec, make_grid(1, 10.0, 512))
         assert not rep.pass_v2
-        assert rep.well_ok == [True, False]
+        v2 = [m for m in rep.messages if m.startswith("(V2)")]
+        assert v2 and all("well at (2.0,)" in m for m in v2)
 
     def test_v1_fails_when_background_too_low(self):
         # very wide well: boundary shell still sits deep in the well
@@ -115,7 +116,7 @@ class TestValidatePotential:
         )
         g = make_grid(1, 10.0, 512)
         rep = validate_potential(spec, g)
-        assert rep.all_pass, rep.messages
+        assert rep.pass_v1 and rep.pass_v2, rep.messages
         f = sample_potential(spec, g, 0.5)
         assert f.values[g.index_of((0.0,))[0]] == pytest.approx(1.0)
 
@@ -170,7 +171,7 @@ class TestNonlinEval:
 class TestValidateNonlinearity:
     def test_canonical_saturable_passes(self):
         rep = validate_nonlinearity(NonlinearitySpec.saturable(0.4), sup_v=2.0)
-        assert rep.all_pass, rep.messages
+        assert all((rep.pass_f1, rep.pass_f2, rep.pass_f3, rep.pass_f4, rep.pass_f5)), rep.messages
 
     def test_f3_fails_when_slope_below_potential(self):
         rep = validate_nonlinearity(NonlinearitySpec.saturable(1.0), sup_v=1.5)
@@ -183,6 +184,18 @@ class TestValidateNonlinearity:
         )
         rep = validate_nonlinearity(spec)
         assert not rep.pass_f3
+
+    def test_infinite_slope_reports_only_not_finite(self):
+        # l0 = inf is not compared with sup V: "l0 = inf <= sup V" is false
+        spec = NonlinearitySpec.custom(
+            lambda t: t**3, lambda t: 3 * t**2, lambda t: t**4 / 4,
+            l0=np.inf, q=4.0, C0=10.0,
+        )
+        rep = validate_nonlinearity(spec, sup_v=2.0)
+        assert not rep.pass_f3
+        assert [m for m in rep.messages if m.startswith("(f3)")] == [
+            "(f3) fail: declared asymptotic slope is not finite"
+        ]
 
     def test_linear_fails_f1(self):
         spec = NonlinearitySpec.custom(
