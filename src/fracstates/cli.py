@@ -2,9 +2,10 @@
 and dispatch to the solver for limit curves, single solves, epsilon sweeps
 (solver.sweep_epsilon), and report regeneration.
 
-Exit codes: 0 success, 1 validation failure, 2 solver error, 3 I/O error.
-Every failure also leaves a machine-readable error.json in the output
-directory.
+Exit codes: 0 success, 1 validation failure, 2 solver error (a grid over
+the point budget too, found when the config loads), 3 I/O error. Every
+failure also leaves a machine-readable error.json in the output directory,
+which for a config that fails to load is only --out.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .errors import ConfigError, FracstatesError
 from .grid import Field
 from .localization import solve_branch
 from .models import validate_nonlinearity, validate_potential
-from .solver import (budgeted_grid, energy_curve, grid_for_epsilon, limit_grid,
-                     limit_state, problem_for_epsilon, sweep_epsilon)
+from .solver import (energy_curve, limit_grid, limit_state, problem_for_epsilon,
+                     sweep_epsilon, validation_grid)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -168,18 +169,9 @@ def _hypotheses(config: ExperimentConfig) -> dict:
     """The validation.json payload: the verdicts of (V1)-(V2) on the
     validation grid [-R0, R0]^d, of (f1)-(f5) with the growth exponent rule
     in f2, and of the box family; V0, V_inf_proxy, l0, the horizon, every
-    failure message and the overall pass. The validation, limit and
-    largest eps grids (the smallest of sweep.epsilons and solve.epsilon)
-    must fit the point budget: BudgetExceeded otherwise, before any array
-    of them exists."""
-    pb, q, q_star = config.problem, config.nonlinearity.q, config.star_exponent()
-    budget = config.sweep.point_budget
-    n_val = min(max(int(2 * pb.R0 / pb.h0), 64), 4096)
-    grid = budgeted_grid(pb.d, pb.R0, n_val + n_val % 2, budget, "validation")
-    limit_grid(config)
-    eps = min(e for e in (*config.sweep.epsilons, config.solve.epsilon) if e is not None)
-    grid_for_epsilon(pb.d, eps, pb.R0, pb.R_cap, pb.h0, budget)
-    pot = validate_potential(config.potential, grid)
+    failure message and the overall pass."""
+    q, q_star = config.nonlinearity.q, config.star_exponent()
+    pot = validate_potential(config.potential, validation_grid(config))
     nl = validate_nonlinearity(config.nonlinearity, sup_v=config.potential.v_inf_level)
     messages = pot.messages + nl.messages
     q_ok = 2.0 < q < q_star
@@ -211,8 +203,7 @@ def run_check(config: ExperimentConfig, out_dir: Path) -> int:
 
 def ensure_hypotheses(config: ExperimentConfig):
     """The gate of limit, solve and sweep, passed before any solve: where
-    check fails, it raises ConfigError with check's messages; a grid over
-    the point budget raises BudgetExceeded in both."""
+    check fails, it raises ConfigError with check's messages."""
     payload = _hypotheses(config)
     if not payload["pass"]:
         raise ConfigError("hypothesis validation failed: " + "; ".join(payload["messages"]))

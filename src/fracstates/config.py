@@ -4,10 +4,12 @@ The block dataclasses (ProblemBlock ... OutputBlock, and ExperimentConfig
 for the top level) are the schema: a field without a default is a required
 key, a field with one is optional, and its annotation says how the value is
 parsed. Unknown keys anywhere in the file are hard errors so typos in
-hypothesis parameters cannot pass silently. Every bad value is a
-ConfigError naming its key or block: a non-number, a fractional value of an
-integer key, a value a model or SolveOptions rejects, and the ranges
-parse_config checks.
+hypothesis parameters cannot pass silently. Each block checks its keys, and
+ExperimentConfig the rules across blocks and every grid's point budget, on
+construction, so a config built in Python obeys the YAML rules. A bad value
+is a ConfigError naming its key or block: a non-number, a fractional value
+of an integer key, a value out of range or one a model or SolveOptions
+rejects; a grid over the point budget is a BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 from .errors import ConfigError, InvalidInput, SlopeOrdering
 from .localization import BoxFamily, build_boxes
 from .models import NonlinearitySpec, PotentialSpec, Well
-from .solver import SolveOptions, check_levels
+from .solver import SolveOptions, check_levels, grid_for_epsilon, limit_grid, validation_grid
 
 
 def _require(mapping: dict, context: str, required, optional=()):
@@ -66,6 +68,15 @@ class ProblemBlock:
     R_cap: float = 400.0
     h0: float = 0.25
 
+    def __post_init__(self):
+        if self.d not in (1, 2, 3):
+            raise ConfigError(f"problem.d: must be 1, 2 or 3, got {self.d}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ConfigError(f"problem.alpha: must lie in (0, 1], got {self.alpha}")
+        for key in ("R0", "R_cap", "h0"):
+            if not getattr(self, key) > 0:  # NaN fails too
+                raise ConfigError(f"problem.{key}: must be positive, got {getattr(self, key)}")
+
 
 @dataclass(frozen=True)
 class BoxesBlock:
@@ -84,6 +95,13 @@ class SweepBlock:
     def __post_init__(self):
         # SolveOptions holds the rules of the solver keys (InvalidInput)
         SolveOptions(max_iter=self.max_iter, tol_residual=self.tol_residual)
+        eps = self.epsilons
+        if not eps:
+            raise ConfigError("sweep.epsilons: expected a non-empty list")
+        if not (all(e > 0 for e in eps) and all(b < a for a, b in zip(eps, eps[1:]))):
+            raise ConfigError(
+                f"sweep.epsilons: must be positive and strictly decreasing, got {list(eps)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,16 +110,30 @@ class LimitBlock:
     R: float = 80.0
     n: int = 640
 
+    def __post_init__(self):
+        if not self.R > 0:
+            raise ConfigError(f"limit.R: must be positive, got {self.R}")
+        if not self.n >= 8 or self.n % 2:
+            raise ConfigError(f"limit.n: must be even and >= 8, got {self.n}")
+
 
 @dataclass(frozen=True)
 class SolveBlock:
     epsilon: Optional[float] = None
     branch: int = 1
 
+    def __post_init__(self):
+        if self.epsilon is not None and not self.epsilon > 0:
+            raise ConfigError(f"solve.epsilon: must be positive, got {self.epsilon}")
+
 
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "out"
+
+    def __post_init__(self):
+        if not isinstance(self.directory, str):
+            raise ConfigError(f"output.directory: expected a string, got {self.directory!r}")
 
 
 @dataclass
@@ -117,6 +149,38 @@ class ExperimentConfig:
     rng_seed: int = 0
     # the mapping parse_config read, for the manifest
     raw: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self):
+        problem, limit = self.problem, self.limit
+        # the limit state seeds the eps grids through resample_field, which
+        # needs the same spacing to the same relative tolerance
+        h_limit = 2.0 * limit.R / limit.n
+        if abs(h_limit - problem.h0) > 1e-12 * max(h_limit, problem.h0):
+            raise ConfigError(
+                f"limit.n: the limit grid spacing 2*limit.R/limit.n = {h_limit:g} must equal "
+                f"problem.h0 = {problem.h0:g}; set limit.n = 2*limit.R/problem.h0"
+            )
+        try:
+            check_levels(limit.a_values, self.nonlinearity)
+        except (InvalidInput, SlopeOrdering) as exc:
+            raise ConfigError(f"limit.a_values: {exc}") from exc
+        for i, well in enumerate(self.potential.wells):
+            if len(well.center) != problem.d:
+                raise ConfigError(
+                    f"potential.wells[{i}].center: expected {problem.d} coordinates "
+                    f"(problem.d), got {len(well.center)}"
+                )
+        k = len(self.potential.wells)  # one branch per well
+        if not 1 <= self.solve.branch <= k:
+            raise ConfigError(f"solve.branch: must be in 1..{k}, got {self.solve.branch}")
+        # every grid a run builds fits the point budget, checked on Grid
+        # objects before any array exists: the validation grid, the limit
+        # grid and the largest eps grid, that of the smallest epsilon
+        validation_grid(self)
+        limit_grid(self)
+        eps = min(e for e in (*self.sweep.epsilons, self.solve.epsilon) if e is not None)
+        grid_for_epsilon(problem.d, eps, problem.R0, problem.R_cap, problem.h0,
+                         self.sweep.point_budget)
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(max_iter=self.sweep.max_iter, tol_residual=self.sweep.tol_residual)
@@ -191,7 +255,7 @@ _PARSERS = {
     "float": _number,
     "Optional[float]": lambda value, name: None if value is None else _number(value, name),
     "tuple": _numbers,
-    "str": lambda value, name: str(value),
+    "str": lambda value, name: value,  # OutputBlock requires a string
     "PotentialSpec": _parse_potential,
     "NonlinearitySpec": _parse_nonlinearity,
 }
@@ -202,52 +266,10 @@ _PARSERS.update({
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """An ExperimentConfig from a mapping: each block through its schema
-    (_build), then the range checks of the problem, potential, sweep, limit
-    and solve keys; limit.a_values by the solver's own rules
-    (solver.check_levels)."""
+    """An ExperimentConfig from a mapping, each block through its schema
+    (_build); the mapping is kept as raw for the manifest."""
     config = _build(ExperimentConfig, data)
     config.raw = data
-    problem, eps, solve = config.problem, config.sweep.epsilons, config.solve
-    if problem.d not in (1, 2, 3):
-        raise ConfigError(f"problem.d: must be 1, 2 or 3, got {problem.d}")
-    if not 0.0 < problem.alpha <= 1.0:
-        raise ConfigError(f"problem.alpha: must lie in (0, 1], got {problem.alpha}")
-    for name, value in (("problem.R0", problem.R0), ("problem.R_cap", problem.R_cap),
-                        ("problem.h0", problem.h0), ("limit.R", config.limit.R)):
-        if not value > 0:
-            raise ConfigError(f"{name}: must be positive, got {value}")
-    if config.limit.n < 8 or config.limit.n % 2:
-        raise ConfigError(f"limit.n: must be even and >= 8, got {config.limit.n}")
-    # the limit state seeds the eps grids through resample_field, which
-    # needs the same spacing to the same relative tolerance
-    h_limit = 2.0 * config.limit.R / config.limit.n
-    if abs(h_limit - problem.h0) > 1e-12 * max(h_limit, problem.h0):
-        raise ConfigError(
-            f"limit.n: the limit grid spacing 2*limit.R/limit.n = {h_limit:g} must equal "
-            f"problem.h0 = {problem.h0:g}; set limit.n = 2*limit.R/problem.h0"
-        )
-    try:
-        check_levels(config.limit.a_values, config.nonlinearity)
-    except (InvalidInput, SlopeOrdering) as exc:
-        raise ConfigError(f"limit.a_values: {exc}") from exc
-    for i, well in enumerate(config.potential.wells):
-        if len(well.center) != problem.d:
-            raise ConfigError(
-                f"potential.wells[{i}].center: expected {problem.d} coordinates "
-                f"(problem.d), got {len(well.center)}"
-            )
-    if not eps:
-        raise ConfigError("sweep.epsilons: expected a non-empty list")
-    if min(eps) <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError(
-            f"sweep.epsilons: must be positive and strictly decreasing, got {list(eps)}"
-        )
-    if solve.epsilon is not None and not solve.epsilon > 0:
-        raise ConfigError(f"solve.epsilon: must be positive, got {solve.epsilon}")
-    k = len(config.potential.wells)  # one branch per well
-    if not 1 <= solve.branch <= k:
-        raise ConfigError(f"solve.branch: must be in 1..{k}, got {solve.branch}")
     return config
 
 

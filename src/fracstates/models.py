@@ -1,8 +1,9 @@
 """Potentials and nonlinearities as validated, evaluable specifications.
 
-The canonical potential family is a positive background level minus a sum of
-Gaussian wells, which gives bounded continuous potentials with explicit
-strict minima. Nonlinearities are either the saturable optical-medium model
+The potential is a positive background level minus a sum of Gaussian
+wells, which gives bounded continuous potentials with explicit strict
+minima; it is the one potential family, in the library as in a config.
+Nonlinearities are either the saturable optical-medium model
 f(t) = t^3/(1+s*t^2) (zero for t <= 0, asymptotic slope 1/s) or a custom
 (f, f', F) triple with declared slope and growth data.
 """
@@ -39,16 +40,10 @@ class Well:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """V(x) = v_inf_level - sum_j depth_j * exp(-|x - center_j|^2 / width_j).
-
-    A custom expression can replace the Gaussian formula via from_callable;
-    the well entries then only declare where the minima are claimed to be
-    (and on what scale), and the validators check the claim numerically.
-    """
+    """V(x) = v_inf_level - sum_j depth_j * exp(-|x - center_j|^2 / width_j)."""
 
     v_inf_level: float
     wells: tuple
-    func: Optional[Callable] = None
 
     def __post_init__(self):
         object.__setattr__(self, "wells", tuple(self.wells))
@@ -57,14 +52,6 @@ class PotentialSpec:
         d = len(self.wells[0].center)
         if any(len(w.center) != d for w in self.wells):
             raise InvalidInput("all well centers must share one dimension")
-
-    @classmethod
-    def from_callable(cls, func: Callable, minima, v_inf_level: float,
-                      well_scale: float = 1.0):
-        """Wrap a vectorized expression V(points -> values); the declared
-        minima and scale only steer the numeric (V2) probes."""
-        wells = tuple(Well(tuple(np.atleast_1d(m)), 1.0, well_scale) for m in minima)
-        return cls(float(v_inf_level), wells, func=func)
 
     @property
     def d(self) -> int:
@@ -80,9 +67,6 @@ class PotentialSpec:
         together, such as Grid.coords or the columns of a point array; the
         result has the broadcast shape."""
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        if self.func is not None:
-            pts = np.stack([np.broadcast_to(scale * c, shape).ravel() for c in coords], axis=1)
-            return np.asarray(self.func(pts), dtype=float).reshape(shape)
         out = np.full(shape, self.v_inf_level)
         for w in self.wells:
             r2 = np.zeros(shape)

@@ -79,9 +79,9 @@ class SolveOptions:
     tol_residual: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise InvalidInput("max_iter must be at least 1")
-        if self.tol_residual <= 0:
+        if not self.tol_residual > 0:
             raise InvalidInput("tol_residual must be positive")
 
 
@@ -365,13 +365,24 @@ def budgeted_grid(d: int, R: float, n: int, point_budget: int, name: str) -> Gri
 
 def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, point_budget: int) -> Grid:
     """Rescaled-box grid: half-width min(R0/eps, R_cap) at fixed spacing h0
-    (half-width rounded up so n is even)."""
+    (half-width rounded up so n is even). InvalidInput unless eps, R0,
+    R_cap and h0 are all positive."""
+    if not (eps > 0 and R0 > 0 and R_cap > 0 and h0 > 0):
+        raise InvalidInput(f"eps, R0, R_cap and h0 must be positive, got {eps}, {R0}, {R_cap}, {h0}")
     R = min(R0 / eps, R_cap)
     n = int(math.ceil(2.0 * R / h0))
     if n % 2:
         n += 1
     n = max(n, 8)
     return budgeted_grid(d, n * h0 / 2.0, n, point_budget, f"eps={eps}")
+
+
+def validation_grid(config) -> Grid:
+    """The grid [-R0, R0]^d the hypothesis validators sample V on, at about
+    the spacing h0 with 64 to 4096 points per axis, within the point budget."""
+    pb = config.problem
+    n = min(max(int(2 * pb.R0 / pb.h0), 64), 4096)
+    return budgeted_grid(pb.d, pb.R0, n + n % 2, config.sweep.point_budget, "validation")
 
 
 def limit_grid(config) -> Grid:
@@ -406,21 +417,12 @@ def sweep_epsilon(config) -> list:
     Returns one SweepRecord per epsilon (see diagnostics). The limit ground
     state is solved once on the limit grid and reused as seed profile and
     as the reference for profile errors; every record carries it as
-    w_limit.
+    w_limit. The config's constructor has checked the epsilons (non-empty,
+    positive, strictly decreasing) and the point budget of every grid.
     """
     from .diagnostics import build_sweep_record
     from .localization import solve_branches
 
-    eps_list = list(config.sweep.epsilons)
-    if not eps_list:
-        return []
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise InvalidInput("epsilon list must be strictly decreasing")
-
-    # the finest epsilon has the largest grid: a point budget it exceeds
-    # fails here, before any solve
-    pb = config.problem
-    grid_for_epsilon(pb.d, eps_list[-1], pb.R0, pb.R_cap, pb.h0, config.sweep.point_budget)
     opts = config.solve_options()
     boxes = config.box_family()
     limit = limit_state(config)
@@ -430,4 +432,4 @@ def sweep_epsilon(config) -> list:
         experiment = solve_branches(p, boxes, limit.u, opts)
         return build_sweep_record(p, experiment, limit, config.potential)
 
-    return [one(eps) for eps in eps_list]
+    return [one(eps) for eps in config.sweep.epsilons]

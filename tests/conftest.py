@@ -1,6 +1,7 @@
 """Shared fixtures: canonical problem families and cached expensive solves."""
 
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -30,6 +31,28 @@ def double_well_potential(depths=(1.0, 1.0)):
     return PotentialSpec(
         2.0, (Well((-2.0,), depths[0], 0.5), Well((2.0,), depths[1], 0.5))
     )
+
+
+@dataclass(frozen=True)
+class ExpressionPotential(PotentialSpec):
+    """A potential whose values come from a vectorized expression
+    func(points) in place of the Gaussian sum: its wells only declare where
+    the minima are claimed to be, and on what scale, so the validators and
+    build_boxes can be tested on shapes a sum of Gaussians cannot take."""
+
+    func: Callable
+
+    def evaluate_on_coords(self, coords, scale=1.0):
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        pts = np.stack([np.broadcast_to(scale * c, shape).ravel() for c in coords], axis=1)
+        return np.asarray(self.func(pts), dtype=float).reshape(shape)
+
+
+def expression_potential(func, minima, v_inf_level, well_scale=1.0):
+    """ExpressionPotential with a unit-depth well of width well_scale at
+    each claimed minimum."""
+    wells = tuple(Well(tuple(np.atleast_1d(m)), 1.0, well_scale) for m in minima)
+    return ExpressionPotential(float(v_inf_level), wells, func)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 regeneration, and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import yaml
 from click.testing import CliRunner
 
 from fracstates.cli import main
+from fracstates.errors import ConfigError
 
 
 def canonical_config(**overrides):
@@ -30,6 +32,30 @@ def canonical_config(**overrides):
         else:
             cfg[key] = val
     return cfg
+
+
+def python_config(cfg):
+    """The ExperimentConfig of a canonical_config mapping, built from its
+    blocks in Python, without the YAML parser."""
+    from fracstates.config import (BoxesBlock, ExperimentConfig, LimitBlock, ProblemBlock,
+                                   SolveBlock, SweepBlock)
+    from fracstates.models import NonlinearitySpec, PotentialSpec, Well
+
+    tuples = {"epsilons", "a_values"}
+
+    def block(cls, name):
+        return cls(**{k: tuple(v) if k in tuples else v for k, v in cfg.get(name, {}).items()})
+
+    pot = cfg["potential"]
+    return ExperimentConfig(
+        problem=block(ProblemBlock, "problem"),
+        potential=PotentialSpec(pot["v_inf_level"], tuple(Well(**w) for w in pot["wells"])),
+        nonlinearity=NonlinearitySpec.saturable(cfg["nonlinearity"]["s"]),
+        boxes=block(BoxesBlock, "boxes"),
+        sweep=block(SweepBlock, "sweep"),
+        limit=block(LimitBlock, "limit"),
+        solve=block(SolveBlock, "solve"),
+    )
 
 
 def write_config(tmp_path, cfg, name="config.yaml"):
@@ -118,10 +144,12 @@ class TestCheck:
                        "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
 
-    @pytest.mark.parametrize("key,value", [("max_iter", 0), ("tol_residual", 0.0)])
+    @pytest.mark.parametrize(
+        "key,value", [("max_iter", 0), ("tol_residual", 0.0), ("tol_residual", float("nan"))]
+    )
     def test_bad_solver_knob_is_config_error(self, tmp_path, key, value):
         from fracstates.config import SweepBlock, parse_config
-        from fracstates.errors import ConfigError, InvalidInput
+        from fracstates.errors import InvalidInput
 
         # the block itself rejects the value, for library callers too
         with pytest.raises(InvalidInput, match=key):
@@ -145,37 +173,36 @@ class TestCheck:
         assert err["error"] == "ConfigError"
 
     _BAD_PROBLEM_NUMBERS = [
-        ("problem", "alpha", "abc"),
-        ("sweep", "max_iter", "many"),
-        ("problem", "alpha", 1.5),
-        ("problem", "d", 4),
+        pytest.param("problem", "alpha", "abc", id="alpha-text"),
+        pytest.param("sweep", "max_iter", "many", id="max_iter-text"),
+        pytest.param("problem", "alpha", 1.5, id="alpha-above-1"),
+        pytest.param("problem", "d", 4, id="d-4"),
         # integer keys must be integral: int() would truncate these
-        ("problem", "d", 1.9),
-        ("sweep", "max_iter", 2.7),
+        pytest.param("problem", "d", 1.9, id="d-fraction"),
+        pytest.param("sweep", "max_iter", 2.7, id="max_iter-fraction"),
         # grid keys out of range
-        ("problem", "R0", 0.0),
-        ("problem", "R_cap", -400.0),
-        ("problem", "h0", -0.25),
-        ("limit", "R", -5.0),
-        ("limit", "n", 0),
-        ("limit", "n", 161),
+        pytest.param("problem", "R0", 0.0, id="R0-zero"),
+        pytest.param("problem", "R_cap", -400.0, id="R_cap-negative"),
+        pytest.param("problem", "h0", -0.25, id="h0-negative"),
+        pytest.param("limit", "R", -5.0, id="limit-R-negative"),
+        pytest.param("limit", "n", 0, id="limit-n-zero"),
+        pytest.param("limit", "n", 161, id="limit-n-odd"),
         # levels the limit solve rejects (l0 = 2.5 for s = 0.4)
-        ("limit", "a_values", [1.2, 0.8]),
-        ("limit", "a_values", [0.0, 1.2]),
-        ("limit", "a_values", [0.8, 2.5]),
+        pytest.param("limit", "a_values", [1.2, 0.8], id="a_values-decreasing"),
+        pytest.param("limit", "a_values", [0.0, 1.2], id="a_values-zero"),
+        pytest.param("limit", "a_values", [0.8, 2.5], id="a_values-at-l0"),
         # one branch per well
-        ("solve", "branch", 5),
-        ("solve", "branch", 0),
+        pytest.param("solve", "branch", 5, id="branch-above-k"),
+        pytest.param("solve", "branch", 0, id="branch-zero"),
+        # NaN fails every range comparison
+        pytest.param("sweep", "epsilons", [float("nan")], id="epsilons-nan"),
     ]
+    # the rows a value of the right type breaks: those the constructors
+    # check, whichever way the config is built
+    _RANGE_ROWS = [row for row in _BAD_PROBLEM_NUMBERS
+                   if not row.id.endswith(("-text", "-fraction"))]
 
-    @pytest.mark.parametrize(
-        "block,key,value", _BAD_PROBLEM_NUMBERS,
-        ids=["alpha-text", "max_iter-text", "alpha-above-1", "d-4", "d-fraction",
-             "max_iter-fraction", "R0-zero", "R_cap-negative", "h0-negative",
-             "limit-R-negative", "limit-n-zero", "limit-n-odd",
-             "a_values-decreasing", "a_values-zero", "a_values-at-l0",
-             "branch-above-k", "branch-zero"],
-    )
+    @pytest.mark.parametrize("block,key,value", _BAD_PROBLEM_NUMBERS)
     def test_bad_number_is_config_error(self, tmp_path, block, key, value):
         path = write_config(tmp_path, canonical_config(**{block: {key: value}}))
         out = tmp_path / "out"
@@ -184,6 +211,19 @@ class TestCheck:
         assert f"{block}.{key}" in res.output
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("block,key,value", _RANGE_ROWS)
+    def test_bad_number_rejected_in_python(self, block, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{block}.{key}")):
+            python_config(canonical_config(**{block: {key: value}}))
+
+    def test_output_directory_must_be_string(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, canonical_config(output={"directory": ["a", "b"]}))
+        res = run_cli(["check", "--config", str(path)])
+        assert res.exit_code == 1
+        assert "output.directory: expected a string" in res.output
+        assert not (tmp_path / "['a', 'b']").exists()
 
     def test_center_length_must_match_d(self, tmp_path):
         cfg = canonical_config(potential={
@@ -520,7 +560,7 @@ class TestExitCodes:
         assert err["message"].startswith("validation grid 256^3 exceeds")
         assert calls == []
 
-    @pytest.mark.parametrize("command", ["check", "limit", "solve", "sweep"])
+    @pytest.mark.parametrize("command", ["check", "limit", "solve", "sweep", "report"])
     def test_limit_grid_obeys_budget(self, tmp_path, monkeypatch, command):
         # the default limit grid is 640^3 = 262M points in 3-D; the eps
         # grid (64^3 at eps = 0.5) and the validation grid (64^3) fit

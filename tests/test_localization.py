@@ -4,7 +4,8 @@ experiment on the canonical double well."""
 import numpy as np
 import pytest
 
-from conftest import double_well_potential, gaussian_field, single_well_potential
+from conftest import (double_well_potential, expression_potential, gaussian_field,
+                      single_well_potential)
 from fracstates.errors import (
     BoundaryNotSeparating,
     InvalidInput,
@@ -96,7 +97,7 @@ class TestBuildBoxes:
             dip = np.sum((pts - offset) ** 2, axis=1)
             return 2.0 - np.exp(-r2 / 0.5) - np.exp(-dip / 0.01)
 
-        return PotentialSpec.from_callable(func, [(0.0,) * d], 2.0, well_scale=0.5)
+        return expression_potential(func, [(0.0,) * d], 2.0, well_scale=0.5)
 
     @pytest.mark.parametrize(
         "offset",

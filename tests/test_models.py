@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import expression_potential
 from fracstates.errors import NonpositivePotential
 from fracstates.grid import Field, make_grid
 from fracstates.models import (
@@ -66,20 +67,6 @@ class TestEvaluate:
             expected = expected - w.depth * np.exp(-r2 / w.width)
         assert np.array_equal(spec.evaluate(pts), expected)
 
-    def test_callable_same_through_evaluate_and_sampling(self):
-        def func(pts):
-            assert pts.ndim == 2 and pts.shape[1] == 2
-            return 2.0 - np.exp(-np.sum(pts ** 2, axis=1)) + 0.1 * np.sin(pts[:, 0])
-
-        spec = PotentialSpec.from_callable(func, [(0.0, 0.0)], 2.0)
-        g = make_grid(2, 4.0, 16)
-        eps = 0.3
-        mesh = np.meshgrid(g.axis, g.axis, indexing="ij")
-        pts = np.stack([(eps * c).ravel() for c in mesh], axis=1)
-        sampled = sample_potential(spec, g, eps).values
-        assert np.array_equal(spec.evaluate(pts), sampled)
-        assert np.array_equal(sampled, func(pts))
-
 
 class TestValidatePotential:
     def test_symmetric_double_well_passes(self):
@@ -109,7 +96,7 @@ class TestValidatePotential:
         assert not rep.pass_v1
 
     def test_custom_expression_validated_numerically(self):
-        spec = PotentialSpec.from_callable(
+        spec = expression_potential(
             lambda pts: 2.0 - 1.0 / np.cosh(pts[:, 0]) ** 2,
             minima=[(0.0,)],
             v_inf_level=2.0,
@@ -121,7 +108,7 @@ class TestValidatePotential:
         assert f.values[g.index_of((0.0,))[0]] == pytest.approx(1.0)
 
     def test_custom_expression_with_wrong_minimum_fails_v2(self):
-        spec = PotentialSpec.from_callable(
+        spec = expression_potential(
             lambda pts: 2.0 - 1.0 / np.cosh(pts[:, 0] - 1.0) ** 2,
             minima=[(0.0,)],  # claimed minimum is off by 1
             v_inf_level=2.0,

@@ -8,6 +8,9 @@ benchmark without failing any other test.
 
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +125,13 @@ def test_package_exports_are_pinned():
     exported = {name for name, obj in vars(fracstates).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PACKAGE_EXPORTS
+
+
+def test_perfbench_selftest_passes():
+    # the harness's own check that its tracer still finds every name it
+    # wraps, and that tracing changes no result; it writes only under
+    # .perfbench/ of the checkout
+    root = Path(__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                         cwd=root, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr

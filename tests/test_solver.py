@@ -6,6 +6,7 @@ import pytest
 from conftest import gaussian_field, ray_argmax_oracle, single_well_potential
 from fracstates.errors import (
     BudgetExceeded,
+    ConfigError,
     InvalidInput,
     SeedNotInTheta,
     SlopeOrdering,
@@ -310,12 +311,15 @@ class TestSweepEpsilon:
         assert rec.diagnostics[0].boundary_mass < 1e-3
         assert rec.sigma_members == [1]
 
-    def test_empty_list_gives_empty_output(self, saturable):
-        assert sweep_epsilon(_one_well_config(saturable, ())) == []
+    # a sweep has no epsilon list to check: the config rejects a bad one
+    # when it is constructed
+    def test_empty_list_rejected(self, saturable):
+        with pytest.raises(ConfigError, match="sweep.epsilons: expected a non-empty list"):
+            _one_well_config(saturable, ())
 
     def test_nondecreasing_list_rejected(self, saturable):
-        with pytest.raises(InvalidInput):
-            sweep_epsilon(_one_well_config(saturable, (0.25, 0.5)))
+        with pytest.raises(ConfigError, match="sweep.epsilons: must be positive and strictly"):
+            _one_well_config(saturable, (0.25, 0.5))
 
 
 class TestBarzilaiBorweinStep:
@@ -453,3 +457,13 @@ class TestGridForEpsilon:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             grid_for_epsilon(1, 1e-3, 16.0, 1e6, 0.25, 10**5)
+
+    @pytest.mark.parametrize("bad", [
+        {"eps": -0.25}, {"eps": 0.0}, {"eps": float("nan")}, {"R0": -16.0},
+        {"R_cap": -400.0}, {"h0": float("nan")}, {"h0": 0.0},
+    ], ids=["eps-negative", "eps-zero", "eps-nan", "R0-negative", "R_cap-negative",
+            "h0-nan", "h0-zero"])
+    def test_bad_argument_rejected(self, bad):
+        args = dict(d=1, eps=0.25, R0=16.0, R_cap=400.0, h0=0.25, point_budget=10**7)
+        with pytest.raises(InvalidInput, match="must be positive"):
+            grid_for_epsilon(**{**args, **bad})
