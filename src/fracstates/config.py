@@ -277,9 +277,12 @@ def load_config(path) -> ExperimentConfig:
     # imported on use: parse_config callers never pay for the YAML parser
     import yaml
 
+    # libyaml's safe loader, where PyYAML was built with it, parses the same
+    # mapping about 8x faster than the pure-Python one
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -50,17 +50,31 @@ class DecayFit(NamedTuple):
     slope: float
 
 
-# The periodic tail model sum_k |delta + 2Rk|^p over k in Z^d is summed point
-# by point for |k|_inf <= _NEAR_IMAGES. Beyond that, each image is expanded to
-# second order in delta (the lattice's cubic symmetry makes the Hessian sum
-# isotropic), which leaves delta-free lattice sums; those run explicitly up
-# to |k|_inf = _LATTICE_CUTOFF and by the midpoint integral over the rest.
+# The periodic tail model S_p(delta) = sum_k |delta + 2Rk|^p over k in Z^d is
+# summed image by image for |k|_inf <= _NEAR_IMAGES. Beyond that, each image
+# is expanded to second order in delta (the lattice's cubic symmetry makes the
+# Hessian sum isotropic), which leaves delta-free lattice sums; those run
+# explicitly up to |k|_inf = _LATTICE_CUTOFF and by the midpoint integral over
+# the rest. S_p and |delta|^2 do not change when delta's signs flip or its
+# axes are permuted, so the model is evaluated once per class of window
+# points that share a shell and the sorted |delta| (exact equality), weighted
+# by the class size. Its exponent is searched over the depth -(p + d): one
+# batched scan of _SCAN_POINTS log-spaced depths, then Brent's method in the
+# bracket around the best scan point, until that bracket is no wider than 30
+# golden-section steps would leave it (a factor _REFINE_SHRINK).
 _NEAR_IMAGES = 3
 _LATTICE_CUTOFF = 32
 _FACE_NODES = 16
 _SCAN_POINTS = 24
 _SCAN_DEPTH = (0.01, 20.0)  # searched range of -(p + d)
-_GOLDEN_STEPS = 30
+_REFINE_SHRINK = ((math.sqrt(5.0) - 1.0) / 2.0) ** 30
+# a safeguard only: the refinement takes 7 or 8 steps, about 30 when the
+# best scan point is the last one and the minimum sits at the bracket's end
+_REFINE_STEPS = 60
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step of Brent's method
+# the scan's temporaries hold at most one grid field, or this many elements
+# (0.5 MB) on a smaller grid, so that a 1-D scan still runs in one batch
+_CHUNK_FLOOR = 1 << 16
 
 
 @functools.lru_cache(maxsize=3)
@@ -85,76 +99,155 @@ def _far_lattice(d: int):
     return np.log(sq), mult[sq].astype(float), np.log(1.0 + np.ravel(face_sq)), np.ravel(face_w)
 
 
-def _far_lattice_sum(d: int, q: float) -> float:
-    """Z(q) for q < -d. The lattice points beyond the cutoff M are the
-    midpoints of unit cells tiling {|y|_inf > M + 1/2}, whose integral of |y|^q is
+def _far_lattice_sum(d: int, q: np.ndarray) -> np.ndarray:
+    """Z(q) at each q < -d of the 1-D array q. The lattice points beyond the
+    cutoff M are the midpoints of unit cells tiling {|y|_inf > M + 1/2}, whose
+    integral of |y|^q is
     (M + 1/2)^(q+d) * 2d/(-(q+d)) * int_{[-1,1]^(d-1)} (1 + |a|^2)^(q/2) da."""
     log_sq, mult, log_face, face_w = _far_lattice(d)
-    explicit = float(np.dot(mult, np.exp(0.5 * q * log_sq)))
-    face = float(np.dot(face_w, np.exp(0.5 * q * log_face)))
-    rest = (_LATTICE_CUTOFF + 0.5) ** (q + d) * 2 * d / -(q + d) * face
-    return explicit + rest
+    half_q = 0.5 * q[:, None]
+    explicit = np.exp(half_q * log_sq) @ mult
+    face = np.exp(half_q * log_face) @ face_w
+    return explicit + (_LATTICE_CUTOFF + 0.5) ** (q + d) * 2 * d / -(q + d) * face
 
 
-def _image_model(delta: np.ndarray, period: float):
-    """Per-point lattice sum S_p(delta) = sum_k |delta + period k|^p as a
-    function of p < -d, for displacements delta of shape (N, d)."""
+def _image_shell_sums(delta: np.ndarray, which: np.ndarray, period: float, budget: int):
+    """The image model summed over each populated shell: a function taking a
+    1-D array of exponents p < -d to the array (len(p), shells) of
+    sum_{points in shell} S_p(delta), for the window's per-axis distances
+    delta >= 0 of shape (N, d) in the shells which.
+
+    Each (shell, sorted delta) class is evaluated once and weighted by its
+    size. The exponents go through in chunks whose largest temporary holds
+    at most budget elements, or one exponent's worth where that alone is
+    more (an eta off the grid leaves few points to merge).
+    """
     d = delta.shape[1]
-    near = np.arange(-_NEAR_IMAGES, _NEAR_IMAGES + 1)
-    shifts = period * np.stack(np.meshgrid(*([near] * d), indexing="ij")).reshape(d, -1).T
-    log_dist_sq = np.log(np.sum((delta[:, None, :] + shifts[None, :, :]) ** 2, axis=2))
+    keys = np.column_stack([which, np.sort(delta, axis=1)])
+    keys = keys[np.lexsort(keys.T[::-1])]  # rows in order, equal rows adjacent
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    rows = keys[first]
+    size = np.diff(np.append(np.flatnonzero(first), len(keys)))
+    shells, shell_of = np.unique(rows[:, 0], return_inverse=True)
+    to_shell = np.zeros((len(rows), len(shells)))  # class -> shell, by class size
+    to_shell[np.arange(len(rows)), shell_of] = size
+    delta = rows[:, 1:]
+    # |delta + period k|^2 over the near images k, summed axis by axis
+    sq = (delta[:, :, None] + period * np.arange(-_NEAR_IMAGES, _NEAR_IMAGES + 1)) ** 2
+    dist_sq = sq[:, 0]
+    for i in range(1, d):
+        dist_sq = (dist_sq[:, :, None] + sq[:, i, None, :]).reshape(len(rows), -1)
+    log_dist_sq = np.log(dist_sq)
     rho_sq = np.sum(delta * delta, axis=1) / period**2
+    chunk = max(1, budget // max(log_dist_sq.size, 2 * _far_lattice(d)[0].size))
 
-    def s_p(p: float) -> np.ndarray:
-        hess = p * (p + d - 2) / (2 * d) * _far_lattice_sum(d, p - 2)
-        far = period**p * (_far_lattice_sum(d, p) + hess * rho_sq)
-        return np.sum(np.exp(0.5 * p * log_dist_sq), axis=1) + far
+    def sums(p: np.ndarray) -> np.ndarray:
+        out = np.empty((len(p), len(shells)))
+        for start in range(0, len(p), chunk):
+            pc = p[start:start + chunk]
+            z = _far_lattice_sum(d, np.concatenate([pc, pc - 2.0]))
+            hess = pc * (pc + d - 2) / (2 * d) * z[len(pc):]
+            far = period ** pc[:, None] * (z[:len(pc), None] + hess[:, None] * rho_sq)
+            near = np.exp(0.5 * pc[:, None, None] * log_dist_sq).sum(axis=2)
+            out[start:start + chunk] = (near + far) @ to_shell
+        return out
 
-    return s_p
+    return sums
 
 
-def _fit_image_sum(s_p, which, logu, d):
-    """Least-squares fit of log u_s = log C + log mean_s S_p over the shells.
+def _brent_min(f, lo, mid, hi, tol: float):
+    """(x, f(x)) at the minimum of f on [lo[0], hi[0]] by Brent's method:
+    parabolic steps through the three best points, safeguarded by
+    golden-section steps. lo, mid and hi are (x, f(x)) pairs with mid inside
+    the bracket; the first step is the parabola through all three. Stops
+    once the bracket is at most 4 tol wide (or after _REFINE_STEPS steps)."""
+    (a, _), (x, fx), (b, _) = lo, mid, hi
+    (w, fw), (v, fv) = lo, hi
+    step = last = b - a
+    for _ in range(_REFINE_STEPS):
+        middle = 0.5 * (a + b)
+        if abs(x - middle) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        # the parabola through (v, w, x) has its vertex at x + p / q
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = (-p, q) if q > 0.0 else (p, -q)
+        # take it when shorter than half the step before last and inside (a, b)
+        if abs(last) > tol and abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+            last, step = step, p / q
+            if min(x + step - a, b - x - step) < 2.0 * tol:
+                step = math.copysign(tol, middle - x)
+        else:
+            last = (a - x) if x >= middle else (b - x)
+            step = _CGOLD * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
-    log C has a closed form for each p, so only p is searched: a log-spaced
-    scan of -(p + d), then golden section around the best scan point. Returns
-    (p, residual sum of squares), or None when the best p lies at the
-    convergence edge p -> -d, where the image sum stops being a model.
+
+def _fit_image_sum(shell_sums, counts, logu, d):
+    """Least-squares fit of log u_s = log C + log mean_s S_p over the shells,
+    given shell_sums from _image_shell_sums and the points per shell.
+
+    log C has a closed form for each p, so only p is searched: the scan,
+    then Brent's method between the neighbours of the best scan point.
+    Returns (p, residual sum of squares), or None when the best p lies at
+    the convergence edge p -> -d, where the image sum stops being a model.
     """
 
-    counts = np.bincount(which)
-    populated = counts > 0
-
-    def ss(depth):
-        sums = np.bincount(which, weights=s_p(-d - depth))
-        model = np.log(sums[populated] / counts[populated])
-        resid = logu - model
-        return float(np.sum((resid - np.mean(resid)) ** 2))
+    def ss(depth: np.ndarray) -> np.ndarray:
+        resid = logu - np.log(shell_sums(-d - depth) / counts)
+        resid -= resid.mean(axis=1, keepdims=True)
+        return (resid * resid).sum(axis=1)
 
     scan = np.exp(np.linspace(*np.log(_SCAN_DEPTH), _SCAN_POINTS))
-    values = [ss(t) for t in scan]
+    values = ss(scan)
     best = int(np.argmin(values))
     if best == 0:
         return None
-    lo, hi = scan[best - 1], scan[min(best + 1, _SCAN_POINTS - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    fa, fb = ss(a), ss(b)
-    for _ in range(_GOLDEN_STEPS):
-        if fa < fb:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = ss(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = ss(b)
-    depth, value = (a, fa) if fa < fb else (b, fb)
-    return float(-d - depth), value
+
+    def ss_at(depth: float) -> float:
+        return float(ss(np.array([depth]))[0])
+
+    top = min(best + 1, _SCAN_POINTS - 1)
+    lo, hi = (scan[best - 1], values[best - 1]), (scan[top], values[top])
+    mid = (scan[best], values[best])
+    if best == top:  # the scan's last point is the bracket's end
+        x = lo[0] + _CGOLD * (hi[0] - lo[0])
+        mid = (x, ss_at(x))
+    tol = 0.25 * _REFINE_SHRINK * (hi[0] - lo[0])
+    depth, value = _brent_min(ss_at, lo, mid, hi, tol)
+    return float(-d - depth), float(value)
 
 
 # radial shells of the tail-fit window; a fit needs 8 of them populated
 _N_SHELLS = 16
+
+
+def _tail_window(u: Field, eta: np.ndarray, r_lo: float, r_hi: float):
+    """The grid points at periodic distance r in [r_lo, r_hi] of eta: the
+    values of u there, r, and the per-axis distances |x - eta| as (N, d).
+    At most one grid-size array (r) is held besides the mask."""
+    g = u.grid
+    deltas = []
+    for c, e in zip(g.coords, eta):
+        delta = np.abs(c - e)
+        deltas.append(np.minimum(delta, 2.0 * g.R - delta))  # periodic min-image
+    r = sum(dl * dl for dl in deltas)
+    np.sqrt(r, out=r)
+    mask = (r >= r_lo) & (r <= r_hi)
+    delta = np.stack([np.broadcast_to(dl, g.shape)[mask] for dl in deltas], axis=1)
+    return u.shaped[mask], r[mask], delta
 
 
 def decay_fit(
@@ -167,17 +260,22 @@ def decay_fit(
 
     Two models with two parameters each are fitted to the shell means of u:
 
-    * the plain power law, log u = log C + p log r, a straight line whose
-      slope is also reported as ``slope``;
+    * the plain power law, log u = log C + p log r, a straight line (closed
+      form) whose slope is also reported as ``slope``;
     * the periodized power law u = C sum_{k in Z^d} |x - eta + 2Rk|^p for
       p < -d, which is what a decay like |x|^p becomes on the periodic box
       (its linear tail is the image sum of the free-space tail). The model
-      is evaluated per grid point and averaged per shell like the data.
+      is averaged per shell like the data. Sign flips and axis
+      permutations of x - eta leave it unchanged, so it is evaluated once
+      per class of window points that share a shell and the sorted
+      |x - eta|, weighted by the class size. Its exponent is searched by
+      one batched scan of log-spaced depths -(p + d), then refined by
+      Brent's method.
 
     ``exponent`` and ``r2`` belong to the model with the smaller residual in
-    log space; the periodized model is left out when its best p sits at the
-    edge p -> -d, where the image sum does not converge. A tail that was
-    never periodized keeps the plain fit.
+    log space; the periodized model is left out when its best scan point
+    sits at the edge p -> -d, where the image sum does not converge. A tail
+    that was never periodized keeps the plain fit.
 
     Shell averaging suppresses angular grid noise in d >= 2. The window must
     stay inside [0.2R, 0.5R], away from both the core and the wrap-around.
@@ -189,42 +287,32 @@ def decay_fit(
             f"window [{r_lo}, {r_hi}] must lie inside [0.2R, 0.5R] = "
             f"[{0.2 * g.R}, {0.5 * g.R}]"
         )
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    deltas = []
-    for c, e in zip(g.coords, eta):
-        delta = np.abs(c - e)
-        deltas.append(np.minimum(delta, 2.0 * g.R - delta))  # periodic min-image
-    r = np.sqrt(sum(dl * dl for dl in deltas))
-    mask = (r >= r_lo) & (r <= r_hi)
-    vals = u.shaped[mask]
+    vals, rw, delta = _tail_window(u, np.atleast_1d(np.asarray(eta, dtype=float)), r_lo, r_hi)
     if vals.size == 0:
         raise WindowTooSmall("window contains no grid points")
     if np.min(vals) <= 0:
         raise NonpositiveTail("field is not strictly positive on the window")
-    rw = r[mask]
     edges = np.linspace(r_lo, r_hi, _N_SHELLS + 1)
     which = np.clip(np.searchsorted(edges, rw, side="right") - 1, 0, _N_SHELLS - 1)
-    logr, logu = [], []
-    for s in range(_N_SHELLS):
-        sel = which == s
-        if not np.any(sel):
-            continue
-        logr.append(math.log(float(np.mean(rw[sel]))))
-        logu.append(math.log(float(np.mean(vals[sel]))))
-    if len(logr) < 8:
-        raise WindowTooSmall(f"only {len(logr)} populated shells, need 8")
-    logr = np.array(logr)
-    logu = np.array(logu)
-    slope, intercept = np.polyfit(logr, logu, 1)
-    ss_plain = float(np.sum((logu - (slope * logr + intercept)) ** 2))
-    ss_tot = float(np.sum((logu - np.mean(logu)) ** 2))
-    delta = np.stack([np.broadcast_to(dl, g.shape)[mask] for dl in deltas], axis=1)
-    images = _fit_image_sum(_image_model(delta, 2.0 * g.R), which, logu, g.d)
-    exponent, ss_res = float(slope), ss_plain
+    counts = np.bincount(which, minlength=_N_SHELLS)
+    populated = counts > 0
+    if np.count_nonzero(populated) < 8:
+        raise WindowTooSmall(f"only {np.count_nonzero(populated)} populated shells, need 8")
+    counts = counts[populated]
+    logr = np.log(np.bincount(which, weights=rw, minlength=_N_SHELLS)[populated] / counts)
+    logu = np.log(np.bincount(which, weights=vals, minlength=_N_SHELLS)[populated] / counts)
+    x, y = logr - np.mean(logr), logu - np.mean(logu)
+    slope = float(np.dot(x, y) / np.dot(x, x))
+    resid = y - slope * x
+    ss_plain = float(np.dot(resid, resid))
+    ss_tot = float(np.dot(y, y))
+    shell_sums = _image_shell_sums(delta, which, 2.0 * g.R, max(g.size, _CHUNK_FLOOR))
+    images = _fit_image_sum(shell_sums, counts, logu, g.d)
+    exponent, ss_res = slope, ss_plain
     if images is not None and images[1] < ss_plain:
         exponent, ss_res = images
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(exponent, r2, float(slope))
+    return DecayFit(exponent, r2, slope)
 
 
 NEHARI_MEMBERSHIP_TOL = 1e-6

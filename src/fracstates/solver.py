@@ -370,7 +370,12 @@ def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, poi
     if not (eps > 0 and R0 > 0 and R_cap > 0 and h0 > 0):
         raise InvalidInput(f"eps, R0, R_cap and h0 must be positive, got {eps}, {R0}, {R_cap}, {h0}")
     R = min(R0 / eps, R_cap)
-    n = int(math.ceil(2.0 * R / h0))
+    count = 2.0 * R / h0  # points per axis, before rounding
+    if not math.isfinite(count):  # the integer count below would overflow
+        raise BudgetExceeded(
+            f"eps={eps} grid of {count:g} points per axis exceeds the point budget {point_budget}"
+        )
+    n = int(math.ceil(count))
     if n % 2:
         n += 1
     n = max(n, 8)
@@ -381,7 +386,13 @@ def validation_grid(config) -> Grid:
     """The grid [-R0, R0]^d the hypothesis validators sample V on, at about
     the spacing h0 with 64 to 4096 points per axis, within the point budget."""
     pb = config.problem
-    n = min(max(int(2 * pb.R0 / pb.h0), 64), 4096)
+    count = 2 * pb.R0 / pb.h0  # points per axis at the spacing h0
+    if not math.isfinite(count):  # no number of points samples it at h0
+        raise BudgetExceeded(
+            f"validation grid of {count:g} points per axis exceeds the point budget "
+            f"{config.sweep.point_budget}"
+        )
+    n = min(max(int(count), 64), 4096)
     return budgeted_grid(pb.d, pb.R0, n + n % 2, config.sweep.point_budget, "validation")
 
 

@@ -68,6 +68,15 @@ def limit_state(saturable):
 
 
 @pytest.fixture(scope="session")
+def limit_state_3d(saturable):
+    """Ground state of the limit problem at a = 1 on a 48^3 grid (R = 12),
+    descended from one seed of width 1.5."""
+    g = make_grid(3, 12.0, 48)
+    return solve_limit(1.0, saturable, g, CANON_ALPHA, SolveOptions(max_iter=20000),
+                       seed_widths=(1.5,))
+
+
+@pytest.fixture(scope="session")
 def small_problem(saturable):
     """Small 1-D problem on the canonical single well at eps = 0.25."""
     g = make_grid(1, 20.0, 256)
@@ -127,3 +136,96 @@ def ray_argmax_oracle(p, u, t_max, steps):
     ts = np.linspace(t_max / steps, t_max, steps)
     k = int(np.argmax(ray_energies(p, u, ts)))
     return RayScan(float(ts[k]), bool(0 < k < steps - 1))
+
+
+def image_sum_oracle(delta, period):
+    """The periodized tail model S_p(delta) = sum_k |delta + period k|^p at
+    every row of delta (N, d), as a function of p < -d, summed point by
+    point: the near images one by one, the far ones by the lattice sums of
+    diagnostics' second-order expansion."""
+    from fracstates.diagnostics import _LATTICE_CUTOFF, _NEAR_IMAGES, _far_lattice
+
+    d = delta.shape[1]
+    near = np.arange(-_NEAR_IMAGES, _NEAR_IMAGES + 1)
+    shifts = period * np.stack(np.meshgrid(*([near] * d), indexing="ij")).reshape(d, -1).T
+    log_dist_sq = np.log(np.sum((delta[:, None, :] + shifts[None, :, :]) ** 2, axis=2))
+    rho_sq = np.sum(delta * delta, axis=1) / period**2
+    log_sq, mult, log_face, face_w = _far_lattice(d)
+
+    def z(q):
+        rest = (_LATTICE_CUTOFF + 0.5) ** (q + d) * 2 * d / -(q + d)
+        return float(np.dot(mult, np.exp(0.5 * q * log_sq))) + rest * float(
+            np.dot(face_w, np.exp(0.5 * q * log_face)))
+
+    def s_p(p):
+        hess = p * (p + d - 2) / (2 * d) * z(p - 2)
+        return np.sum(np.exp(0.5 * p * log_dist_sq), axis=1) + period**p * (z(p) + hess * rho_sq)
+
+    return s_p
+
+
+def decay_fit_oracle(u, eta, window):
+    """The tail fit of diagnostics.decay_fit done the direct way: shell
+    means by boolean masks and np.polyfit for the line, the image model
+    summed point by point for every trial exponent, a scan of the same
+    log-spaced depths one at a time, then 30 golden-section steps around
+    the best scan point. Returns (DecayFit, whether the periodized model was
+    chosen). Inputs are assumed valid."""
+    from fracstates.diagnostics import _N_SHELLS, _SCAN_DEPTH, _SCAN_POINTS, DecayFit
+
+    g = u.grid
+    d = g.d
+    r_lo, r_hi = float(window[0]), float(window[1])
+    deltas = []
+    for c, e in zip(g.coords, np.atleast_1d(np.asarray(eta, dtype=float))):
+        dl = np.abs(c - e)
+        deltas.append(np.minimum(dl, 2.0 * g.R - dl))
+    r = np.sqrt(sum(dl * dl for dl in deltas))
+    mask = (r >= r_lo) & (r <= r_hi)
+    vals, rw = u.shaped[mask], r[mask]
+    edges = np.linspace(r_lo, r_hi, _N_SHELLS + 1)
+    which = np.clip(np.searchsorted(edges, rw, side="right") - 1, 0, _N_SHELLS - 1)
+    logr, logu = [], []
+    for s in range(_N_SHELLS):
+        sel = which == s
+        if np.any(sel):
+            logr.append(np.log(np.mean(rw[sel])))
+            logu.append(np.log(np.mean(vals[sel])))
+    logr, logu = np.array(logr), np.array(logu)
+    slope, intercept = np.polyfit(logr, logu, 1)
+    ss_plain = float(np.sum((logu - (slope * logr + intercept)) ** 2))
+    ss_tot = float(np.sum((logu - np.mean(logu)) ** 2))
+
+    delta = np.stack([np.broadcast_to(dl, g.shape)[mask] for dl in deltas], axis=1)
+    s_p = image_sum_oracle(delta, 2.0 * g.R)
+    counts = np.bincount(which)
+    populated = counts > 0
+
+    def ss(depth):
+        sums = np.bincount(which, weights=s_p(-d - depth))
+        resid = logu - np.log(sums[populated] / counts[populated])
+        return float(np.sum((resid - np.mean(resid)) ** 2))
+
+    scan = np.exp(np.linspace(*np.log(_SCAN_DEPTH), _SCAN_POINTS))
+    values = [ss(t) for t in scan]
+    best = int(np.argmin(values))
+    exponent, ss_res, images = float(slope), ss_plain, False
+    if best > 0:
+        lo, hi = scan[best - 1], scan[min(best + 1, _SCAN_POINTS - 1)]
+        inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+        a, b = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        fa, fb = ss(a), ss(b)
+        for _ in range(30):
+            if fa < fb:
+                hi, b, fb = b, a, fa
+                a = hi - inv_phi * (hi - lo)
+                fa = ss(a)
+            else:
+                lo, a, fa = a, b, fb
+                b = lo + inv_phi * (hi - lo)
+                fb = ss(b)
+        depth, value = (a, fa) if fa < fb else (b, fb)
+        if value < ss_plain:
+            exponent, ss_res, images = float(-d - depth), value, True
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return DecayFit(exponent, r2, float(slope)), images

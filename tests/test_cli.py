@@ -58,9 +58,19 @@ def python_config(cfg):
     )
 
 
+def both_loaders(text):
+    """text parsed by PyYAML's pure-Python and libyaml safe loaders."""
+    return yaml.load(text, Loader=yaml.SafeLoader), yaml.load(text, Loader=yaml.CSafeLoader)
+
+
 def write_config(tmp_path, cfg, name="config.yaml"):
+    """Write cfg as YAML. load_config parses with libyaml, so every config
+    written here is checked to parse to the same mapping under both loaders."""
+    text = yaml.safe_dump(cfg)
+    python_loaded, c_loaded = both_loaders(text)
+    assert c_loaded == python_loaded
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(text)
     return path
 
 
@@ -138,6 +148,37 @@ class TestCheck:
             res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
             assert res.exit_code == 1
             assert f"{block}: unknown keys ['{key}']" in res.output
+
+    @pytest.mark.parametrize("text", ["problem: {d: 1", "problem:\n\td: 1", "a: b: c"],
+                             ids=["unclosed-flow", "tab-indent", "nested-colon"])
+    def test_malformed_yaml_is_config_error(self, tmp_path, text):
+        from fracstates.config import load_config
+
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="is not valid YAML"):
+            load_config(path)
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError" and "is not valid YAML" in err["message"]
+
+    def test_config_parsed_by_libyaml(self, tmp_path, monkeypatch):
+        from fracstates.config import load_config
+
+        path = write_config(tmp_path, canonical_config())
+        streams = []
+
+        class Spy(yaml.CSafeLoader):
+            def __init__(self, stream):
+                streams.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+        cfg = load_config(path)
+        assert len(streams) == 1
+        assert cfg.raw == canonical_config()
 
     def test_missing_config_is_validation_error(self, tmp_path):
         res = run_cli(["check", "--config", str(tmp_path / "nope.yaml"),
@@ -327,6 +368,11 @@ class TestReadmeConfig:
         (block,) = re.findall(r"```yaml\n(.*?)```", _readme_section("CLI"), re.S)
         cfg = parse_config(yaml.safe_load(block))
         assert cfg.sweep.epsilons == (0.5, 0.25, 0.125)
+
+    def test_example_parses_alike_under_both_loaders(self):
+        (block,) = re.findall(r"```yaml\n(.*?)```", _readme_section("CLI"), re.S)
+        python_loaded, c_loaded = both_loaders(block)
+        assert c_loaded == python_loaded
 
     def test_key_table_matches_blocks(self):
         import dataclasses
@@ -559,6 +605,22 @@ class TestExitCodes:
         assert err["error"] == "BudgetExceeded"
         assert err["message"].startswith("validation grid 256^3 exceeds")
         assert calls == []
+
+    @pytest.mark.parametrize("problem", [{"R0": float("inf")}, {"R0": 1e308, "R_cap": 1e308},
+                                         {"R_cap": float("inf")}],
+                             ids=["R0-inf", "R0-R_cap-1e308", "R_cap-inf"])
+    def test_infinite_grid_is_over_budget(self, tmp_path, problem):
+        # an infinite point count is a typed BudgetExceeded, not an overflow
+        cfg = canonical_config(problem=problem)
+        if "R_cap" in problem:
+            cfg["sweep"]["epsilons"] = [1e-308]  # R0/eps overflows, the cap does not bound it
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "BudgetExceeded"
+        assert "grid of inf points per axis exceeds" in err["message"]
 
     @pytest.mark.parametrize("command", ["check", "limit", "solve", "sweep", "report"])
     def test_limit_grid_obeys_budget(self, tmp_path, monkeypatch, command):

@@ -4,9 +4,12 @@ selection, and the concentration table."""
 import numpy as np
 import pytest
 
-from conftest import gaussian_field
+from conftest import decay_fit_oracle, gaussian_field, image_sum_oracle
 from fracstates.diagnostics import (
+    _N_SHELLS,
     BranchDiagnostics,
+    _image_shell_sums,
+    _tail_window,
     boundary_mass_fraction,
     concentration_table,
     decay_fit,
@@ -143,6 +146,70 @@ class TestDecayFit:
         u = Field(g, np.cos(g.axis))
         with pytest.raises(NonpositiveTail):
             decay_fit(u, (0.0,), (0.2 * g.R, 0.4 * g.R))
+
+
+class TestDecayFitOracle:
+    """decay_fit against the direct per-point fit of conftest: the same
+    model, and the same numbers to well below their printed digits."""
+
+    @pytest.fixture(scope="class")
+    def limit_states_1d(self, saturable):
+        # criterion 7's fields
+        from fracstates.solver import SolveOptions, solve_limit
+
+        g = make_grid(1, 80.0, 640)
+        return {a: solve_limit(1.0, saturable, g, a, SolveOptions(max_iter=20000)).u
+                for a in (0.3, 0.5, 0.7)}
+
+    @pytest.fixture(scope="class")
+    def cases(self, limit_states_1d, limit_state_3d):
+        g1, g2 = make_grid(1, 40.0, 1024), make_grid(2, 40.0, 256)
+        planted_2d = _planted_images(g2, -2.6)
+        slow = Field(g1, (1.0 + np.abs(g1.axis) ** 2) ** -0.25)
+        u3 = limit_state_3d.u
+        cases = {
+            "planted-1d": (_planted_images(g1, -1.6), (0.0,), (0.2 * g1.R, 0.5 * g1.R)),
+            "planted-2d": (planted_2d, (0.0, 0.0), (0.2 * g2.R, 0.35 * g2.R)),
+            "off-grid-eta-2d": (planted_2d, (0.13, -0.07), (0.2 * g2.R, 0.35 * g2.R)),
+            "limit-3d": (u3, locate_max(u3), (0.2 * u3.grid.R, 0.35 * u3.grid.R)),
+            "plain-kept": (slow, (0.0,), (0.2 * g1.R, 0.5 * g1.R)),
+            # the best scan point is the deepest one: the refinement runs
+            # to the bracket's end, and the line still wins
+            "gaussian": (gaussian_field(g1, 2.0), (0.0,), (0.2 * g1.R, 0.5 * g1.R)),
+        }
+        for a, u in limit_states_1d.items():
+            cases[f"limit-alpha-{a}"] = (u, locate_max(u), (0.2 * u.grid.R, 0.35 * u.grid.R))
+        return cases
+
+    @pytest.mark.parametrize("name", [
+        "planted-1d", "planted-2d", "off-grid-eta-2d", "limit-3d", "plain-kept", "gaussian",
+        "limit-alpha-0.3", "limit-alpha-0.5", "limit-alpha-0.7",
+    ])
+    def test_agrees_with_oracle(self, cases, name):
+        u, eta, window = cases[name]
+        fit = decay_fit(u, eta, window)
+        ref, images = decay_fit_oracle(u, eta, window)
+        assert (fit.exponent != fit.slope) == images
+        assert images == (name not in ("plain-kept", "gaussian"))
+        assert fit.exponent == pytest.approx(ref.exponent, rel=1e-7)
+        assert fit.r2 == pytest.approx(ref.r2, rel=0, abs=1e-9)
+        assert fit.slope == pytest.approx(ref.slope, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["planted-1d", "off-grid-eta-2d", "planted-2d", "limit-3d"])
+    def test_class_sums_equal_point_sums(self, cases, name):
+        # the symmetry classes merge points exactly: their weighted sums are
+        # the per-point shell sums up to rounding, chunked or not
+        u, eta, window = cases[name]
+        g = u.grid
+        _, rw, delta = _tail_window(u, np.atleast_1d(eta), *window)
+        which = np.clip(np.searchsorted(np.linspace(*window, _N_SHELLS + 1), rw, side="right") - 1,
+                        0, _N_SHELLS - 1)
+        point_sum = image_sum_oracle(delta, 2.0 * g.R)
+        ps = -g.d - np.array([0.05, 0.6, 1.7, 9.0])
+        ref = np.array([np.bincount(which, weights=point_sum(p))[np.unique(which)] for p in ps])
+        for budget in (1, g.size):
+            got = _image_shell_sums(delta, which, 2.0 * g.R, budget)(ps)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 def _planted_images(g, p, near=4, radius=300):

@@ -24,6 +24,7 @@ from fracstates.solver import (
     solve_constrained,
     solve_limit,
     sweep_epsilon,
+    validation_grid,
 )
 from fracstates.variational import Problem
 
@@ -467,3 +468,34 @@ class TestGridForEpsilon:
         args = dict(d=1, eps=0.25, R0=16.0, R_cap=400.0, h0=0.25, point_budget=10**7)
         with pytest.raises(InvalidInput, match="must be positive"):
             grid_for_epsilon(**{**args, **bad})
+
+    @pytest.mark.parametrize("R0,R_cap", [(float("inf"), float("inf")), (1e308, 1e308)],
+                             ids=["inf", "1e308"])
+    def test_infinite_point_count_is_over_budget(self, R0, R_cap):
+        # 2R/h0 is infinite: the float count is tested before any int()
+        with pytest.raises(BudgetExceeded, match="eps=0.5 grid of inf points per axis"):
+            grid_for_epsilon(1, 0.5, R0, R_cap, 0.25, 4_000_000)
+
+
+class TestValidationGrid:
+    @pytest.mark.parametrize("R0", [float("inf"), 1e308], ids=["inf", "1e308"])
+    def test_infinite_box_is_over_budget(self, R0):
+        # ExperimentConfig builds the validation grid, so construction fails
+        from fracstates.config import BoxesBlock, ExperimentConfig, ProblemBlock, SweepBlock
+        from fracstates.models import NonlinearitySpec
+
+        with pytest.raises(BudgetExceeded, match="validation grid of inf points per axis"):
+            ExperimentConfig(
+                problem=ProblemBlock(d=1, alpha=0.5, R0=R0, R_cap=400.0, h0=0.25),
+                potential=single_well_potential(),
+                nonlinearity=NonlinearitySpec.saturable(0.4),
+                boxes=BoxesBlock(1.0, 4.0, None),
+                sweep=SweepBlock(epsilons=(0.5,)),
+            )
+
+    def test_huge_finite_box_keeps_4096_points(self):
+        from types import SimpleNamespace
+
+        config = SimpleNamespace(problem=SimpleNamespace(d=1, R0=1e300, h0=0.25),
+                                 sweep=SimpleNamespace(point_budget=4_000_000))
+        assert validation_grid(config).n == 4096

@@ -1,6 +1,7 @@
 """The descent's hot kernels run in place: they reproduce the plain numpy
 expressions bit for bit while allocating no full-size temporaries beyond
-their result and one scratch array (the energy, beyond its Ray's two)."""
+their result and one scratch array (the energy, beyond its Ray's two). The
+tail fit's batched scan stays within a few fields too."""
 
 import tracemalloc
 
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import CANON_S
 from fracstates import _kernels
-from fracstates.grid import Field, apply_frac_laplacian, helmholtz_inverse, make_grid
+from fracstates.diagnostics import decay_fit
+from fracstates.grid import Field, apply_frac_laplacian, helmholtz_inverse, locate_max, make_grid
 from fracstates.models import NonlinearitySpec
 from fracstates.solver import _gaussian_seed
 from fracstates.variational import Problem, _report, energy, gradient
@@ -177,3 +179,12 @@ class TestPeakMemory:
         nbytes = field_3d.values.nbytes
         peak = _peak_fields(lambda: energy(problem_3d, field_3d, semi=1.0), nbytes)
         assert peak <= 2.2
+
+    def test_decay_fit(self, limit_state_3d):
+        # the batched scan runs in chunks of at most one field; the far
+        # lattice data (built once per dimension) is cached by the first call
+        u = limit_state_3d.u
+        window = (0.2 * u.grid.R, 0.35 * u.grid.R)
+        eta = locate_max(u)
+        decay_fit(u, eta, window)
+        assert _peak_fields(lambda: decay_fit(u, eta, window), u.values.nbytes) <= 4.0
