@@ -321,7 +321,7 @@ NEHARI_MEMBERSHIP_TOL = 1e-6
 def sigma_membership(result, c_v0: float, omega: float) -> bool:
     """True iff the result sits on the Nehari manifold (|J| at most
     NEHARI_MEMBERSHIP_TOL |u|^2_eps) with energy at most c_V0 + omega."""
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidInput(f"omega must be positive, got {omega}")
     rep = result.report
     on_manifold = abs(rep.nehari_residual) <= NEHARI_MEMBERSHIP_TOL * rep.norm_eps_sq

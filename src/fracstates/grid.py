@@ -165,7 +165,7 @@ def locate_max(u: Field) -> np.ndarray:
 def make_grid(d: int, R: float, n: int) -> Grid:
     if d not in (1, 2, 3):
         raise InvalidGrid(f"dimension must be 1, 2 or 3, got {d}")
-    if R <= 0:
+    if not R > 0:  # NaN fails too
         raise InvalidGrid(f"half-width must be positive, got {R}")
     if n < 8 or n % 2 != 0:
         raise InvalidGrid(f"points per axis must be even and >= 8, got {n}")
@@ -249,7 +249,7 @@ def helmholtz_inverse(v: Field, alpha: float, c: float) -> Field:
     Raises NonFinite when v has a NaN or Inf sample, or samples so large
     that their sum overflows.
     """
-    if c <= 0:
+    if not c > 0:
         raise NonpositiveShift(f"shift must be positive, got {c}")
     _check_alpha(alpha)
     return _round_trip(v, np.divide, v.grid._shifted_multiplier(alpha, c))

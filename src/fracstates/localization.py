@@ -249,9 +249,9 @@ def solve_branch(
     if not 1 <= j <= boxes.k:
         raise InvalidInput(f"branch index j must be in 1..{boxes.k}, got {j}")
     center = boxes.centers[j - 1]
-    seed = seed_field(w_limit, center, p)
     try:
-        res = solve_constrained(p, seed, opts)
+        # no name keeps the seed, so the solve frees it once it is projected
+        res = solve_constrained(p, seed_field(w_limit, center, p), opts)
     except SeedNotInTheta as exc:
         raise SeedNotInTheta(f"branch {j} at eps={p.eps}: {exc}") from exc
     hb = barycenter_h(res.u, p.eps, boxes.L)

@@ -34,7 +34,9 @@ class Well:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
-        if self.depth <= 0 or self.width <= 0:
+        if any(math.isnan(c) for c in self.center):
+            raise InvalidInput(f"well center must be a number, got {self.center}")
+        if not (self.depth > 0 and self.width > 0):  # NaN fails too
             raise InvalidInput("well depth and width must be positive")
 
 
@@ -52,6 +54,8 @@ class PotentialSpec:
         d = len(self.wells[0].center)
         if any(len(w.center) != d for w in self.wells):
             raise InvalidInput("all well centers must share one dimension")
+        if not self.v_inf_level > 0:
+            raise InvalidInput(f"v_inf_level must be positive, got {self.v_inf_level}")
 
     @property
     def d(self) -> int:
@@ -86,14 +90,14 @@ class PotentialSpec:
 
 def sample_potential(spec: PotentialSpec, grid: Grid, eps: float) -> Field:
     """Sample V(eps*x) on the grid; rejects nonpositive values ((V1))."""
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidInput(f"eps must be positive, got {eps}")
     if spec.d != grid.d:
         raise InvalidInput(f"potential dimension {spec.d} != grid dimension {grid.d}")
     vals = spec.evaluate_on_coords(grid.coords, scale=eps)
-    if np.min(vals) <= 0.0:
+    if not np.min(vals) > 0.0:  # a NaN sample fails too
         raise NonpositivePotential(
-            f"sampled potential attains min {np.min(vals):.6g} <= 0"
+            f"sampled potential attains min {np.min(vals):.6g}, which is not positive"
         )
     return Field(grid, vals)
 
@@ -198,12 +202,15 @@ class NonlinearitySpec:
         self._f = f
         self._fprime = fprime
         self._big_f = big_f
-        if q <= 2:
+        if not q > 2:
             raise InvalidInput(f"growth exponent q must exceed 2, got {q}")
+        # l0 may be inf (an unbounded declared slope), so only NaN is refused
+        if math.isnan(self.l0) or math.isnan(self.C0):
+            raise InvalidInput(f"l0 and C0 must be numbers, got {l0} and {C0}")
 
     @classmethod
     def saturable(cls, s: float, q: float = 2.5):
-        if s <= 0:
+        if not s > 0:
             raise InvalidInput(f"saturation parameter must be positive, got {s}")
         # C0 = sup |f'| = 9/(8s), attained at s*t^2 = 3
         return cls("saturable", l0=1.0 / s, q=q, C0=9.0 / (8.0 * s), s=float(s))

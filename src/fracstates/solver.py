@@ -134,8 +134,13 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     Raises SeedNotInTheta when the seed's ray never meets the Nehari
     manifold (nonnegative defect, or too little positive mass), Diverged
     when the backtracking line search cannot find any decrease while the
-    residual is still above tolerance. Hitting max_iter returns the best
-    iterate with converged=False.
+    residual is still above tolerance. Hitting max_iter returns, with
+    converged=False, the latest iterate whose energy is within the Armijo
+    floor 1e-13 (1 + |E|) of the lowest energy reached: the line search
+    treats a rise under that floor as no rise, so a lower iterate is kept
+    apart only while the energy lies more than the floor above it.
+    Every array is dropped at its last use, the seed once it is projected;
+    a caller that keeps no name for the seed lets the solve free it.
     """
     opts = opts or SolveOptions()
     if not np.any(seed.values):
@@ -150,9 +155,10 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         t0, u, rep = project_to_nehari(p, seed, semi=semi)
     except NotInTheta as exc:
         raise SeedNotInTheta(str(exc)) from exc
+    seed = None  # projected: freed here unless the caller still holds it
     lu *= t0
     e_hist = [rep.total]
-    best_u, best_total = u, rep.total
+    best_u, low = u, rep.total
     residual = math.inf
 
     prev = None  # (u, g, d, <u,g>, <g,d>) of the previous accepted iterate
@@ -209,14 +215,14 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         # noise of the energy sums; the floor keeps steps acceptable there
         floor = 1e-13 * (1.0 + abs(rep.total))
         for _ in range(_MAX_BACKTRACKS):
-            trial = Field(p.grid, uv - sigma * dv)
             semi = a0 - sigma * (2.0 * a1 - sigma * a2)
             try:
-                t_star, proj, rep_new = project_to_nehari(p, trial, semi=semi)
+                # the trial is unnamed, so its array goes when the projection returns
+                t_star, proj, rep_new = project_to_nehari(
+                    p, Field(p.grid, uv - sigma * dv), semi=semi)
             except (NotInTheta, ZeroField):
                 sigma *= _STEP_SHRINK
                 continue
-            trial = None  # frees its array before the next trial is formed
             if rep_new.total <= rep.total + _SUFFICIENT_DECREASE * sigma * slope + floor:
                 prev = (uv, gv, dv, ug, gd)
                 u, rep = proj, rep_new
@@ -224,11 +230,15 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
                 lu -= sigma * gv
                 lu += (sigma * shift) * dv
                 lu *= t_star
-                if rep.total < best_total:
-                    best_u, best_total = u, rep.total
+                # an iterate within the floor of the lowest energy is as good
+                # as it, so a separate best is kept only above that
+                if rep.total <= low + floor:
+                    best_u = u
+                low = min(low, rep.total)
                 e_hist.append(rep.total)
                 accepted = True
                 break
+            proj = None  # a rejected projection goes before the next trial
             sigma *= _STEP_SHRINK
         if not accepted:
             raise Diverged(
@@ -236,7 +246,7 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
                 f"{it} (residual {residual:.3g})"
             )
     else:
-        # max_iter ran out: certify the best iterate afresh
+        # max_iter ran out: certify the kept iterate afresh
         iterations, u = opts.max_iter, best_u
         lu = apply_frac_laplacian(u, p.alpha).values
         grad = gradient(p, u, lu=lu)

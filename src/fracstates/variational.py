@@ -42,11 +42,11 @@ class Problem:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidInput(f"alpha must lie in (0,1], got {self.alpha}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise InvalidInput(f"eps must be positive, got {self.eps}")
         if self.potential_field.grid != self.grid:
             raise InvalidInput("potential field lives on a different grid")
-        if np.min(self.potential_field.values) <= 0:
+        if not np.min(self.potential_field.values) > 0:  # a NaN sample fails too
             raise NonpositivePotential("potential samples must be positive")
 
 

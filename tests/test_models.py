@@ -1,11 +1,18 @@
-"""Potential and nonlinearity specifications and their hypothesis validators."""
+"""Potential and nonlinearity specifications and their hypothesis validators,
+and the NaN guard of every public range check."""
 
 import numpy as np
 import pytest
 
 from conftest import expression_potential
-from fracstates.errors import NonpositivePotential
-from fracstates.grid import Field, make_grid
+from fracstates.diagnostics import sigma_membership
+from fracstates.errors import (
+    InvalidGrid,
+    InvalidInput,
+    NonpositivePotential,
+    NonpositiveShift,
+)
+from fracstates.grid import Field, helmholtz_inverse, make_grid
 from fracstates.models import (
     NonlinearitySpec,
     PotentialSpec,
@@ -14,6 +21,7 @@ from fracstates.models import (
     validate_nonlinearity,
     validate_potential,
 )
+from fracstates.variational import Problem
 
 
 def nonlin_eval(spec, t):
@@ -266,3 +274,53 @@ class TestCustomEnergySums:
         fv, _, big = spec.triple(u)
         sums = (float(np.dot(v, u * u)), float(np.sum(big)), float(np.dot(fv, u)))
         assert rep == _report(p, 2.0, *sums, float(np.dot(u, u)))
+
+
+NAN = float("nan")
+
+
+def _nan_cases():
+    """(id, call, error): each public range check given a NaN, which fails
+    every comparison, so a check written as x <= 0 would let it through."""
+    g = make_grid(1, 8.0, 64)
+    ones = Field(g, np.ones(g.size))
+    with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
+    sat = NonlinearitySpec.saturable(0.4)
+
+    def zero(t):
+        return 0.0 * t
+
+    nan_samples = expression_potential(lambda pts: np.full(len(pts), NAN), [(0.0,)], 2.0)
+
+    def problem(eps=1.0, v=ones):
+        return Problem(grid=g, alpha=0.5, eps=eps, potential_field=v, nonlinearity=sat)
+
+    return [
+        ("make_grid-R", lambda: make_grid(1, NAN, 64), InvalidGrid),
+        ("Well-center", lambda: Well((NAN,), 1.0, 1.0), InvalidInput),
+        ("Well-depth", lambda: Well((0.0,), NAN, 1.0), InvalidInput),
+        ("Well-width", lambda: Well((0.0,), 1.0, NAN), InvalidInput),
+        ("PotentialSpec-v_inf_level", lambda: _single_well(v_inf=NAN), InvalidInput),
+        ("saturable-s", lambda: NonlinearitySpec.saturable(NAN), InvalidInput),
+        ("saturable-q", lambda: NonlinearitySpec.saturable(0.4, q=NAN), InvalidInput),
+        ("custom-q", lambda: NonlinearitySpec.custom(zero, zero, zero, l0=2.0, q=NAN, C0=1.0),
+         InvalidInput),
+        ("custom-l0", lambda: NonlinearitySpec.custom(zero, zero, zero, l0=NAN, q=3.0, C0=1.0),
+         InvalidInput),
+        ("custom-C0", lambda: NonlinearitySpec.custom(zero, zero, zero, l0=2.0, q=3.0, C0=NAN),
+         InvalidInput),
+        ("Problem-eps", lambda: problem(eps=NAN), InvalidInput),
+        ("Problem-potential", lambda: problem(v=with_nan), NonpositivePotential),
+        ("sample_potential-eps", lambda: sample_potential(_single_well(), g, NAN), InvalidInput),
+        ("sample_potential-samples", lambda: sample_potential(nan_samples, g, 1.0),
+         NonpositivePotential),
+        ("helmholtz_inverse-c", lambda: helmholtz_inverse(ones, 0.5, NAN), NonpositiveShift),
+        ("sigma_membership-omega", lambda: sigma_membership(None, 1.0, NAN), InvalidInput),
+    ]
+
+
+@pytest.mark.parametrize("call, error", [pytest.param(c, e, id=i) for i, c, e in _nan_cases()])
+def test_nan_is_rejected(call, error):
+    with pytest.raises(error):
+        call()
+

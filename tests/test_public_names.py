@@ -8,6 +8,7 @@ benchmark without failing any other test.
 
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -135,3 +136,19 @@ def test_perfbench_selftest_passes():
     res = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
                          cwd=root, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_package_import_loads_traced_layers():
+    # the limit_3d workload imports only fracstates before the tracer wraps
+    # the layers already loaded: a lazy package import would leave them
+    # unwrapped, and the run would record no op at all
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, fracstates; print(*sorted(sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    layers = {f"fracstates.{m}" for m in ("_kernels", "grid", "models", "variational", "solver")}
+    assert layers <= loaded, sorted(layers - loaded)
+

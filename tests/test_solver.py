@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_field, ray_argmax_oracle, single_well_potential
+from fracstates import solver
 from fracstates.errors import (
     BudgetExceeded,
     ConfigError,
@@ -39,6 +40,22 @@ def flat_problem(saturable):
         potential_field=Field(g, np.ones(g.size)),
         nonlinearity=saturable,
     )
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """(projected field, energy) of every projection the solver makes, in
+    order: the seed's, then each trial's, accepted or not."""
+    seen = []
+    project = solver.project_to_nehari
+
+    def spy(p, u, semi=None):
+        out = project(p, u, semi=semi)
+        seen.append((out.projected, out.report.total))
+        return out
+
+    monkeypatch.setattr(solver, "project_to_nehari", spy)
+    return seen
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +104,26 @@ class TestSolveConstrained:
         )
         assert not res.converged
         assert res.iterations == 3
+
+    def test_max_iter_returns_iterate_within_floor(self, flat_problem, projections):
+        # past the minimum (18 iterations to tol 1e-8) the energy rises at
+        # rounding level, far below the Armijo floor
+        res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0),
+                                SolveOptions(max_iter=60, tol_residual=1e-300))
+        hist = res.energy_history
+        assert not res.converged and len(hist) == 61
+        assert max(np.diff(hist)) > 0
+        kept = [e for u, e in projections if u is res.u]
+        assert len(kept) == 1
+        assert kept[0] <= min(hist) + 1e-13 * (1.0 + abs(kept[0]))
+        # every rise stays within the floor, so no lower iterate is kept apart
+        assert projections[-1][0] is res.u
+
+    def test_converged_returns_last_iterate(self, flat_problem, projections):
+        res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
+        assert res.converged
+        last_u, last_e = projections[-1]
+        assert res.u is last_u and last_e == res.energy_history[-1]
 
     def test_translation_equivariance(self, flat_problem, converged):
         g = flat_problem.grid
@@ -342,22 +379,12 @@ class TestBarzilaiBorweinStep:
                 assert br.result.iterations <= 300
             assert rec.c_eps == pytest.approx(e_ref, rel=1e-12)
 
-    def test_long_trial_steps_are_shrunk(self, flat_problem, monkeypatch):
-        import fracstates.solver as solver
-
-        calls = []
-        project = solver.project_to_nehari
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return project(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "project_to_nehari", counting)
+    def test_long_trial_steps_are_shrunk(self, flat_problem, projections):
         res = solve_constrained(flat_problem, gaussian_field(flat_problem.grid, 2.0))
         assert res.converged
         # one projection of the seed plus one per accepted step: any more
         # means a BB trial step was rejected and shrunk
-        assert len(calls) > res.iterations + 1
+        assert len(projections) > res.iterations + 1
         e = np.array(res.energy_history)
         assert np.all(np.diff(e) <= 1e-12 * (1 + np.abs(e[:-1])))
 

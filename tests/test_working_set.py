@@ -1,19 +1,21 @@
 """The descent's hot kernels run in place: they reproduce the plain numpy
 expressions bit for bit while allocating no full-size temporaries beyond
 their result and one scratch array (the energy, beyond its Ray's two). The
-tail fit's batched scan stays within a few fields too."""
+tail fit's batched scan stays within a few fields too, and a whole solve
+frees each field of the descent at its last use."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import CANON_S
+from conftest import CANON_ALPHA, CANON_S
 from fracstates import _kernels
 from fracstates.diagnostics import decay_fit
 from fracstates.grid import Field, apply_frac_laplacian, helmholtz_inverse, locate_max, make_grid
-from fracstates.models import NonlinearitySpec
-from fracstates.solver import _gaussian_seed
+from fracstates.localization import build_boxes, solve_branch
+from fracstates.models import NonlinearitySpec, PotentialSpec, Well, sample_potential
+from fracstates.solver import SolveOptions, _gaussian_seed, solve_limit
 from fracstates.variational import Problem, _report, energy, gradient
 
 GRIDS = [(1, 64), (2, 24), (3, 16)]
@@ -188,3 +190,32 @@ class TestPeakMemory:
         eta = locate_max(u)
         decay_fit(u, eta, window)
         assert _peak_fields(lambda: decay_fit(u, eta, window), u.values.nbytes) <= 4.0
+
+    def test_solve_limit_3d(self, saturable):
+        # on a fresh grid, so the two cached multipliers count: V, the
+        # multipliers and the descent's live set, with no seed kept past its
+        # projection and no lagging best iterate (11.6 fields if they are)
+        g = make_grid(3, 8.0, 32)
+        out = []
+        peak = _peak_fields(lambda: out.append(solve_limit(
+            1.0, saturable, g, CANON_ALPHA, SolveOptions(max_iter=20000), seed_widths=(1.5,),
+        )), g.size * 8)
+        assert out[0].converged
+        assert peak <= 10.0
+
+    def test_solve_branch_2d(self, saturable):
+        # solve_branch keeps no name for the seed it passes, so the solve
+        # frees it once projected (11.1 fields if it is kept)
+        pot = PotentialSpec(2.0, (Well((1.0 / 3.0, 0.0), 1.0, 2.0),))
+        w = solve_limit(1.0, saturable, make_grid(2, 12.0, 96), CANON_ALPHA,
+                        SolveOptions(max_iter=20000), seed_widths=(1.5,)).u
+        g = make_grid(2, 12.0, 96)
+        p = Problem(grid=g, alpha=CANON_ALPHA, eps=0.5, nonlinearity=saturable,
+                    potential_field=sample_potential(pot, g, 0.5))
+        boxes = build_boxes(pot, 1.0, 4.0)
+        out = []
+        peak = _peak_fields(lambda: out.append(solve_branch(
+            p, boxes, w, 1, SolveOptions(max_iter=20000),
+        )), g.size * 8)
+        assert out[0].result.converged
+        assert peak <= 10.6
