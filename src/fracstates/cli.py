@@ -20,12 +20,7 @@ import numpy as np
 
 from . import __version__, _kernels
 from .config import ExperimentConfig, load_config
-from .diagnostics import (
-    branch_diagnostics,
-    branch_record,
-    concentration_table,
-    records_payload,
-)
+from .diagnostics import branch_record, concentration_table, record_rows, records_payload
 from .errors import ConfigError, FracstatesError
 from .grid import Field
 from .localization import solve_branch
@@ -75,7 +70,18 @@ def _fmt(x) -> str:
         return str(x).lower()
     if isinstance(x, float):
         return repr(x)
+    if isinstance(x, list):  # a point: its coordinates joined by ";"
+        return ";".join(repr(float(c)) for c in x)
     return str(x)
+
+
+def _write_csv(path: Path, schema: str, columns, rows):
+    """A CSV file: the schema comment, the header, one line per row dict."""
+    lines = [f"# schema: {schema}", ",".join(columns)]
+    lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 SUMMARY_SCHEMA = "fracstates-summary-v2"
@@ -106,32 +112,10 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def _summary_rows(stored: dict):
-    """One row per branch: its records.json entry plus the record's cells."""
-    for rec in stored["records"]:
-        for br in rec["branches"]:
-            yield dict(
-                br,
-                eps=rec["eps"],
-                c_eps=rec["c_eps"],
-                c_v0=rec["c_v0"],
-                barycenter=";".join(repr(float(x)) for x in br["barycenter"]),
-                max_point=";".join(repr(float(x)) for x in br["max_point"]),
-                v_gap=br["v_at_max"] - rec["v0"],
-                c_gap=rec["c_eps"] - rec["c_v0"],
-                sigma_member=br["branch"] in rec["sigma_members"],
-                trusted=rec["trusted"],
-            )
-
-
 def write_summary_csv(path: Path, stored: dict):
-    """summary.csv from a records.json payload."""
-    lines = [f"# schema: {SUMMARY_SCHEMA}", ",".join(SUMMARY_COLUMNS)]
-    for row in _summary_rows(stored):
-        lines.append(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """summary.csv from a records.json payload: the record_rows of each record."""
+    rows = [row for rec in stored["records"] for row in record_rows(rec)]
+    _write_csv(path, SUMMARY_SCHEMA, SUMMARY_COLUMNS, rows)
 
 
 def _write_tables(out_dir: Path):
@@ -217,12 +201,8 @@ def run_limit(config: ExperimentConfig, out_dir: Path) -> int:
         list(config.limit.a_values), config.nonlinearity, limit_grid(config),
         config.problem.alpha, config.solve_options(),
     )
-    lines = ["# schema: fracstates-limit-v1", "a,c_a"]
-    for a, c in curve:
-        lines.append(f"{_fmt(a)},{_fmt(c)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "limit_curve.csv", "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(out_dir / "limit_curve.csv", "fracstates-limit-v1", ("a", "c_a"),
+               [{"a": a, "c_a": c} for a, c in curve])
     _write_json(out_dir / "limit_curve.json", {"curve": [[a, c] for a, c in curve]})
     for a, c in curve:
         click.echo(f"a = {a:g}: c_a = {c:.10g}")
@@ -266,8 +246,7 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
     p = problem_for_epsilon(config, eps)
     w_res = limit_state(config)
     br = solve_branch(p, boxes, w_res.u, j, config.solve_options())
-    diag = branch_diagnostics(br.result, p, w_res.u, config.potential)
-    payload = dict(branch_record(br, diag), eps=eps, c_v0=w_res.energy)
+    payload = dict(branch_record(br, p, w_res.u, config.potential), eps=eps, c_v0=w_res.energy)
     _write_json(out_dir / f"solve_eps{eps:g}_branch{j}.json", payload)
     res = br.result
     dump_field(out_dir / "fields", f"eps{eps:g}_branch{j}", res.u,

@@ -290,7 +290,7 @@ def decay_fit(
     vals, rw, delta = _tail_window(u, np.atleast_1d(np.asarray(eta, dtype=float)), r_lo, r_hi)
     if vals.size == 0:
         raise WindowTooSmall("window contains no grid points")
-    if np.min(vals) <= 0:
+    if not np.min(vals) > 0:
         raise NonpositiveTail("field is not strictly positive on the window")
     edges = np.linspace(r_lo, r_hi, _N_SHELLS + 1)
     which = np.clip(np.searchsorted(edges, rw, side="right") - 1, 0, _N_SHELLS - 1)
@@ -377,42 +377,15 @@ def boundary_mass_fraction(u: Field) -> float:
 
 
 @dataclass
-class BranchDiagnostics:
-    v_at_max: float
-    profile_err: float
-    decay_exponent: Optional[float]
-    decay_r2: Optional[float]
-    boundary_mass: float
-
-
-def branch_diagnostics(
-    result, problem, w_limit: Field, potential: PotentialSpec
-) -> BranchDiagnostics:
-    """Potential value at the maximum point, profile error against the limit
-    state, tail fit on the radii DECAY_WINDOW_FRAC times the grid half-width
-    R (None when the window is unusable), and boundary mass of one solve."""
-    u = result.u
-    eta = np.asarray(result.max_point)
-    R = problem.grid.R
-    try:
-        fit = decay_fit(u, eta, (DECAY_WINDOW_FRAC[0] * R, DECAY_WINDOW_FRAC[1] * R))
-        dexp, dr2 = fit.exponent, fit.r2
-    except (WindowTooSmall, NonpositiveTail):
-        dexp, dr2 = None, None
-    return BranchDiagnostics(
-        v_at_max=float(potential.evaluate(problem.eps * eta)[0]),
-        profile_err=profile_error(u, w_limit, eta, problem.alpha),
-        decay_exponent=dexp,
-        decay_r2=dr2,
-        boundary_mass=boundary_mass_fraction(u),
-    )
-
-
-@dataclass
 class SweepRecord:
+    """One epsilon of a sweep: the branch experiment's branches, their
+    records.json entries (branch_record) in branch order, c_eps, the limit
+    state's c_V0 and field w_limit, the well level v0, omega and the sigma
+    members. trusted reads the entries' boundary masses."""
+
     eps: float
     branches: list
-    diagnostics: list
+    entries: list
     c_eps: float
     c_v0: float
     v0: float
@@ -422,18 +395,14 @@ class SweepRecord:
 
     @property
     def trusted(self) -> bool:
-        return all(d.boundary_mass < BOUNDARY_MASS_TRUSTED for d in self.diagnostics)
-
-    def min_branch_index(self) -> int:
-        energies = [b.alpha_energy for b in self.branches]
-        return int(np.argmin(energies))
+        return all(e["boundary_mass"] < BOUNDARY_MASS_TRUSTED for e in self.entries)
 
 
 def build_sweep_record(problem, experiment, limit, potential: PotentialSpec) -> SweepRecord:
-    """Attach per-branch diagnostics to the branch experiment of one
-    epsilon (problem.eps), given the limit ground state's SolveResult: its
-    field is the profile reference and w_limit, its energy c_V0. v0 is the
-    potential's well level (v0_proxy).
+    """The record of one epsilon (problem.eps): the branch experiment with
+    each branch's records.json entry, given the limit ground state's
+    SolveResult, whose field is the profile reference and w_limit and whose
+    energy is c_V0. v0 is the potential's well level (v0_proxy).
 
     omega(eps) = sqrt(eps) * c_V0 defines the low-energy set used for the
     sigma membership column.
@@ -443,9 +412,7 @@ def build_sweep_record(problem, experiment, limit, potential: PotentialSpec) -> 
     return SweepRecord(
         eps=float(eps),
         branches=experiment.branches,
-        diagnostics=[
-            branch_diagnostics(b.result, problem, w_limit, potential) for b in experiment.branches
-        ],
+        entries=[branch_record(b, problem, w_limit, potential) for b in experiment.branches],
         c_eps=min(b.alpha_energy for b in experiment.branches),
         c_v0=c_v0,
         v0=potential.v0_proxy,
@@ -460,10 +427,18 @@ def build_sweep_record(problem, experiment, limit, potential: PotentialSpec) -> 
 RECORDS_SCHEMA = "fracstates-records-v1"
 
 
-def branch_record(br: BranchResult, diag: BranchDiagnostics) -> dict:
-    """One branch of records.json: the solve, its label and barycenter, and
-    its diagnostics. `fracstates solve` writes the same entry."""
+def branch_record(br: BranchResult, problem, w_limit: Field, potential: PotentialSpec) -> dict:
+    """One branch of records.json: the solve, its label and barycenter, the
+    potential value at its maximum point, its profile error against the
+    limit state, its tail fit on the radii DECAY_WINDOW_FRAC times the grid
+    half-width R (None when the window is unusable), and its boundary mass.
+    `fracstates solve` writes the same entry."""
     res = br.result
+    u, eta, R = res.u, np.asarray(res.max_point), problem.grid.R
+    try:
+        fit = decay_fit(u, eta, (DECAY_WINDOW_FRAC[0] * R, DECAY_WINDOW_FRAC[1] * R))
+    except (WindowTooSmall, NonpositiveTail):
+        fit = None
     return {
         "branch": br.j,
         "label": br.label.kind,
@@ -476,11 +451,11 @@ def branch_record(br: BranchResult, diag: BranchDiagnostics) -> dict:
         "residual": res.residual,
         "nehari_residual": res.report.nehari_residual,
         "negative_mass": res.negative_mass,
-        "v_at_max": diag.v_at_max,
-        "profile_error": diag.profile_err,
-        "decay_exponent": diag.decay_exponent,
-        "decay_r2": diag.decay_r2,
-        "boundary_mass": diag.boundary_mass,
+        "v_at_max": float(potential.evaluate(problem.eps * eta)[0]),
+        "profile_error": profile_error(u, w_limit, eta, problem.alpha),
+        "decay_exponent": None if fit is None else fit.exponent,
+        "decay_r2": None if fit is None else fit.r2,
+        "boundary_mass": boundary_mass_fraction(u),
     }
 
 
@@ -499,11 +474,27 @@ def records_payload(records: Sequence[SweepRecord]) -> dict:
                 "omega": rec.omega,
                 "sigma_members": rec.sigma_members,
                 "trusted": rec.trusted,
-                "branches": [branch_record(b, d) for b, d in zip(rec.branches, rec.diagnostics)],
+                "branches": rec.entries,
             }
             for rec in records
         ],
     }
+
+
+def record_rows(rec: dict) -> list:
+    """The summary.csv rows of one stored record, one per branch: its
+    records.json entry plus the record's eps, c_eps, c_v0, sigma membership
+    and trusted mark, and the gaps v_gap = v_at_max - v0 and
+    c_gap = c_eps - c_v0."""
+    return [
+        dict(br, eps=rec["eps"], c_eps=rec["c_eps"], c_v0=rec["c_v0"],
+             v_gap=br["v_at_max"] - rec["v0"], c_gap=rec["c_eps"] - rec["c_v0"],
+             sigma_member=br["branch"] in rec["sigma_members"], trusted=rec["trusted"])
+        for br in rec["branches"]
+    ]
+
+
+_CONCENTRATION_KEYS = ("eps", "c_gap", "v_gap", "profile_error", "decay_exponent", "trusted")
 
 
 def concentration_table(stored: dict) -> dict:
@@ -511,22 +502,13 @@ def concentration_table(stored: dict) -> dict:
     whether the energy gap, the potential gap and the profile error
     decrease strictly along it (no flags for fewer than two records).
 
-    Each row uses the minimum-energy branch of its record and carries the
-    record's trusted mark.
+    Each row holds the cells of its record's minimum-energy row
+    (record_rows), the record's trusted mark among them.
     """
     rows = []
     for rec in stored["records"]:
-        best = min(rec["branches"], key=lambda br: br["energy"])
-        rows.append(
-            {
-                "eps": rec["eps"],
-                "c_gap": rec["c_eps"] - stored["c_v0"],
-                "v_gap": best["v_at_max"] - stored["v0"],
-                "profile_error": best["profile_error"],
-                "decay_exponent": best["decay_exponent"],
-                "trusted": rec["trusted"],
-            }
-        )
+        best = min(record_rows(rec), key=lambda row: row["energy"])
+        rows.append({key: best[key] for key in _CONCENTRATION_KEYS})
     flags = {}
     if len(rows) >= 2:
         for key in ("c_gap", "v_gap", "profile_error"):

@@ -126,7 +126,7 @@ class Grid:
         point = np.atleast_1d(np.asarray(point, dtype=float))
         idx = (point + self.R) / self.h
         rounded = np.rint(idx)
-        if np.max(np.abs(idx - rounded)) > 1e-9:
+        if not np.max(np.abs(idx - rounded)) <= 1e-9:
             raise InvalidInput(f"point {point} is not a grid point")
         return tuple(int(i) % self.n for i in rounded)
 

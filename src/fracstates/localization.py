@@ -130,6 +130,8 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     g = problem.grid
     eps = problem.eps
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all(np.isfinite(y)):
+        raise InvalidInput(f"seed center {y} must be finite")
     vals = _translate(resample_field(w_limit, g), y / eps).shaped
     r2 = np.zeros(g.shape)
     for c, yi in zip(g.coords, y):
@@ -139,7 +141,7 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
 
 def truncated_coordinate(t, eps: float, L: float):
     """Coordinate clamp to [-2L/eps, 2L/eps]."""
-    if eps <= 0 or L <= 0:
+    if not (eps > 0 and L > 0):
         raise InvalidInput("eps and L must be positive")
     bound = 2.0 * L / eps
     return np.clip(t, -bound, bound)

@@ -435,11 +435,12 @@ def limit_state(config) -> SolveResult:
 def sweep_epsilon(config) -> list:
     """Run the branch experiment for every epsilon in the config, in order.
 
-    Returns one SweepRecord per epsilon (see diagnostics). The limit ground
-    state is solved once on the limit grid and reused as seed profile and
-    as the reference for profile errors; every record carries it as
-    w_limit. The config's constructor has checked the epsilons (non-empty,
-    positive, strictly decreasing) and the point budget of every grid.
+    Returns one SweepRecord per epsilon (diagnostics.build_sweep_record),
+    which holds each branch's records.json entry. The limit ground state is
+    solved once on the limit grid and reused as seed profile and as the
+    reference for profile errors; every record carries it as w_limit. The
+    config's constructor has checked the epsilons (non-empty, positive,
+    strictly decreasing) and the point budget of every grid.
     """
     from .diagnostics import build_sweep_record
     from .localization import solve_branches

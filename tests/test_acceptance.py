@@ -156,7 +156,7 @@ def test_criterion_4_limit_monotonicity(saturable):
 def test_criterion_5_concentration_sweep(canonical_sweep):
     records, elapsed = canonical_sweep
     c_gaps = [r.c_eps - r.c_v0 for r in records]
-    v_gaps = [r.diagnostics[r.min_branch_index()].v_at_max - r.v0 for r in records]
+    v_gaps = [min(r.entries, key=lambda e: e["energy"])["v_at_max"] - r.v0 for r in records]
     ok = all(b < a for a, b in zip(c_gaps, c_gaps[1:]))
     ok &= all(b < a for a, b in zip(v_gaps, v_gaps[1:]))
     ok &= c_gaps[-1] < 0.1 * c_gaps[0]
@@ -241,7 +241,7 @@ def test_criterion_8_ground_state_selection(saturable, limit_state):
 def test_criterion_9_profile_convergence(canonical_sweep):
     records, elapsed = canonical_sweep
     sub = [r for r in records if r.eps in (0.5, 0.25, 0.125)]
-    errs = [r.diagnostics[r.min_branch_index()].profile_err for r in sub]
+    errs = [min(r.entries, key=lambda e: e["energy"])["profile_error"] for r in sub]
     ok = all(b < a for a, b in zip(errs, errs[1:]))
     ok &= elapsed < 600.0
     assert _verdict(9, ok, f"(profile errors {['%.4f' % e for e in errs]}, {elapsed:.1f}s)")

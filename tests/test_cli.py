@@ -358,7 +358,17 @@ def _readme_section(heading):
 
 
 class TestReadmeConfig:
-    """The README's example config and key table agree with the schema."""
+    """The README's example config and key table agree with the schema, and
+    its library example runs."""
+
+    def test_library_example_runs(self, capsys):
+        (block,) = re.findall(r"```python\n(.*?)```", _readme_section("Library use"), re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        j, energy, gate_ok = capsys.readouterr().out.split()
+        # two equal wells: the tie breaks to the smaller branch index
+        assert j == "1"
+        assert float(energy) > 0
+        assert gate_ok == "True"
 
     def test_example_parses(self):
         import re

@@ -7,7 +7,6 @@ import pytest
 from conftest import decay_fit_oracle, gaussian_field, image_sum_oracle
 from fracstates.diagnostics import (
     _N_SHELLS,
-    BranchDiagnostics,
     _image_shell_sums,
     _tail_window,
     boundary_mass_fraction,
@@ -326,17 +325,11 @@ class TestBoundaryMass:
 def _fake_record(eps, c_gap, v_gap, perr, c_v0=3.0, v0=1.0, bmass=1e-8):
     from fracstates.diagnostics import SweepRecord
 
-    br = _branch(1, c_v0 + c_gap, eps=eps)
-    diag = BranchDiagnostics(
-        v_at_max=v0 + v_gap,
-        profile_err=perr,
-        decay_exponent=-2.0,
-        decay_r2=0.999,
-        boundary_mass=bmass,
-    )
+    entry = {"branch": 1, "energy": c_v0 + c_gap, "v_at_max": v0 + v_gap, "profile_error": perr,
+             "decay_exponent": -2.0, "decay_r2": 0.999, "boundary_mass": bmass}
     return SweepRecord(
-        eps=eps, branches=[br], diagnostics=[diag], c_eps=c_v0 + c_gap,
-        c_v0=c_v0, v0=v0, omega=np.sqrt(eps) * c_v0, sigma_members=[1],
+        eps=eps, branches=[_branch(1, c_v0 + c_gap, eps=eps)], entries=[entry],
+        c_eps=c_v0 + c_gap, c_v0=c_v0, v0=v0, omega=np.sqrt(eps) * c_v0, sigma_members=[1],
     )
 
 
@@ -362,3 +355,23 @@ class TestConcentrationReport:
         rec = _fake_record(0.5, 0.4, 1e-3, 0.7, bmass=1e-3)
         table = concentration_table(records_payload([rec]))
         assert not table["rows"][0]["trusted"]
+
+    def test_row_from_minimum_energy_branch(self):
+        # a stored two-branch record whose second branch has the lower energy
+        def entry(j, energy, v_at_max, perr, dexp):
+            return {"branch": j, "label": "interior", "energy": energy, "v_at_max": v_at_max,
+                    "profile_error": perr, "decay_exponent": dexp, "decay_r2": 0.999,
+                    "boundary_mass": 1e-8}
+
+        c_v0, v0, c_eps = 3.0, 1.0, 3.2
+        stored = {
+            "schema": "fracstates-records-v1", "c_v0": c_v0, "v0": v0,
+            "records": [{
+                "eps": 0.25, "c_eps": c_eps, "c_v0": c_v0, "v0": v0, "omega": 1.5,
+                "sigma_members": [1, 2], "trusted": True,
+                "branches": [entry(1, 3.3, 1.01, 0.5, -1.9), entry(2, c_eps, 1.002, 0.3, -2.1)],
+            }],
+        }
+        (row,) = concentration_table(stored)["rows"]
+        assert row == {"eps": 0.25, "c_gap": c_eps - c_v0, "v_gap": 1.002 - v0,
+                       "profile_error": 0.3, "decay_exponent": -2.1, "trusted": True}

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import expression_potential
-from fracstates.diagnostics import sigma_membership
+from fracstates.diagnostics import decay_fit, profile_error, sigma_membership
 from fracstates.errors import (
     InvalidGrid,
     InvalidInput,
     NonpositivePotential,
     NonpositiveShift,
+    NonpositiveTail,
 )
 from fracstates.grid import Field, helmholtz_inverse, make_grid
+from fracstates.localization import barycenter_h, seed_field, truncated_coordinate
 from fracstates.models import (
     NonlinearitySpec,
     PotentialSpec,
@@ -277,6 +279,7 @@ class TestCustomEnergySums:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _nan_cases():
@@ -285,6 +288,7 @@ def _nan_cases():
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
+    nan_in_tail = Field(g, np.where(np.arange(g.size) == 40, NAN, 1.0))  # x = 2.0
     sat = NonlinearitySpec.saturable(0.4)
 
     def zero(t):
@@ -316,6 +320,16 @@ def _nan_cases():
          NonpositivePotential),
         ("helmholtz_inverse-c", lambda: helmholtz_inverse(ones, 0.5, NAN), NonpositiveShift),
         ("sigma_membership-omega", lambda: sigma_membership(None, 1.0, NAN), InvalidInput),
+        ("truncated_coordinate-eps", lambda: truncated_coordinate(0.0, NAN, 1.0), InvalidInput),
+        ("truncated_coordinate-L", lambda: truncated_coordinate(0.0, 1.0, NAN), InvalidInput),
+        ("barycenter_h-L", lambda: barycenter_h(ones, 1.0, NAN), InvalidInput),
+        ("index_of-nan", lambda: g.index_of((NAN,)), InvalidInput),
+        ("index_of-inf", lambda: g.index_of((INF,)), InvalidInput),
+        ("profile_error-eta", lambda: profile_error(ones, ones, (NAN,), 0.5), InvalidInput),
+        ("decay_fit-sample", lambda: decay_fit(nan_in_tail, (0.0,), (1.6, 4.0)),
+         NonpositiveTail),
+        ("seed_field-y-nan", lambda: seed_field(ones, (NAN,), problem()), InvalidInput),
+        ("seed_field-y-inf", lambda: seed_field(ones, (INF,), problem()), InvalidInput),
     ]
 
 

@@ -141,14 +141,17 @@ def test_perfbench_selftest_passes():
 def test_package_import_loads_traced_layers():
     # the limit_3d workload imports only fracstates before the tracer wraps
     # the layers already loaded: a lazy package import would leave them
-    # unwrapped, and the run would record no op at all
+    # unwrapped, and the run would record no op at all. The library
+    # workloads import fracstates and fracstates.config only, and neither
+    # may load yaml or click (about 16 and 25 ms of set-up)
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    code = "import sys, fracstates; print(*sorted(sys.modules))"
+    code = "import sys, fracstates, fracstates.config; print(*sorted(sys.modules))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert res.returncode == 0, res.stderr
     loaded = set(res.stdout.split())
     layers = {f"fracstates.{m}" for m in ("_kernels", "grid", "models", "variational", "solver")}
     assert layers <= loaded, sorted(layers - loaded)
+    assert not {"yaml", "click"} & loaded, sorted({"yaml", "click"} & loaded)
 

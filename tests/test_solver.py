@@ -345,8 +345,8 @@ class TestSweepEpsilon:
         assert br.label.kind == "interior"
         assert br.result.converged
         assert rec.c_eps == br.alpha_energy
-        assert rec.diagnostics[0].profile_err > 0
-        assert rec.diagnostics[0].boundary_mass < 1e-3
+        assert rec.entries[0]["profile_error"] > 0
+        assert rec.entries[0]["boundary_mass"] < 1e-3
         assert rec.sigma_members == [1]
 
     # a sweep has no epsilon list to check: the config rejects a bad one
