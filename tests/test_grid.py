@@ -210,8 +210,11 @@ class TestHelmholtz:
         back = apply_frac_laplacian(w, 0.4).values + 2.5 * w.values
         assert np.linalg.norm(back - v.values) <= 1e-10 * np.linalg.norm(v.values)
 
-    def test_cached_denominator_is_bit_identical_and_read_only(self):
-        g = make_grid(2, 3.0, 16)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cached_denominator_is_bit_identical_and_read_only(self, d):
+        # the cache holds the reciprocal of the denominator; multiplying by
+        # it must equal the plain division of the spectrum bit for bit
+        g = make_grid(d, 3.0, 16)
         v = Field(g, np.random.default_rng(23).standard_normal(g.size))
         vhat = np.fft.rfftn(v.shaped)
         for c in (1.3, 1.3, 0.7):  # build, reuse, replace
