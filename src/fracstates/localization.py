@@ -126,17 +126,31 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     by any fraction of a cell, as a spectral phase shift. The seed is not
     tested for the restricted set here: the Nehari projection that every
     seed goes through rejects it (NotInTheta) when eps is too large for
-    this box."""
+    this box.
+
+    The cut-off is built in place, in _cutoff's order of operations, so
+    the seed equals vals * _cutoff(sqrt(r2)) bit for bit while holding two
+    arrays beside the translate."""
     g = problem.grid
     eps = problem.eps
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.all(np.isfinite(y)):
         raise InvalidInput(f"seed center {y} must be finite")
     vals = _translate(resample_field(w_limit, g), y / eps).shaped
-    r2 = np.zeros(g.shape)
+    tau = np.zeros(g.shape)
     for c, yi in zip(g.coords, y):
-        r2 += (eps * c - yi) ** 2
-    return Field(g, vals * _cutoff(np.sqrt(r2)))
+        tau += (eps * c - yi) ** 2
+    np.sqrt(tau, out=tau)
+    tau -= 0.5
+    tau *= 2.0
+    np.clip(tau, 0.0, 1.0, out=tau)
+    eta = tau * tau
+    tau *= 2.0
+    np.subtract(3.0, tau, out=tau)
+    eta *= tau
+    np.subtract(1.0, eta, out=eta)
+    vals *= eta
+    return Field(g, vals)
 
 
 def truncated_coordinate(t, eps: float, L: float):
@@ -287,7 +301,8 @@ def solve_branches(
         for j in range(i + 1, k):
             ui = branches[i].result.u.values
             uj = branches[j].result.u.values
-            diff = math.sqrt(w * float(np.dot(ui - uj, ui - uj)))
+            gap = ui - uj
+            diff = math.sqrt(w * float(np.dot(gap, gap)))
             mean = 0.5 * (
                 math.sqrt(w * float(np.dot(ui, ui)))
                 + math.sqrt(w * float(np.dot(uj, uj)))

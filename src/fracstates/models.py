@@ -175,15 +175,19 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 class Ray:
     """Flat samples v of a ray t -> t v, prepared for the Nehari passes:
     a = v+^2 and a scratch array r of v's size, allocated once per ray.
-    Saturable passes overwrite r in place and leave v and a unchanged."""
+    Saturable passes read only a and r, overwrite r in place and leave a
+    unchanged; custom laws also read v. A caller that has built a and r
+    itself passes them, with v = None when no custom law reads it."""
 
     __slots__ = ("v", "a", "r")
 
-    def __init__(self, v: np.ndarray):
-        self.v = v
-        self.a = np.maximum(v, 0.0)
-        self.a *= self.a
-        self.r = np.empty_like(self.a)
+    def __init__(self, v: Optional[np.ndarray], a: Optional[np.ndarray] = None,
+                 r: Optional[np.ndarray] = None):
+        if a is None:
+            a = np.maximum(v, 0.0)
+            a *= a
+        self.v, self.a = v, a
+        self.r = np.empty_like(a) if r is None else r
 
 
 class NonlinearitySpec:

@@ -9,7 +9,11 @@ points, the free-gradient norm is the convergence certificate.
 The monotone Armijo search starts from the Barzilai-Borwein (BB2) step in
 the preconditioned metric, sigma = <s, y> / <y, P^-1 y> with s and y the
 differences of the last two projected iterates and of their gradients
-(Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988). It is clamped to
+(Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988). The loop keeps neither
+the previous iterate nor its gradient: since u = t* (u_prev - sigma d_prev)
+and P^-1 is symmetric, the pairings follow from the carried last direction
+d_prev, the scalars <u_prev, g_prev>, <g_prev, d_prev>, sigma and t* of the
+last step, and one dot product <d_prev, g>. The step is clamped to
 [1e-3, 1e3] times the unit first step _STEP_INIT; the first iteration, and
 any iteration where a pairing is not positive, starts from _STEP_INIT
 instead. A unit-step start contracts the soft translational mode of
@@ -27,10 +31,14 @@ coefficients are dot products formed once per iteration, and the ray
 scaling [t v]^2 = t^2 [v]^2 carries it through the projection. The
 projection also returns the energy report of the projected trial, scaled
 from its own sums and final pass, so a trial costs no energy evaluation of
-its own; an accepted step updates Lu <- t* (Lu - sigma (g - c d)). No
-certificate rests on that recurrence: a residual that passes the tolerance
-is tested again with Lu recomputed by FFT, and the returned residual and
-energy report are computed afresh from that Lu.
+its own. A trial is passed to it as u, d and sigma, and under the
+saturable law it is never formed as a field of its own. Once those dot
+products are taken, g is overwritten with (-Lap)^a d = g - c d, and an
+accepted step updates Lu <- t* (Lu - sigma (-Lap)^a d). Between
+iterations the loop holds u, Lu and d only. No certificate rests on the
+Lu recurrence: a residual that passes the tolerance is tested again with
+Lu recomputed by FFT, and the returned residual and energy report are
+computed afresh from that Lu.
 """
 
 from __future__ import annotations
@@ -140,7 +148,8 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     treats a rise under that floor as no rise, so a lower iterate is kept
     apart only while the energy lies more than the floor above it.
     Every array is dropped at its last use, the seed once it is projected;
-    a caller that keeps no name for the seed lets the solve free it.
+    a caller that keeps no name for the seed lets the solve free it. The
+    seed's array itself is never written to.
     """
     opts = opts or SolveOptions()
     if not np.any(seed.values):
@@ -161,8 +170,10 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     best_u, low = u, rep.total
     residual = math.inf
 
-    prev = None  # (u, g, d, <u,g>, <g,d>) of the previous accepted iterate
-    pg = None
+    # between iterations the loop holds u, lu and the last direction d; last
+    # holds the scalars of the step along d: <u, g> and <g, d> at its start,
+    # its sigma and the projection's t*
+    direction = last = None
     for it in range(1, opts.max_iter + 1):
         grad = gradient(p, u, lu=lu)
         residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
@@ -180,36 +191,36 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
 
         uv, gv = u.values, grad.values
         ug = float(np.dot(uv, gv))
-        if prev is not None:
-            # BB2 pairings <s, y> and <y, P^-1 y> with s = u - u_prev,
-            # y = g - g_prev, P^-1 y = d - d_prev, expanded into dot
-            # products so that no difference array is formed. The three
-            # cross pairings that need no d are formed before the
-            # transform, so that of the previous arrays only g_prev is
-            # held through it
-            pu, pg, pd, pug, pgd = prev
-            u_pg, pu_g, g_pd = float(np.dot(uv, pg)), float(np.dot(pu, gv)), float(np.dot(gv, pd))
-        # the previous u and d, also held by the loop's own names, go first
-        prev = pu = pd = direction = dv = None
+        if last is not None:
+            dg = float(np.dot(direction.values, gv))  # <d_prev, g>
+        # the last direction goes before the transform, so it is not held through it
+        direction = None
         direction = helmholtz_inverse(grad, p.alpha, shift)
         dv = direction.values
         gd = float(np.dot(gv, dv))
         slope = -w * gd  # negative
 
         sigma = _STEP_INIT
-        if pg is not None:
+        if last is not None:
+            # BB2 pairings <s, y> and <y, P^-1 y> with s = u - u_prev,
+            # y = g - g_prev, P^-1 y = d - d_prev, from the last step's
+            # scalars and <d_prev, g>: u = t* (u_prev - sigma d_prev) gives
+            # <u, g_prev> and <u_prev, g>, and the symmetric P^-1 gives
+            # <g_prev, d> = <d_prev, g>
+            pug, pgd, psigma, pt = last
+            u_pg = pt * (pug - psigma * pgd)
+            pu_g = ug / pt + psigma * dg
             sy = ug - u_pg - pu_g + pug
-            yy = gd - g_pd - float(np.dot(pg, dv)) + pgd
+            yy = gd - 2.0 * dg + pgd
             if sy > 0 and yy > 0:
                 sigma = min(max(sy / yy, _BB_CLAMP[0] * sigma), _BB_CLAMP[1] * sigma)
-        # drop g_prev so that the line search holds no more arrays than a
-        # unit-step search would
-        pg = None
         # (-Lap)^a d = g - c d exactly, so the trial seminorm is the
         # quadratic [u - sigma d]^2 = a0 - 2 sigma a1 + sigma^2 a2
         a0 = w * float(np.dot(uv, lu))
         a1 = w * (ug - shift * float(np.dot(uv, dv)))
         a2 = w * (gd - shift * float(np.dot(dv, dv)))
+        # g is not needed again, so it becomes (-Lap)^a d for the Lu update
+        gv -= shift * dv
         accepted = False
         # near the minimum the Armijo decrease drops below the rounding
         # noise of the energy sums; the floor keeps steps acceptable there
@@ -217,18 +228,18 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         for _ in range(_MAX_BACKTRACKS):
             semi = a0 - sigma * (2.0 * a1 - sigma * a2)
             try:
-                # the trial is unnamed, so its array goes when the projection returns
+                # the trial goes as u - sigma d, which a saturable law never forms
                 t_star, proj, rep_new = project_to_nehari(
-                    p, Field(p.grid, uv - sigma * dv), semi=semi)
+                    p, u, semi=semi, direction=direction, step=sigma)
             except (NotInTheta, ZeroField):
                 sigma *= _STEP_SHRINK
                 continue
             if rep_new.total <= rep.total + _SUFFICIENT_DECREASE * sigma * slope + floor:
-                prev = (uv, gv, dv, ug, gd)
+                last = (ug, gd, sigma, t_star)
                 u, rep = proj, rep_new
-                # (-Lap)^a (t* (u - sigma d)) = t* (lu - sigma g + sigma c d)
-                lu -= sigma * gv
-                lu += (sigma * shift) * dv
+                # (-Lap)^a (t* (u - sigma d)) = t* (lu - sigma (-Lap)^a d)
+                gv *= sigma
+                lu -= gv
                 lu *= t_star
                 # an iterate within the floor of the lowest energy is as good
                 # as it, so a separate best is kept only above that
@@ -245,9 +256,12 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
                 f"line search failed {_MAX_BACKTRACKS} times at iteration "
                 f"{it} (residual {residual:.3g})"
             )
+        # the previous u and (-Lap)^a d go: only u, lu and d are carried
+        grad = uv = gv = dv = proj = None
     else:
         # max_iter ran out: certify the kept iterate afresh
         iterations, u = opts.max_iter, best_u
+        lu = direction = None
         lu = apply_frac_laplacian(u, p.alpha).values
         grad = gradient(p, u, lu=lu)
         residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
@@ -255,7 +269,7 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     # the final report takes its seminorm from the certificate's Lu and
     # needs u alone, so the loop's arrays are dropped before it is formed
     semi = w * float(np.dot(u.values, lu))
-    lu = grad = direction = prev = uv = gv = dv = best_u = proj = None
+    lu = grad = direction = best_u = None
     converged = residual <= opts.tol_residual
     return _finish(p, u, semi, iterations, converged, residual, e_hist)
 

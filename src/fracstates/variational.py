@@ -13,7 +13,9 @@ energy and project_to_nehari evaluate I, J and Q on one models.Ray: every
 part of I(tv), J(tv) and Q(tv) scales with tau = t^2 from sums over v taken
 once, except int F(tv) and int f(tv)v, which one final pass at tau
 evaluates. energy makes that pass at tau = 1; the projection makes it at
-the root and returns the energy report of the projected field.
+the root and returns the energy report of the projected field. It also
+takes a descent trial as u - step * direction, which a saturable law
+builds in the ray's pass arrays instead of forming it.
 """
 
 from __future__ import annotations
@@ -88,6 +90,29 @@ def _ray_sums(p: Problem, u: Field, semi: Optional[float]):
     return semi, ray, pot, float(np.dot(v, v))
 
 
+def _along(u: np.ndarray, direction: np.ndarray, step: float, out=None) -> np.ndarray:
+    """u - step * direction in out (a new array by default), rounded as
+    the plain expression rounds it."""
+    out = np.multiply(direction, step, out=out)
+    return np.subtract(u, out, out=out)
+
+
+def _trial_ray(p: Problem, u: np.ndarray, direction: np.ndarray, step: float):
+    """(the Ray, sum V v^2, sum v^2) of v = u - step * direction, the sums
+    bit for bit those _ray_sums takes of v: v is built in the ray's r,
+    squared into a for the sums, and r then gives a = v+^2, so v is never
+    held beside the two pass arrays. Raises ZeroField when v is zero."""
+    r = _along(u, direction, step)
+    if not np.any(r):
+        raise ZeroField("cannot project the zero field")
+    mass = float(np.dot(r, r))
+    a = np.multiply(r, r)
+    pot = float(np.dot(p.potential_field.values, a))
+    np.maximum(r, 0.0, out=r)
+    np.multiply(r, r, out=a)
+    return Ray(None, a, r), pot, mass
+
+
 def _report(p: Problem, semi, pot_sum, f_int, fu_sum, mass) -> EnergyReport:
     """The EnergyReport of a field from its seminorm and the unweighted sums
     of V u^2, F(u), f(u) u and u^2."""
@@ -139,11 +164,26 @@ _STEP_TOL = 1e-7
 _NEHARI_TOL = 1e-10
 
 
-def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> NehariProjection:
+def project_to_nehari(
+    p: Problem,
+    u: Field,
+    semi: Optional[float] = None,
+    *,
+    direction: Optional[Field] = None,
+    step: float = 0.0,
+) -> NehariProjection:
     """Unique t* > 0 with J(t* u) = 0, the projected field t* u and its
     energy report; raises NotInTheta when no ray point exists (Q(u) >= 0,
     or insufficient positive-part mass for signed u). semi, when given, is
     the known seminorm [u]^2, which spares the FFT.
+
+    With a direction the ray is that of v = u - step * direction instead,
+    and semi, if given, is [v]^2. The result equals that of a call on the
+    field v bit for bit, but when semi is given and the law is saturable v
+    is not formed: its sums are taken in the two pass arrays, and t* v is
+    formed from u and the direction in one of them once the other is
+    freed. A custom law, which reads v's samples, or a missing semi, which
+    needs v's transform, has v formed first.
 
     With tau = t^2 the root solves G(tau) = |u|^2_eps - h^d psi(tau) = 0,
     psi(tau) = int f(tu)u/t. Safeguarded Newton, one fused (psi, psi') pass
@@ -162,9 +202,17 @@ def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> Neh
     """
     w = p.grid.weight
     nl = p.nonlinearity
-    if not np.any(u.values):
-        raise ZeroField("cannot project the zero field")
-    semi, ray, pot, mass = _ray_sums(p, u, semi)
+    if direction is not None:
+        if direction.grid != u.grid:
+            raise InvalidInput("direction lives on a different grid")
+        if semi is None or nl.kind != "saturable":
+            u, direction = Field(p.grid, _along(u.values, direction.values, step)), None
+    if direction is None:
+        if not np.any(u.values):
+            raise ZeroField("cannot project the zero field")
+        semi, ray, pot, mass = _ray_sums(p, u, semi)
+    else:
+        ray, pot, mass = _trial_ray(p, u.values, direction.values, step)
     nsq = semi + w * pot
     if nsq - nl.l0 * w * mass >= 0:
         raise NotInTheta(
@@ -178,10 +226,16 @@ def project_to_nehari(p: Problem, u: Field, semi: Optional[float] = None) -> Neh
         )
     floor = nl._nehari_floor(ray, nsq, w, pos_mass)
     tau, psi, f_int = _ray_root(nl, ray, nsq, w, floor)
-    ray = None  # frees the pass arrays before the projected field is formed
+    # the projected field takes over the scratch array r once a is freed
+    projected, ray = ray.r, None
     t_star = math.sqrt(tau)
     report = _report(p, tau * semi, tau * pot, f_int, tau * psi, tau * mass)
-    return NehariProjection(t_star, Field(p.grid, t_star * u.values), report)
+    if direction is None:
+        np.multiply(u.values, t_star, out=projected)
+    else:
+        _along(u.values, direction.values, step, out=projected)
+        projected *= t_star
+    return NehariProjection(t_star, Field(p.grid, projected), report)
 
 
 def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float):

@@ -225,6 +225,18 @@ class TestHelmholtz:
         with pytest.raises(ValueError):
             den[1] = 0.0
 
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 24), (3, 16)])
+    def test_symmetric(self, d, n):
+        # the descent's BB2 step reads <g_prev, H^-1 g> as <H^-1 g_prev, g>
+        rng = np.random.default_rng(24 + d)
+        g = make_grid(d, 3.0, n)
+        a = Field(g, 1.0 + rng.standard_normal(g.size))
+        b = Field(g, 1.0 + rng.standard_normal(g.size))
+        for alpha, c in ((0.3, 0.8), (0.5, 1.3), (1.0, 2.0)):
+            lhs = inner_l2(a, helmholtz_inverse(b, alpha, c))
+            rhs = inner_l2(helmholtz_inverse(a, alpha, c), b)
+            assert lhs == pytest.approx(rhs, rel=1e-13)
+
     def test_nonpositive_shift(self):
         g = make_grid(1, 1.0, 16)
         with pytest.raises(NonpositiveShift):

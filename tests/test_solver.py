@@ -49,8 +49,8 @@ def projections(monkeypatch):
     seen = []
     project = solver.project_to_nehari
 
-    def spy(p, u, semi=None):
-        out = project(p, u, semi=semi)
+    def spy(p, u, semi=None, **trial):
+        out = project(p, u, semi=semi, **trial)
         seen.append((out.projected, out.report.total))
         return out
 
@@ -89,6 +89,12 @@ class TestSolveConstrained:
         seed = Field(g, 1.0 + 0.5 * np.cos((np.pi * 200 / g.R) * g.axis))
         with pytest.raises(SeedNotInTheta):
             solve_constrained(flat_problem, seed)
+
+    def test_seed_array_unchanged(self, flat_problem):
+        seed = gaussian_field(flat_problem.grid, 3.0)
+        before = seed.values.copy()
+        assert solve_constrained(flat_problem, seed).converged
+        assert np.array_equal(seed.values, before)
 
     def test_deterministic_reruns(self, flat_problem):
         seed = gaussian_field(flat_problem.grid, 3.0)

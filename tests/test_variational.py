@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_field, random_theta_field, ray_argmax_oracle, ray_energies
-from fracstates.errors import NotInTheta, ZeroField
+from fracstates.errors import InvalidInput, NotInTheta, ZeroField
 from fracstates.grid import Field, gagliardo_sq, inner_l2, make_grid
 from fracstates.models import NonlinearitySpec, Ray
 from fracstates.solver import SolveOptions, solve_constrained
@@ -102,6 +102,8 @@ def _descent_projections(p, monkeypatch, max_iter=100):
 
     def recorded(q, u, **kwargs):
         out = project_to_nehari(q, u, **kwargs)
+        if kwargs.get("direction") is not None:  # a trial, passed as u - step * direction
+            u = Field(u.grid, u.values - kwargs["step"] * kwargs["direction"].values)
         seen.append((u, out))
         return out
 
@@ -421,6 +423,42 @@ class TestProjection:
             t_kernel, _, _ = project_to_nehari(small_problem, u)
             t_triple, _, _ = project_to_nehari(custom, u)
             assert t_kernel == pytest.approx(t_triple, rel=1e-13)
+
+
+class TestProjectionAlongDirection:
+    """A trial given as u - step * direction projects as the formed field
+    does, bit for bit, whether the projection forms it (custom law, or no
+    seminorm given) or not."""
+
+    @pytest.mark.parametrize("law", ["saturable", "custom"])
+    def test_matches_formed_trial(self, small_problem, law):
+        p = small_problem
+        if law == "custom":
+            p = _with_nonlinearity(p, _saturable_as_custom(p.nonlinearity.s))
+        rng = np.random.default_rng(41)
+        u = random_theta_field(p, rng)
+        d = Field(p.grid, 0.3 * u.values * rng.uniform(-1.0, 1.0, p.grid.size))
+        for step in (0.5, 2.0):
+            v = Field(p.grid, u.values - step * d.values)
+            for semi in (gagliardo_sq(v, p.alpha), None):
+                ref = project_to_nehari(p, v, semi=semi)
+                out = project_to_nehari(p, u, semi=semi, direction=d, step=step)
+                assert out.t_star == ref.t_star
+                assert np.array_equal(out.projected.values, ref.projected.values)
+                assert out.report == ref.report
+
+    def test_failures_match_formed_trial(self, small_problem):
+        p = small_problem
+        u = random_theta_field(p, np.random.default_rng(42))
+        semi = gagliardo_sq(u, p.alpha)
+        with pytest.raises(ZeroField):
+            project_to_nehari(p, u, semi=0.0, direction=u, step=1.0)
+        # -u has no positive part, so its ray never meets the manifold
+        with pytest.raises(NotInTheta):
+            project_to_nehari(p, u, semi=semi, direction=u, step=2.0)
+        other = make_grid(1, 2.0 * p.grid.R, p.grid.n)
+        with pytest.raises(InvalidInput):
+            project_to_nehari(p, u, semi=semi, direction=Field(other, u.values), step=1.0)
 
 
 class TestRayOracle:

@@ -12,11 +12,12 @@ import pytest
 from conftest import CANON_ALPHA, CANON_S
 from fracstates import _kernels
 from fracstates.diagnostics import decay_fit
-from fracstates.grid import Field, apply_frac_laplacian, helmholtz_inverse, locate_max, make_grid
-from fracstates.localization import build_boxes, solve_branch
+from fracstates.grid import (Field, _translate, apply_frac_laplacian, helmholtz_inverse,
+                             locate_max, make_grid, resample_field)
+from fracstates.localization import _cutoff, build_boxes, seed_field, solve_branch
 from fracstates.models import NonlinearitySpec, PotentialSpec, Well, sample_potential
 from fracstates.solver import SolveOptions, _gaussian_seed, solve_limit
-from fracstates.variational import Problem, _report, energy, gradient
+from fracstates.variational import Problem, _report, energy, gradient, project_to_nehari
 
 GRIDS = [(1, 64), (2, 24), (3, 16)]
 
@@ -136,6 +137,21 @@ class TestBitIdentity:
         scale = semi + w * (pot + fu)
         assert rep.nehari_residual == pytest.approx(semi + w * (pot - fu), abs=1e-14 * scale)
 
+    @pytest.mark.parametrize("d,n", GRIDS)
+    def test_seed_field(self, d, n):
+        p = _problem(d, n)
+        eps = 0.5
+        p = Problem(p.grid, p.alpha, eps, p.potential_field, p.nonlinearity)
+        g = p.grid
+        w = _gaussian_seed(g, 1.0)
+        y = np.array((1.0 / 3.0, -0.2, 0.1)[:d])  # the cut-off's blend lies on the grid
+        vals = _translate(resample_field(w, g), y / eps).shaped
+        r2 = np.zeros(g.shape)
+        for c, yi in zip(np.meshgrid(*([g.axis] * d), indexing="ij"), y):
+            r2 += (eps * c - yi) ** 2
+        ref = vals * _cutoff(np.sqrt(r2))
+        assert np.array_equal(seed_field(w, y, p).values, ref.ravel())
+
     @pytest.mark.parametrize("d,n", GRIDS, ids=[f"None-{d}-{n}" for d, n in GRIDS])
     def test_gaussian_seed(self, d, n):
         # the seed is the Gaussian centred at the origin, "None" in the ids
@@ -182,6 +198,27 @@ class TestPeakMemory:
         peak = _peak_fields(lambda: energy(problem_3d, field_3d, semi=1.0), nbytes)
         assert peak <= 2.2
 
+    def test_trial_projection(self, problem_3d, field_3d):
+        # a trial u - sigma d is built in the ray's two pass arrays, and
+        # t* (u - sigma d) is formed in one of them once the other is freed
+        p, u = problem_3d, field_3d
+        d = Field(p.grid, 0.1 * np.random.default_rng(8).standard_normal(p.grid.size))
+        semi = 1.0
+        peak = _peak_fields(lambda: project_to_nehari(p, u, semi=semi, direction=d, step=0.5),
+                            u.values.nbytes)
+        assert peak <= 2.2
+
+    def test_seed_field(self, saturable):
+        # the cut-off is built in place: two arrays beside the translate
+        g = make_grid(3, 8.0, 32)
+        pot = PotentialSpec(2.0, (Well((1.0 / 3.0, 0.0, 0.0), 1.0, 2.0),))
+        p = Problem(grid=g, alpha=CANON_ALPHA, eps=0.5, nonlinearity=saturable,
+                    potential_field=sample_potential(pot, g, 0.5))
+        w = _gaussian_seed(g, 1.5)
+        y = (1.0 / 3.0, 0.0, 0.0)
+        seed_field(w, y, p)  # builds the grid's cached wavenumbers
+        assert _peak_fields(lambda: seed_field(w, y, p), g.size * 8) <= 4.5
+
     def test_decay_fit(self, limit_state_3d):
         # the batched scan runs in chunks of at most one field; the far
         # lattice data (built once per dimension) is cached by the first call
@@ -193,19 +230,20 @@ class TestPeakMemory:
 
     def test_solve_limit_3d(self, saturable):
         # on a fresh grid, so the two cached multipliers count: V, the
-        # multipliers and the descent's live set, with no seed kept past its
-        # projection and no lagging best iterate (11.6 fields if they are)
+        # multipliers and the descent's live set, at most u, Lu, g, d and
+        # the trial's two pass arrays, with no seed kept past its
+        # projection (9.6 fields if it is kept)
         g = make_grid(3, 8.0, 32)
         out = []
         peak = _peak_fields(lambda: out.append(solve_limit(
             1.0, saturable, g, CANON_ALPHA, SolveOptions(max_iter=20000), seed_widths=(1.5,),
         )), g.size * 8)
         assert out[0].converged
-        assert peak <= 10.0
+        assert peak <= 8.9
 
     def test_solve_branch_2d(self, saturable):
         # solve_branch keeps no name for the seed it passes, so the solve
-        # frees it once projected (11.1 fields if it is kept)
+        # frees it once projected (8.2 fields if it is kept)
         pot = PotentialSpec(2.0, (Well((1.0 / 3.0, 0.0), 1.0, 2.0),))
         w = solve_limit(1.0, saturable, make_grid(2, 12.0, 96), CANON_ALPHA,
                         SolveOptions(max_iter=20000), seed_widths=(1.5,)).u
@@ -218,4 +256,4 @@ class TestPeakMemory:
             p, boxes, w, 1, SolveOptions(max_iter=20000),
         )), g.size * 8)
         assert out[0].result.converged
-        assert peak <= 10.6
+        assert peak <= 7.6
