@@ -287,21 +287,17 @@ def _dispatch(command: str, config_path: str, out, seed) -> int:
             out_dir = Path(config.output.directory)
         out_dir.mkdir(parents=True, exist_ok=True)
         code = STAGES[command](config, out_dir)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (FracstatesError, OSError) as exc:
+        if isinstance(exc, ConfigError):
+            code, text = EXIT_VALIDATION, str(exc)
+        elif isinstance(exc, FracstatesError):
+            code, text = EXIT_SOLVER, f"{type(exc).__name__}: {exc}"
+        else:
+            code, text = EXIT_IO, str(exc)
+        click.echo(f"error: {text}", err=True)
         if out_dir is not None:
             _error_record(out_dir, command, exc)
-        return EXIT_VALIDATION
-    except FracstatesError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        if out_dir is not None:
-            _error_record(out_dir, command, exc)
-        return EXIT_SOLVER
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        if out_dir is not None:
-            _error_record(out_dir, command, exc)
-        return EXIT_IO
+        return code
     try:
         _write_json(
             out_dir / "manifest.json",

@@ -293,7 +293,10 @@ def decay_fit(
             f"window [{r_lo}, {r_hi}] must lie inside [0.2R, 0.5R] = "
             f"[{0.2 * g.R}, {0.5 * g.R}]"
         )
-    vals, rw, delta = _tail_window(u, np.atleast_1d(np.asarray(eta, dtype=float)), r_lo, r_hi)
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    if eta.shape != (g.d,) or not np.all(np.isfinite(eta)):
+        raise InvalidInput(f"eta {eta} is not a finite point in {g.d} dimensions")
+    vals, rw, delta = _tail_window(u, eta, r_lo, r_hi)
     if vals.size == 0:
         raise WindowTooSmall("window contains no grid points")
     if not np.min(vals) > 0:

@@ -127,7 +127,7 @@ class Grid:
     def index_of(self, point) -> tuple:
         """Grid index of a point that must lie on the grid (within 1e-9*h)."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
-        if not np.all(np.isfinite(point)):
+        if point.shape != (self.d,) or not np.all(np.isfinite(point)):
             raise InvalidInput(f"point {point} is not a grid point")
         idx = (point + self.R) / self.h
         rounded = np.rint(idx)

@@ -134,8 +134,8 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     g = problem.grid
     eps = problem.eps
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.all(np.isfinite(y)):
-        raise InvalidInput(f"seed center {y} must be finite")
+    if y.shape != (g.d,) or not np.all(np.isfinite(y)):
+        raise InvalidInput(f"seed center {y} must be a finite point in {g.d} dimensions")
     vals = _translate(resample_field(w_limit, g), y / eps).shaped
     tau = np.zeros(g.shape)
     for c, yi in zip(g.coords, y):

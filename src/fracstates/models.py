@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -172,22 +172,16 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 # --------------------------------------------------------------------------
 
 
-class Ray:
-    """Flat samples v of a ray t -> t v, prepared for the Nehari passes:
-    a = v+^2 and a scratch array r of v's size, allocated once per ray.
-    Saturable passes read only a and r, overwrite r in place and leave a
-    unchanged; custom laws also read v. A caller that has built a and r
-    itself passes them, with v = None when no custom law reads it."""
+class Ray(NamedTuple):
+    """Flat samples of a ray t -> t v, prepared for the Nehari passes:
+    a = v+^2 and a scratch array r of v's size, allocated once per ray
+    (variational._ray builds it). Saturable passes read only a and r,
+    overwrite r in place and leave a unchanged; custom laws also read v,
+    which is None for the saturable law."""
 
-    __slots__ = ("v", "a", "r")
-
-    def __init__(self, v: Optional[np.ndarray], a: Optional[np.ndarray] = None,
-                 r: Optional[np.ndarray] = None):
-        if a is None:
-            a = np.maximum(v, 0.0)
-            a *= a
-        self.v, self.a = v, a
-        self.r = np.empty_like(a) if r is None else r
+    v: Optional[np.ndarray]
+    a: np.ndarray
+    r: np.ndarray
 
 
 class NonlinearitySpec:

@@ -87,8 +87,8 @@ class SolveOptions:
     tol_residual: float = 1e-8
 
     def __post_init__(self):
-        if not self.max_iter >= 1:
-            raise InvalidInput("max_iter must be at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or not self.max_iter >= 1:
+            raise InvalidInput(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not self.tol_residual > 0:
             raise InvalidInput("tol_residual must be positive")
 

@@ -9,13 +9,17 @@ fields cross the manifold exactly once because f(t)/t is increasing, which
 makes g(t) = |u|^2_eps - int f(tu)u/t strictly decreasing; so the
 projection's own test Q(u) < 0 is the membership test.
 
-energy and project_to_nehari evaluate I, J and Q on one models.Ray: every
-part of I(tv), J(tv) and Q(tv) scales with tau = t^2 from sums over v taken
-once, except int F(tv) and int f(tv)v, which one final pass at tau
-evaluates. energy makes that pass at tau = 1; the projection makes it at
-the root and returns the energy report of the projected field. It also
-takes a descent trial as u - step * direction, which a saturable law
-builds in the ray's pass arrays instead of forming it.
+energy and project_to_nehari evaluate I, J and Q on one models.Ray, which
+only _ray builds: every part of I(tv), J(tv) and Q(tv) scales with
+tau = t^2 from sums over v taken once, except int F(tv) and int f(tv)v,
+which one final pass at tau evaluates. energy makes that pass at tau = 1;
+the projection makes it at the root and returns the energy report of the
+projected field.
+
+The projection also takes a descent trial v = u - step * direction. _ray
+writes v into the ray's scratch array, takes its sums there and turns it
+into the pass arrays, so the trial is never held as a field beside them;
+a custom law, whose passes read v's samples, keeps one copy of it.
 """
 
 from __future__ import annotations
@@ -73,44 +77,44 @@ def energy(p: Problem, u: Field, semi: Optional[float] = None) -> EnergyReport:
     semi, when given, is the seminorm [u]^2 = <u, (-Lap)^a u> already known
     to the caller; otherwise it is computed by FFT.
     """
-    semi, ray, pot, mass = _ray_sums(p, u, semi)
+    if semi is None:
+        semi = gagliardo_sq(u, p.alpha)
+    try:
+        ray, pot, mass = _ray(p, u.values)
+    except ZeroField:  # every sum of the zero field is 0
+        return _report(p, semi, 0.0, 0.0, 0.0, 0.0)
     fu_sum, f_int = p.nonlinearity.rate_primitive(ray, 1.0)
     return _report(p, semi, pot, f_int, fu_sum, mass)
 
 
-def _ray_sums(p: Problem, u: Field, semi: Optional[float]):
-    """([u]^2, the Ray of u, sum V u^2, sum u^2): what energy and
-    project_to_nehari share; [u]^2 is computed by FFT unless given as semi."""
-    if semi is None:
-        semi = gagliardo_sq(u, p.alpha)
-    v = u.values
-    ray = Ray(v)
-    np.multiply(v, v, out=ray.r)
-    pot = float(np.dot(p.potential_field.values, ray.r))
-    return semi, ray, pot, float(np.dot(v, v))
-
-
-def _along(u: np.ndarray, direction: np.ndarray, step: float, out=None) -> np.ndarray:
-    """u - step * direction in out (a new array by default), rounded as
+def _write_v(out: np.ndarray, u: np.ndarray, direction: Optional[np.ndarray], step: float):
+    """v = u, or v = u - step * direction, written into out and rounded as
     the plain expression rounds it."""
-    out = np.multiply(direction, step, out=out)
+    if direction is None:
+        np.copyto(out, u)
+        return out
+    np.multiply(direction, step, out=out)
     return np.subtract(u, out, out=out)
 
 
-def _trial_ray(p: Problem, u: np.ndarray, direction: np.ndarray, step: float):
-    """(the Ray, sum V v^2, sum v^2) of v = u - step * direction, the sums
-    bit for bit those _ray_sums takes of v: v is built in the ray's r,
-    squared into a for the sums, and r then gives a = v+^2, so v is never
-    held beside the two pass arrays. Raises ZeroField when v is zero."""
-    r = _along(u, direction, step)
+def _ray(p: Problem, u: np.ndarray, direction: Optional[np.ndarray] = None, step: float = 0.0):
+    """(the Ray, sum V v^2, sum v^2) of v = u, or of the descent trial
+    v = u - step * direction. v is written into the ray's r and squared
+    into a for the two sums; r then gives a = v+^2. A custom law also
+    keeps v: the caller's u, or one copy of a trial. Raises ZeroField when
+    v is zero."""
+    r = _write_v(np.empty_like(u), u, direction, step)
     if not np.any(r):
         raise ZeroField("cannot project the zero field")
     mass = float(np.dot(r, r))
     a = np.multiply(r, r)
     pot = float(np.dot(p.potential_field.values, a))
+    v = None
+    if p.nonlinearity.kind != "saturable":
+        v = u if direction is None else r.copy()
     np.maximum(r, 0.0, out=r)
     np.multiply(r, r, out=a)
-    return Ray(None, a, r), pot, mass
+    return Ray(v, a, r), pot, mass
 
 
 def _report(p: Problem, semi, pot_sum, f_int, fu_sum, mass) -> EnergyReport:
@@ -177,13 +181,12 @@ def project_to_nehari(
     or insufficient positive-part mass for signed u). semi, when given, is
     the known seminorm [u]^2, which spares the FFT.
 
-    With a direction the ray is that of v = u - step * direction instead,
-    and semi, if given, is [v]^2. The result equals that of a call on the
-    field v bit for bit, but when semi is given and the law is saturable v
-    is not formed: its sums are taken in the two pass arrays, and t* v is
-    formed from u and the direction in one of them once the other is
-    freed. A custom law, which reads v's samples, or a missing semi, which
-    needs v's transform, has v formed first.
+    With a direction the ray is that of the descent trial
+    v = u - step * direction instead, and semi, if given, is [v]^2. The
+    result equals that of a call on the field v bit for bit. _ray builds v
+    in the ray's pass arrays, and t* v is formed in one of them once the
+    other is freed. v is held as a field of its own only where it is read:
+    by a custom law's passes, and by the FFT when semi is not given.
 
     With tau = t^2 the root solves G(tau) = |u|^2_eps - h^d psi(tau) = 0,
     psi(tau) = int f(tu)u/t. Safeguarded Newton, one fused (psi, psi') pass
@@ -202,17 +205,14 @@ def project_to_nehari(
     """
     w = p.grid.weight
     nl = p.nonlinearity
+    uv, dv = u.values, None
     if direction is not None:
         if direction.grid != u.grid:
             raise InvalidInput("direction lives on a different grid")
-        if semi is None or nl.kind != "saturable":
-            u, direction = Field(p.grid, _along(u.values, direction.values, step)), None
-    if direction is None:
-        if not np.any(u.values):
-            raise ZeroField("cannot project the zero field")
-        semi, ray, pot, mass = _ray_sums(p, u, semi)
-    else:
-        ray, pot, mass = _trial_ray(p, u.values, direction.values, step)
+        dv = direction.values
+    if semi is None:
+        semi = gagliardo_sq(u if dv is None else Field(p.grid, uv - step * dv), p.alpha)
+    ray, pot, mass = _ray(p, uv, dv, step)
     nsq = semi + w * pot
     if nsq - nl.l0 * w * mass >= 0:
         raise NotInTheta(
@@ -230,11 +230,8 @@ def project_to_nehari(
     projected, ray = ray.r, None
     t_star = math.sqrt(tau)
     report = _report(p, tau * semi, tau * pot, f_int, tau * psi, tau * mass)
-    if direction is None:
-        np.multiply(u.values, t_star, out=projected)
-    else:
-        _along(u.values, direction.values, step, out=projected)
-        projected *= t_star
+    _write_v(projected, uv, dv, step)
+    projected *= t_star
     return NehariProjection(t_star, Field(p.grid, projected), report)
 
 

@@ -23,6 +23,7 @@ from fracstates.models import (
     validate_nonlinearity,
     validate_potential,
 )
+from fracstates.solver import SolveOptions
 from fracstates.variational import Problem
 
 
@@ -284,7 +285,8 @@ INF = float("inf")
 
 def _nan_cases():
     """(id, call, error): each public range check given a NaN, which fails
-    every comparison, so a check written as x <= 0 would let it through."""
+    every comparison, so a check written as x <= 0 would let it through;
+    then points of the wrong dimension and non-integer iteration caps."""
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
@@ -326,10 +328,20 @@ def _nan_cases():
         ("index_of-nan", lambda: g.index_of((NAN,)), InvalidInput),
         ("index_of-inf", lambda: g.index_of((INF,)), InvalidInput),
         ("profile_error-eta", lambda: profile_error(ones, ones, (NAN,), 0.5), InvalidInput),
+        ("decay_fit-eta", lambda: decay_fit(ones, (NAN,), (1.6, 4.0)), InvalidInput),
         ("decay_fit-sample", lambda: decay_fit(nan_in_tail, (0.0,), (1.6, 4.0)),
          NonpositiveTail),
         ("seed_field-y-nan", lambda: seed_field(ones, (NAN,), problem()), InvalidInput),
         ("seed_field-y-inf", lambda: seed_field(ones, (INF,), problem()), InvalidInput),
+        # a point of the wrong dimension, and a non-integer iteration cap
+        ("seed_field-y-dim", lambda: seed_field(ones, (0.0, 0.0), problem()), InvalidInput),
+        ("index_of-dim", lambda: g.index_of((0.0, 0.0)), InvalidInput),
+        ("profile_error-eta-dim", lambda: profile_error(ones, ones, (0.0, 0.0), 0.5),
+         InvalidInput),
+        ("decay_fit-eta-dim", lambda: decay_fit(ones, (0.0, 0.0), (1.6, 4.0)), InvalidInput),
+        ("SolveOptions-max_iter-float", lambda: SolveOptions(max_iter=5.0), InvalidInput),
+        ("SolveOptions-max_iter-inf", lambda: SolveOptions(max_iter=INF), InvalidInput),
+        ("SolveOptions-max_iter-nan", lambda: SolveOptions(max_iter=NAN), InvalidInput),
     ]
 
 

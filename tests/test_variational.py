@@ -6,10 +6,11 @@ import pytest
 from conftest import gaussian_field, random_theta_field, ray_argmax_oracle, ray_energies
 from fracstates.errors import InvalidInput, NotInTheta, ZeroField
 from fracstates.grid import Field, gagliardo_sq, inner_l2, make_grid
-from fracstates.models import NonlinearitySpec, Ray
+from fracstates.models import NonlinearitySpec
 from fracstates.solver import SolveOptions, solve_constrained
 from fracstates.variational import (
     Problem,
+    _ray,
     energy,
     gradient,
     project_to_nehari,
@@ -416,9 +417,10 @@ class TestProjection:
         rng = np.random.default_rng(28)
         for _ in range(5):
             u = random_theta_field(small_problem, rng)
+            ray, custom_ray = _ray(small_problem, u.values)[0], _ray(custom, u.values)[0]
             for tau in (0.3, 1.0, 4.0):
-                kernel = small_problem.nonlinearity.rate_pair(Ray(u.values), tau)
-                triple = custom.nonlinearity.rate_pair(Ray(u.values), tau)
+                kernel = small_problem.nonlinearity.rate_pair(ray, tau)
+                triple = custom.nonlinearity.rate_pair(custom_ray, tau)
                 assert kernel == pytest.approx(triple, rel=1e-13)
             t_kernel, _, _ = project_to_nehari(small_problem, u)
             t_triple, _, _ = project_to_nehari(custom, u)
@@ -446,6 +448,23 @@ class TestProjectionAlongDirection:
                 assert out.t_star == ref.t_star
                 assert np.array_equal(out.projected.values, ref.projected.values)
                 assert out.report == ref.report
+
+    @pytest.mark.parametrize("law", ["saturable", "custom"])
+    def test_leaves_inputs_unchanged(self, small_problem, law):
+        # the ray is built in arrays of its own: the caller's iterate and
+        # direction keep their bytes through energy and both projections
+        p = small_problem
+        if law == "custom":
+            p = _with_nonlinearity(p, _saturable_as_custom(p.nonlinearity.s))
+        rng = np.random.default_rng(43)
+        u = random_theta_field(p, rng)
+        d = Field(p.grid, 0.3 * u.values * rng.uniform(-1.0, 1.0, p.grid.size))
+        before = u.values.tobytes(), d.values.tobytes()
+        energy(p, u)
+        project_to_nehari(p, u)
+        for semi in (gagliardo_sq(Field(p.grid, u.values - 0.5 * d.values), p.alpha), None):
+            project_to_nehari(p, u, semi=semi, direction=d, step=0.5)
+        assert (u.values.tobytes(), d.values.tobytes()) == before
 
     def test_failures_match_formed_trial(self, small_problem):
         p = small_problem
