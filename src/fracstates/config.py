@@ -38,7 +38,10 @@ def _require(mapping: dict, context: str, required, optional=()):
 
 
 def _number(value, name: str) -> float:
-    """value as a float; a value float rejects is a ConfigError naming the key."""
+    """value as a float; a boolean, or a value float rejects, is a
+    ConfigError naming the key."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -47,7 +50,8 @@ def _number(value, name: str) -> float:
 
 def _integer(value, name: str) -> int:
     """value as an int; a number with a fractional part (or an infinite or
-    NaN one) is a ConfigError naming the key, an integral float is accepted."""
+    NaN one) or a boolean is a ConfigError naming the key, an integral
+    float is accepted."""
     number = _number(value, name)
     if not number.is_integer():
         raise ConfigError(f"{name}: expected an integer, got {value!r}")

@@ -114,12 +114,6 @@ def build_boxes(spec: PotentialSpec, l: float, L: float, nu: Optional[float] = N
 # --------------------------------------------------------------------------
 
 
-def _cutoff(r: np.ndarray) -> np.ndarray:
-    """C1 non-increasing cutoff: 1 on [0, 1/2], 0 on [1, inf), cubic blend."""
-    tau = np.clip(2.0 * (r - 0.5), 0.0, 1.0)
-    return 1.0 - tau * tau * (3.0 - 2.0 * tau)
-
-
 def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     """Cut-off translate of the limit state centered at y/eps:
     psi(x) = eta(|eps x - y|) * w(x - y/eps), the translate taken exactly,
@@ -128,8 +122,9 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     seed goes through rejects it (NotInTheta) when eps is too large for
     this box.
 
-    The cut-off is built in place, in _cutoff's order of operations, so
-    the seed equals vals * _cutoff(sqrt(r2)) bit for bit while holding two
+    eta is the C1 non-increasing cut-off 1 - tau^2 (3 - 2 tau) with
+    tau = clip(2 (r - 1/2), 0, 1): 1 on [0, 1/2], 0 on [1, inf). It is
+    built in place, in that expression's order of operations, holding two
     arrays beside the translate."""
     g = problem.grid
     eps = problem.eps

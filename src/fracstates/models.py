@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -172,18 +172,6 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 # --------------------------------------------------------------------------
 
 
-class Ray(NamedTuple):
-    """Flat samples of a ray t -> t v, prepared for the Nehari passes:
-    a = v+^2 and a scratch array r of v's size, allocated once per ray
-    (variational._ray builds it). Saturable passes read only a and r,
-    overwrite r in place and leave a unchanged; custom laws also read v,
-    which is None for the saturable law."""
-
-    v: Optional[np.ndarray]
-    a: np.ndarray
-    r: np.ndarray
-
-
 class NonlinearitySpec:
     """Evaluable (f, f', F) triple with declared slope/growth data.
 
@@ -225,9 +213,10 @@ class NonlinearitySpec:
     ):
         return cls("custom", l0=l0, q=q, C0=C0, f=f, fprime=fprime, big_f=big_f)
 
-    def _nehari_floor(self, ray: Ray, nsq: float, w: float, pos_mass: float) -> float:
-        """A lower bound of the root tau of nsq = w psi(tau) on ray, where
-        pos_mass = sum v+^2; 0 when none is known (custom laws).
+    def _nehari_floor(self, a: np.ndarray, nsq: float, w: float, pos_mass: float) -> float:
+        """A lower bound of the root tau of nsq = w psi(tau) on the ray of v,
+        where a = v+^2 and pos_mass = sum a; 0 when none is known (custom
+        laws).
 
         For the saturable law psi(tau) = sum (a/s) phi(s tau a) with the
         concave phi(x) = x/(1+x), so psi(tau) <= B phi(tau A/B) by Jensen's
@@ -240,7 +229,7 @@ class NonlinearitySpec:
         m = nsq * self.s / (w * pos_mass)
         if not m < 1.0:
             return 0.0
-        return (nsq / w) / (float(np.dot(ray.a, ray.a)) * (1.0 - m))
+        return (nsq / w) / (float(np.dot(a, a)) * (1.0 - m))
 
     # -- array evaluation ---------------------------------------------------
 
@@ -268,29 +257,33 @@ class NonlinearitySpec:
             return _kernels.nehari_rate_sum(u_flat, t, self.s)
         return float(np.dot(self.f(t * u_flat), u_flat)) / t
 
-    def rate_pair(self, ray, tau: float):
-        """(psi, psi') in one pass on a Ray of v, psi(tau) =
-        rate_sum(v, sqrt(tau)).
+    def rate_pair(self, a: np.ndarray, r: np.ndarray, tau: float):
+        """(psi, psi') in one pass on the ray of v, psi(tau) =
+        rate_sum(v, sqrt(tau)), from its pass arrays a = v+^2 and r = v+
+        (variational._ray writes both). The saturable kernel reads only a
+        and overwrites r; a custom law reads both and writes neither.
 
-        For the custom kind psi' = (sum f'(tv)v^2 - psi)/(2 tau) at
-        t = sqrt(tau), from f and f' only.
+        f and f' vanish for t <= 0, so f(tv) v = f(tv+) v+ and a custom
+        law's passes read v+ for v. Its psi' = (sum f'(tv)v^2 - psi)/(2 tau)
+        at t = sqrt(tau), from f and f' only.
         """
         if self.kind == "saturable":
-            return _kernels.nehari_pass(ray.a, ray.r, tau, self.s)
+            return _kernels.nehari_pass(a, r, tau, self.s)
         t = math.sqrt(tau)
-        fv, fpv = self._custom(t * ray.v, self._f, self._fprime)
-        psi = float(np.dot(fv, ray.v)) / t
-        # f' vanishes where v <= 0, so v^2 may be read as a = v+^2
-        return psi, (float(np.dot(fpv, ray.a)) - psi) / (2.0 * tau)
+        fv, fpv = self._custom(t * r, self._f, self._fprime)
+        psi = float(np.dot(fv, r)) / t
+        return psi, (float(np.dot(fpv, a)) - psi) / (2.0 * tau)
 
-    def rate_primitive(self, ray: Ray, tau: float):
+    def rate_primitive(self, a: np.ndarray, r: np.ndarray, tau: float):
         """(psi(tau), sum F(t v)) in one pass at t = sqrt(tau): the rate of
-        rate_pair and the primitive sum of the energy, from f and F only."""
+        rate_pair and the primitive sum of the energy, from f and F only.
+        a and r are rate_pair's pass arrays, and each law treats them as
+        rate_pair does; F(tv) = F(tv+) as F vanishes for t <= 0."""
         if self.kind == "saturable":
-            return _kernels.nehari_final(ray.a, ray.r, tau, self.s)
+            return _kernels.nehari_final(a, r, tau, self.s)
         t = math.sqrt(tau)
-        fv, big = self._custom(t * ray.v, self._f, self._big_f)
-        return float(np.dot(fv, ray.v)) / t, float(np.sum(big))
+        fv, big = self._custom(t * r, self._f, self._big_f)
+        return float(np.dot(fv, r)) / t, float(np.sum(big))
 
 
 @dataclass

@@ -9,17 +9,18 @@ fields cross the manifold exactly once because f(t)/t is increasing, which
 makes g(t) = |u|^2_eps - int f(tu)u/t strictly decreasing; so the
 projection's own test Q(u) < 0 is the membership test.
 
-energy and project_to_nehari evaluate I, J and Q on one models.Ray, which
-only _ray builds: every part of I(tv), J(tv) and Q(tv) scales with
-tau = t^2 from sums over v taken once, except int F(tv) and int f(tv)v,
-which one final pass at tau evaluates. energy makes that pass at tau = 1;
-the projection makes it at the root and returns the energy report of the
-projected field.
+energy and project_to_nehari evaluate I, J and Q on the ray of a field,
+whose pass arrays only _ray builds: every part of I(tv), J(tv) and Q(tv)
+scales with tau = t^2 from sums over v taken once, except int F(tv) and
+int f(tv)v, which one final pass at tau evaluates on a = v+^2 and r = v+
+(f and F vanish for t <= 0, so v+ stands for v under every law). energy
+makes that pass at tau = 1; the projection makes it at the root and
+returns the energy report of the projected field. Which law runs is the
+nonlinearity's concern alone.
 
 The projection also takes a descent trial v = u - step * direction. _ray
-writes v into the ray's scratch array, takes its sums there and turns it
-into the pass arrays, so the trial is never held as a field beside them;
-a custom law, whose passes read v's samples, keeps one copy of it.
+writes v into r, takes its sums there and turns it into the pass arrays,
+so the trial is never held as a field beside them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonFinite, NonpositivePotential, NotInTheta, ZeroField
 from .grid import Field, Grid, apply_frac_laplacian, gagliardo_sq
-from .models import NonlinearitySpec, Ray
+from .models import NonlinearitySpec
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,11 @@ class Problem:
             raise NonpositivePotential("potential samples must be positive")
 
 
+def _check_grid(p: Problem, u: Field):
+    if u.grid != p.grid:
+        raise InvalidInput(f"field lives on {u.grid}, not on the problem's {p.grid}")
+
+
 @dataclass
 class EnergyReport:
     seminorm_part: float
@@ -77,13 +83,14 @@ def energy(p: Problem, u: Field, semi: Optional[float] = None) -> EnergyReport:
     semi, when given, is the seminorm [u]^2 = <u, (-Lap)^a u> already known
     to the caller; otherwise it is computed by FFT.
     """
+    _check_grid(p, u)
     if semi is None:
         semi = gagliardo_sq(u, p.alpha)
     try:
-        ray, pot, mass = _ray(p, u.values)
+        a, r, pot, mass = _ray(p, u.values)
     except ZeroField:  # every sum of the zero field is 0
         return _report(p, semi, 0.0, 0.0, 0.0, 0.0)
-    fu_sum, f_int = p.nonlinearity.rate_primitive(ray, 1.0)
+    fu_sum, f_int = p.nonlinearity.rate_primitive(a, r, 1.0)
     return _report(p, semi, pot, f_int, fu_sum, mass)
 
 
@@ -98,23 +105,19 @@ def _write_v(out: np.ndarray, u: np.ndarray, direction: Optional[np.ndarray], st
 
 
 def _ray(p: Problem, u: np.ndarray, direction: Optional[np.ndarray] = None, step: float = 0.0):
-    """(the Ray, sum V v^2, sum v^2) of v = u, or of the descent trial
-    v = u - step * direction. v is written into the ray's r and squared
-    into a for the two sums; r then gives a = v+^2. A custom law also
-    keeps v: the caller's u, or one copy of a trial. Raises ZeroField when
-    v is zero."""
+    """(a, r, sum V v^2, sum v^2) of v = u, or of the descent trial
+    v = u - step * direction, with the pass arrays a = v+^2 and r = v+.
+    v is written into r and squared into a for the two sums; r then turns
+    into v+ and a into its square. Raises ZeroField when v is zero."""
     r = _write_v(np.empty_like(u), u, direction, step)
     if not np.any(r):
         raise ZeroField("cannot project the zero field")
     mass = float(np.dot(r, r))
     a = np.multiply(r, r)
     pot = float(np.dot(p.potential_field.values, a))
-    v = None
-    if p.nonlinearity.kind != "saturable":
-        v = u if direction is None else r.copy()
     np.maximum(r, 0.0, out=r)
     np.multiply(r, r, out=a)
-    return Ray(v, a, r), pot, mass
+    return a, r, pot, mass
 
 
 def _report(p: Problem, semi, pot_sum, f_int, fu_sum, mass) -> EnergyReport:
@@ -140,6 +143,7 @@ def gradient(p: Problem, u: Field, lu: Optional[np.ndarray] = None) -> Field:
     lu, when given, holds the flat values of (-Lap)^a u already known to the
     caller; otherwise they are computed by FFT.
     """
+    _check_grid(p, u)
     if lu is None:
         lu = apply_frac_laplacian(u, p.alpha).values
     # f first, so that its scratch array is gone before out is allocated
@@ -184,9 +188,8 @@ def project_to_nehari(
     With a direction the ray is that of the descent trial
     v = u - step * direction instead, and semi, if given, is [v]^2. The
     result equals that of a call on the field v bit for bit. _ray builds v
-    in the ray's pass arrays, and t* v is formed in one of them once the
-    other is freed. v is held as a field of its own only where it is read:
-    by a custom law's passes, and by the FFT when semi is not given.
+    in the pass arrays, and t* v is formed in r once a is freed. v is held
+    as a field of its own only when semi is not given, for the FFT.
 
     With tau = t^2 the root solves G(tau) = |u|^2_eps - h^d psi(tau) = 0,
     psi(tau) = int f(tu)u/t. Safeguarded Newton, one fused (psi, psi') pass
@@ -203,31 +206,31 @@ def project_to_nehari(
     the check fails, Newton goes on to rounding-level steps and checks once
     more before raising NotInTheta.
     """
+    _check_grid(p, u)
     w = p.grid.weight
     nl = p.nonlinearity
     uv, dv = u.values, None
     if direction is not None:
-        if direction.grid != u.grid:
-            raise InvalidInput("direction lives on a different grid")
+        _check_grid(p, direction)
         dv = direction.values
     if semi is None:
         semi = gagliardo_sq(u if dv is None else Field(p.grid, uv - step * dv), p.alpha)
-    ray, pot, mass = _ray(p, uv, dv, step)
+    a, r, pot, mass = _ray(p, uv, dv, step)
     nsq = semi + w * pot
     if nsq - nl.l0 * w * mass >= 0:
         raise NotInTheta(
             f"theta defect {nsq - nl.l0 * w * mass:.6g} >= 0: "
             "ray never meets the Nehari manifold"
         )
-    pos_mass = float(np.sum(ray.a))
+    pos_mass = float(np.sum(a))
     if nsq - nl.l0 * w * pos_mass >= 0:
         raise NotInTheta(
             "positive-part mass too small: g(t) stays positive along the ray"
         )
-    floor = nl._nehari_floor(ray, nsq, w, pos_mass)
-    tau, psi, f_int = _ray_root(nl, ray, nsq, w, floor)
-    # the projected field takes over the scratch array r once a is freed
-    projected, ray = ray.r, None
+    floor = nl._nehari_floor(a, nsq, w, pos_mass)
+    tau, psi, f_int = _ray_root(nl, a, r, nsq, w, floor)
+    # the projected field takes over r once a is freed
+    projected, a = r, None
     t_star = math.sqrt(tau)
     report = _report(p, tau * semi, tau * pot, f_int, tau * psi, tau * mass)
     _write_v(projected, uv, dv, step)
@@ -235,14 +238,15 @@ def project_to_nehari(
     return NehariProjection(t_star, Field(p.grid, projected), report)
 
 
-def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float):
-    """(tau, psi(tau), sum F(sqrt(tau) v)) at the root of nsq = w psi(tau),
-    for project_to_nehari."""
+def _ray_root(nl: NonlinearitySpec, a: np.ndarray, r: np.ndarray, nsq: float, w: float,
+              floor: float):
+    """(tau, psi(tau), sum F(sqrt(tau) v)) at the root of nsq = w psi(tau)
+    on the pass arrays a and r of v, for project_to_nehari."""
     lo, hi, tau = floor, math.inf, max(1.0, floor)
     jump = 0.0 < floor < tau  # the floor is an untried lower end
     for step_tol in (_STEP_TOL, 0.0):
         for _ in range(_MAX_EVALS):
-            psi, dpsi = nl.rate_pair(ray, tau)
+            psi, dpsi = nl.rate_pair(a, r, tau)
             big_g = nsq - w * psi
             if big_g == 0.0:
                 break
@@ -262,7 +266,7 @@ def _ray_root(nl: NonlinearitySpec, ray: Ray, nsq: float, w: float, floor: float
             tau = nxt
             if done:
                 break
-        psi, f_int = nl.rate_primitive(ray, tau)
+        psi, f_int = nl.rate_primitive(a, r, tau)
         residual = tau * (nsq - w * psi)
         if not abs(residual) > _NEHARI_TOL * nsq:  # NaN passes on to the report's check
             return tau, psi, f_int

@@ -221,6 +221,10 @@ class TestCheck:
         # integer keys must be integral: int() would truncate these
         pytest.param("problem", "d", 1.9, id="d-fraction"),
         pytest.param("sweep", "max_iter", 2.7, id="max_iter-fraction"),
+        # a boolean is not a number, though float() and int() take it
+        pytest.param("problem", "d", True, id="d-bool"),
+        pytest.param("sweep", "max_iter", True, id="max_iter-bool"),
+        pytest.param("problem", "alpha", True, id="alpha-bool"),
         # grid keys out of range
         pytest.param("problem", "R0", 0.0, id="R0-zero"),
         pytest.param("problem", "R_cap", -400.0, id="R_cap-negative"),
@@ -241,7 +245,7 @@ class TestCheck:
     # the rows a value of the right type breaks: those the constructors
     # check, whichever way the config is built
     _RANGE_ROWS = [row for row in _BAD_PROBLEM_NUMBERS
-                   if not row.id.endswith(("-text", "-fraction"))]
+                   if not row.id.endswith(("-text", "-fraction", "-bool"))]
 
     @pytest.mark.parametrize("block,key,value", _BAD_PROBLEM_NUMBERS)
     def test_bad_number_is_config_error(self, tmp_path, block, key, value):

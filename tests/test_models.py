@@ -23,8 +23,8 @@ from fracstates.models import (
     validate_nonlinearity,
     validate_potential,
 )
-from fracstates.solver import SolveOptions
-from fracstates.variational import Problem
+from fracstates.solver import SolveOptions, solve_constrained
+from fracstates.variational import Problem, energy, gradient, project_to_nehari
 
 
 def nonlin_eval(spec, t):
@@ -286,7 +286,8 @@ INF = float("inf")
 def _nan_cases():
     """(id, call, error): each public range check given a NaN, which fails
     every comparison, so a check written as x <= 0 would let it through;
-    then points of the wrong dimension and non-integer iteration caps."""
+    then points of the wrong dimension, non-integer iteration caps and
+    fields on another grid than the problem's."""
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
@@ -296,6 +297,9 @@ def _nan_cases():
     def zero(t):
         return 0.0 * t
 
+    coarse = Field(make_grid(1, 8.0, 32), np.ones(32))
+    # the same size as the problem's grid but another spacing
+    wide = Field(make_grid(1, 16.0, 64), np.ones(g.size))
     nan_samples = expression_potential(lambda pts: np.full(len(pts), NAN), [(0.0,)], 2.0)
 
     def problem(eps=1.0, v=ones):
@@ -342,6 +346,18 @@ def _nan_cases():
         ("SolveOptions-max_iter-float", lambda: SolveOptions(max_iter=5.0), InvalidInput),
         ("SolveOptions-max_iter-inf", lambda: SolveOptions(max_iter=INF), InvalidInput),
         ("SolveOptions-max_iter-nan", lambda: SolveOptions(max_iter=NAN), InvalidInput),
+        ("SolveOptions-max_iter-bool", lambda: SolveOptions(max_iter=True), InvalidInput),
+        # a field on another grid than the problem's
+        ("energy-grid-size", lambda: energy(problem(), coarse), InvalidInput),
+        ("energy-grid-R", lambda: energy(problem(), wide), InvalidInput),
+        ("gradient-grid-size", lambda: gradient(problem(), coarse), InvalidInput),
+        ("gradient-grid-R", lambda: gradient(problem(), wide), InvalidInput),
+        ("project_to_nehari-grid-size", lambda: project_to_nehari(problem(), coarse),
+         InvalidInput),
+        ("project_to_nehari-grid-R", lambda: project_to_nehari(problem(), wide), InvalidInput),
+        ("solve_constrained-grid-size", lambda: solve_constrained(problem(), coarse),
+         InvalidInput),
+        ("solve_constrained-grid-R", lambda: solve_constrained(problem(), wide), InvalidInput),
     ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_field, random_theta_field, ray_argmax_oracle, ray_energies
-from fracstates.errors import InvalidInput, NotInTheta, ZeroField
+from fracstates.errors import InvalidInput, NonFinite, NotInTheta, ZeroField
 from fracstates.grid import Field, gagliardo_sq, inner_l2, make_grid
 from fracstates.models import NonlinearitySpec
 from fracstates.solver import SolveOptions, solve_constrained
@@ -390,8 +390,8 @@ class TestProjection:
         evals = []
         orig = NonlinearitySpec.rate_pair
 
-        def recorded(self, u_flat, tau):
-            out = orig(self, u_flat, tau)
+        def recorded(self, a, r, tau):
+            out = orig(self, a, r, tau)
             evals[-1].append((tau, *out))
             return out
 
@@ -417,10 +417,10 @@ class TestProjection:
         rng = np.random.default_rng(28)
         for _ in range(5):
             u = random_theta_field(small_problem, rng)
-            ray, custom_ray = _ray(small_problem, u.values)[0], _ray(custom, u.values)[0]
+            ray, custom_ray = _ray(small_problem, u.values)[:2], _ray(custom, u.values)[:2]
             for tau in (0.3, 1.0, 4.0):
-                kernel = small_problem.nonlinearity.rate_pair(ray, tau)
-                triple = custom.nonlinearity.rate_pair(custom_ray, tau)
+                kernel = small_problem.nonlinearity.rate_pair(*ray, tau)
+                triple = custom.nonlinearity.rate_pair(*custom_ray, tau)
                 assert kernel == pytest.approx(triple, rel=1e-13)
             t_kernel, _, _ = project_to_nehari(small_problem, u)
             t_triple, _, _ = project_to_nehari(custom, u)
@@ -478,6 +478,40 @@ class TestProjectionAlongDirection:
         other = make_grid(1, 2.0 * p.grid.R, p.grid.n)
         with pytest.raises(InvalidInput):
             project_to_nehari(p, u, semi=semi, direction=Field(other, u.values), step=1.0)
+
+
+def _nonfinite_cases():
+    """(id, law, call, sample, error): energy and the projection of a field
+    and of a trial, each given its seminorm, on a field with one NaN or
+    infinite sample. A -inf sample has no positive part but infinite mass,
+    so the projection's positive-mass test refuses its ray."""
+    cases = []
+    for law in ("saturable", "custom"):
+        for call in ("energy", "field", "trial"):
+            for name, sample in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf)):
+                error = NotInTheta if call != "energy" and name == "-inf" else NonFinite
+                cases.append((f"{law}-{call}-{name}", law, call, sample, error))
+    return cases
+
+
+@pytest.mark.parametrize("law, call, sample, error",
+                         [pytest.param(*c[1:], id=c[0]) for c in _nonfinite_cases()])
+def test_nonfinite_sample_is_typed(small_problem, law, call, sample, error):
+    p = small_problem
+    if law == "custom":
+        p = _with_nonlinearity(p, _saturable_as_custom(p.nonlinearity.s))
+    rng = np.random.default_rng(44)
+    u = random_theta_field(p, rng)
+    u.values[p.grid.n // 2] = sample
+    d = Field(p.grid, 0.3 * rng.uniform(-1.0, 1.0, p.grid.size))
+    calls = {
+        "energy": lambda: energy(p, u, semi=1.0),
+        "field": lambda: project_to_nehari(p, u, semi=1.0),
+        "trial": lambda: project_to_nehari(p, u, semi=1.0, direction=d, step=0.5),
+    }
+    # an infinite sample's passes divide inf by inf, so numpy warns first
+    with pytest.raises(error), np.errstate(invalid="ignore"):
+        calls[call]()
 
 
 class TestRayOracle:

@@ -1,8 +1,8 @@
 """The descent's hot kernels run in place: they reproduce the plain numpy
 expressions bit for bit while allocating no full-size temporaries beyond
-their result and one scratch array (the energy, beyond its Ray's two). The
-tail fit's batched scan stays within a few fields too, and a whole solve
-frees each field of the descent at its last use."""
+their result and one scratch array (the energy, beyond its ray's two pass
+arrays). The tail fit's batched scan stays within a few fields too, and a
+whole solve frees each field of the descent at its last use."""
 
 import tracemalloc
 
@@ -14,7 +14,7 @@ from fracstates import _kernels
 from fracstates.diagnostics import decay_fit
 from fracstates.grid import (Field, _translate, apply_frac_laplacian, helmholtz_inverse,
                              locate_max, make_grid, resample_field)
-from fracstates.localization import _cutoff, build_boxes, seed_field, solve_branch
+from fracstates.localization import build_boxes, seed_field, solve_branch
 from fracstates.models import NonlinearitySpec, PotentialSpec, Well, sample_potential
 from fracstates.solver import SolveOptions, _gaussian_seed, solve_limit
 from fracstates.variational import Problem, _report, energy, gradient, project_to_nehari
@@ -49,6 +49,13 @@ def _plain_pass_sums(u, v, s):
     return float(np.dot(v, u * u)), fint, float(np.dot(a, a / (1.0 + x)))
 
 
+def _cutoff(r):
+    """The seed's cut-off by its plain expression: 1 on [0, 1/2], 0 on
+    [1, inf), cubic blend."""
+    tau = np.clip(2.0 * (r - 0.5), 0.0, 1.0)
+    return 1.0 - tau * tau * (3.0 - 2.0 * tau)
+
+
 def _plain_round_trip(u, m):
     g = u.grid
     return np.fft.irfftn(np.fft.rfftn(u.shaped) * m, s=g.shape, axes=range(g.d)).ravel()
@@ -60,6 +67,25 @@ def _problem(d, n, seed=0, s=CANON_S):
     v = Field(g, rng.uniform(0.5, 2.0, g.size))
     return Problem(grid=g, alpha=0.6, eps=1.0, potential_field=v,
                    nonlinearity=NonlinearitySpec.saturable(s))
+
+
+def _custom_saturable(s):
+    """The saturable law as a custom (f, f', F) triple, written as the
+    benchmark's custom_1d workload writes it."""
+    def f(t):
+        t2 = t * t
+        return t * t2 / (1.0 + s * t2)
+
+    def fprime(t):
+        t2 = t * t
+        den = 1.0 + s * t2
+        return t2 * (3.0 + s * t2) / (den * den)
+
+    def big_f(t):
+        t2 = t * t
+        return t2 / (2.0 * s) - np.log(1.0 + s * t2) / (2.0 * s * s)
+
+    return NonlinearitySpec.custom(f, fprime, big_f, l0=1.0 / s, q=2.5, C0=9.0 / (8.0 * s))
 
 
 def _mixed_samples(size, seed):
@@ -193,7 +219,7 @@ class TestPeakMemory:
         assert peak <= 2.2
 
     def test_energy_sums(self, problem_3d, field_3d):
-        # the sums of energy, its seminorm given, hold only the Ray's a and r
+        # the sums of energy, its seminorm given, hold only the pass arrays a and r
         nbytes = field_3d.values.nbytes
         peak = _peak_fields(lambda: energy(problem_3d, field_3d, semi=1.0), nbytes)
         assert peak <= 2.2
@@ -207,6 +233,17 @@ class TestPeakMemory:
         peak = _peak_fields(lambda: project_to_nehari(p, u, semi=semi, direction=d, step=0.5),
                             u.values.nbytes)
         assert peak <= 2.2
+
+    def test_custom_trial_projection(self, problem_3d, field_3d):
+        # a custom law's passes read the ray's r = v+ for v, so the trial
+        # is held in no array beside the two pass arrays: those two, t r,
+        # the callables' temporaries and their zeroed results
+        p, u = problem_3d, field_3d
+        p = Problem(p.grid, p.alpha, p.eps, p.potential_field, _custom_saturable(CANON_S))
+        d = Field(p.grid, 0.1 * np.random.default_rng(8).standard_normal(p.grid.size))
+        peak = _peak_fields(lambda: project_to_nehari(p, u, semi=1.0, direction=d, step=0.5),
+                            u.values.nbytes)
+        assert peak <= 9.2
 
     def test_seed_field(self, saturable):
         # the cut-off is built in place: two arrays beside the translate
