@@ -4,12 +4,12 @@ The block dataclasses (ProblemBlock ... OutputBlock, and ExperimentConfig
 for the top level) are the schema: a field without a default is a required
 key, a field with one is optional, and its annotation says how the value is
 parsed. Unknown keys anywhere in the file are hard errors so typos in
-hypothesis parameters cannot pass silently. Each block checks its keys, and
-ExperimentConfig the rules across blocks and every grid's point budget, on
-construction, so a config built in Python obeys the YAML rules. A bad value
-is a ConfigError naming its key or block: a non-number, a fractional value
-of an integer key, a value out of range or one a model or SolveOptions
-rejects; a grid over the point budget is a BudgetExceeded.
+hypothesis parameters cannot pass silently. Each block parses and checks its
+values on construction, and ExperimentConfig its rng_seed, the rules across
+blocks and every grid's point budget, so YAML and Python reach one code path.
+A bad value is a ConfigError naming its key or block: a boolean or other
+non-number, a fractional value of an integer key, a value out of range or one
+a model rejects; a grid over the point budget is a BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ def _require(mapping: dict, context: str, required, optional=()):
     missing = set(required) - set(mapping)
     if missing:
         raise ConfigError(f"{context}: missing keys {sorted(missing)}")
-    return mapping
 
 
 def _number(value, name: str) -> float:
@@ -59,20 +58,52 @@ def _integer(value, name: str) -> int:
 
 
 def _numbers(value, name: str) -> tuple:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name}: expected a list, got {value!r}")
     return tuple(_number(x, name) for x in value)
 
 
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
+# field annotation -> parser(value, key name) of a block's scalar fields
+_PARSERS = {
+    "int": _integer,
+    "float": _number,
+    "Optional[float]": lambda value, name: None if value is None else _number(value, name),
+    "tuple": _numbers,
+    "str": _text,
+}
+
+
+class _Block:
+    """A config block: on construction each field is parsed in place by its
+    annotation, then _check runs; errors name block.key, the block being the
+    class name without 'Block'."""
+
+    def __post_init__(self):
+        block = type(self).__name__.removesuffix("Block").lower()
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               _PARSERS[f.type](getattr(self, f.name), f"{block}.{f.name}"))
+        self._check()
+
+    def _check(self):
+        pass
+
+
 @dataclass(frozen=True)
-class ProblemBlock:
+class ProblemBlock(_Block):
     d: int
     alpha: float
     R0: float
     R_cap: float = 400.0
     h0: float = 0.25
 
-    def __post_init__(self):
+    def _check(self):
         if self.d not in (1, 2, 3):
             raise ConfigError(f"problem.d: must be 1, 2 or 3, got {self.d}")
         if not 0.0 < self.alpha <= 1.0:
@@ -83,22 +114,25 @@ class ProblemBlock:
 
 
 @dataclass(frozen=True)
-class BoxesBlock:
+class BoxesBlock(_Block):
     l: float
     L: float
     nu: Optional[float] = None
 
 
 @dataclass(frozen=True)
-class SweepBlock:
+class SweepBlock(_Block):
     epsilons: tuple
     max_iter: int = SolveOptions.max_iter
     tol_residual: float = SolveOptions.tol_residual
     point_budget: int = 4_000_000
 
-    def __post_init__(self):
-        # SolveOptions holds the rules of the solver keys (InvalidInput)
-        SolveOptions(max_iter=self.max_iter, tol_residual=self.tol_residual)
+    def _check(self):
+        for key in ("max_iter", "tol_residual"):  # SolveOptions holds their rules
+            try:
+                SolveOptions(**{key: getattr(self, key)})
+            except InvalidInput as exc:
+                raise ConfigError(f"sweep.{key}: {exc}") from exc
         eps = self.epsilons
         if not eps:
             raise ConfigError("sweep.epsilons: expected a non-empty list")
@@ -109,12 +143,12 @@ class SweepBlock:
 
 
 @dataclass(frozen=True)
-class LimitBlock:
+class LimitBlock(_Block):
     a_values: tuple = ()
     R: float = 80.0
     n: int = 640
 
-    def __post_init__(self):
+    def _check(self):
         if not self.R > 0:
             raise ConfigError(f"limit.R: must be positive, got {self.R}")
         if not self.n >= 8 or self.n % 2:
@@ -122,22 +156,18 @@ class LimitBlock:
 
 
 @dataclass(frozen=True)
-class SolveBlock:
+class SolveBlock(_Block):
     epsilon: Optional[float] = None
     branch: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         if self.epsilon is not None and not self.epsilon > 0:
             raise ConfigError(f"solve.epsilon: must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
-class OutputBlock:
+class OutputBlock(_Block):
     directory: str = "out"
-
-    def __post_init__(self):
-        if not isinstance(self.directory, str):
-            raise ConfigError(f"output.directory: expected a string, got {self.directory!r}")
 
 
 @dataclass
@@ -155,6 +185,7 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
+        self.rng_seed = _integer(self.rng_seed, "rng_seed")
         problem, limit = self.problem, self.limit
         # the limit state seeds the eps grids through resample_field, which
         # needs the same spacing to the same relative tolerance
@@ -168,12 +199,9 @@ class ExperimentConfig:
             check_levels(limit.a_values, self.nonlinearity)
         except (InvalidInput, SlopeOrdering) as exc:
             raise ConfigError(f"limit.a_values: {exc}") from exc
-        for i, well in enumerate(self.potential.wells):
-            if len(well.center) != problem.d:
-                raise ConfigError(
-                    f"potential.wells[{i}].center: expected {problem.d} coordinates "
-                    f"(problem.d), got {len(well.center)}"
-                )
+        if self.potential.d != problem.d:  # PotentialSpec gives every well one dimension
+            raise ConfigError(f"potential.wells[0].center: expected {problem.d} coordinates "
+                              f"(problem.d), got {self.potential.d}")
         k = len(self.potential.wells)  # one branch per well
         if not 1 <= self.solve.branch <= k:
             raise ConfigError(f"solve.branch: must be in 1..{k}, got {self.solve.branch}")
@@ -236,9 +264,9 @@ def _parse_nonlinearity(block, name: str) -> NonlinearitySpec:
 def _build(cls, mapping, path: str = ""):
     """cls built from mapping through its dataclass fields, which are the
     schema: a field without a default is a required key, one with a default
-    an optional key, any other key is unknown, and each value is parsed by
-    the field's annotation. A model constructor's InvalidInput becomes a
-    ConfigError naming the key."""
+    an optional key, any other key is unknown. A block or model value is
+    built from its own mapping, a scalar is passed on for cls to parse. A
+    model constructor's InvalidInput becomes a ConfigError naming the key."""
     schema = {f.name: f for f in fields(cls) if f.init}
     required = [k for k, f in schema.items()
                 if f.default is MISSING and f.default_factory is MISSING]
@@ -247,26 +275,17 @@ def _build(cls, mapping, path: str = ""):
     for key, value in mapping.items():
         name = f"{path}.{key}" if path else key
         try:
-            values[key] = _PARSERS[schema[key].type](value, name)
+            values[key] = _PARTS.get(schema[key].type, lambda v, _: v)(value, name)
         except InvalidInput as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     return cls(**values)
 
 
-# field annotation -> parser(value, key name)
-_PARSERS = {
-    "int": _integer,
-    "float": _number,
-    "Optional[float]": lambda value, name: None if value is None else _number(value, name),
-    "tuple": _numbers,
-    "str": lambda value, name: value,  # OutputBlock requires a string
-    "PotentialSpec": _parse_potential,
-    "NonlinearitySpec": _parse_nonlinearity,
-}
-_PARSERS.update({
-    cls.__name__: partial(_build, cls)
-    for cls in (ProblemBlock, BoxesBlock, SweepBlock, LimitBlock, SolveBlock, OutputBlock)
-})
+# field annotation -> builder(mapping, key name) of the blocks and models;
+# any other value goes to cls unparsed
+_PARTS = {"PotentialSpec": _parse_potential, "NonlinearitySpec": _parse_nonlinearity}
+_PARTS.update({cls.__name__: partial(_build, cls) for cls in
+               (ProblemBlock, BoxesBlock, SweepBlock, LimitBlock, SolveBlock, OutputBlock)})
 
 
 def parse_config(data: dict) -> ExperimentConfig:

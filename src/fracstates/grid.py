@@ -13,9 +13,9 @@ shift c of each alpha, since a descent passes one shift for a whole solve.
 Multiplying by it is bit for bit the division numpy does of a complex
 spectrum by a real array, which forms the same reciprocal per mode.
 
-Both operators, and the sub-cell translate _translate (a phase
-multiplier), run one round trip, _round_trip: rfftn into a freshly
-allocated spectrum, an in-place multiply by the multiplier, an
+Both operators, and the sub-cell translate _translate (one phase
+factor per axis), run one round trip, _round_trip: rfftn into a freshly
+allocated spectrum, in-place multiplies by the multipliers, an
 in-place ifftn over the leading axes in irfftn's axis order, and irfft into
 the output. That is the arithmetic of irfftn(rfftn(u) * m) bit for bit, but
 only the spectrum and the output are allocated, where irfftn forms a fresh
@@ -192,19 +192,21 @@ def _check_alpha(alpha: float):
         raise InvalidInput(f"order alpha must lie in (0, 1], got {alpha}")
 
 
-def _round_trip(u: Field, mult: np.ndarray) -> Field:
-    """irfftn(rfftn(u) * mult), allocating only the spectrum and the
+def _round_trip(u: Field, *mults: np.ndarray) -> Field:
+    """irfftn(rfftn(u) * mult) for the product of mults, each of which
+    broadcasts to the spectrum, allocating only the spectrum and the
     output. Raises NonFinite when the zero mode of the spectrum, the sum of
     every sample, is not finite."""
     g = u.grid
-    spec = np.empty(mult.shape, dtype=complex)
+    spec = np.empty(g.shape[:-1] + (g.n // 2 + 1,), dtype=complex)
     # the zero mode sums every sample, so a NaN or Inf sample leaves it
     # non-finite: one scalar test instead of a pass over u
     with np.errstate(invalid="ignore"):
         np.fft.rfftn(u.shaped, out=spec)
     if not np.isfinite(spec.flat[0]):
         raise NonFinite("field contains NaN or Inf")
-    np.multiply(spec, mult, out=spec)
+    for mult in mults:
+        np.multiply(spec, mult, out=spec)
     if g.d > 1:
         # ifftn runs its axes last to first, irfftn first to last
         np.fft.ifftn(spec, axes=tuple(range(g.d - 2, -1, -1)), out=spec)
@@ -213,16 +215,17 @@ def _round_trip(u: Field, mult: np.ndarray) -> Field:
 
 def _translate(u: Field, shift) -> Field:
     """u(x - s) for a real shift s (one length per axis, in units of x):
-    the phase multiplier exp(-i xi.s) in one round trip. A whole-cell s
-    agrees with np.roll to rounding; for a sub-cell s, irfft drops the
-    imaginary part of the Nyquist mode, which keeps the result real.
+    the phase multiplier exp(-i xi.s) in one round trip, applied as its d
+    per-axis factors exp(-i s_k xi_k), so no phase array of the spectrum's
+    size is built. A whole-cell s agrees with np.roll to rounding; for a
+    sub-cell s, irfft drops the imaginary part of the Nyquist mode, which
+    keeps the result real.
 
     Raises NonFinite when u has a NaN or Inf sample, or samples so large
     that their sum overflows.
     """
     xi = np.meshgrid(*u.grid._wavenumbers, indexing="ij", sparse=True)
-    phase = np.exp(-1j * sum(s * k for s, k in zip(shift, xi, strict=True)))
-    return _round_trip(u, phase)
+    return _round_trip(u, *(np.exp(-1j * (s * k)) for s, k in zip(shift, xi, strict=True)))
 
 
 def apply_frac_laplacian(u: Field, alpha: float) -> Field:

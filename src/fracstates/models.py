@@ -26,6 +26,12 @@ from .grid import Field, Grid
 # --------------------------------------------------------------------------
 
 
+def _boolean(*values) -> bool:
+    """Whether a value is a boolean, which float() and comparisons would
+    take as the number 0 or 1."""
+    return any(isinstance(v, (bool, np.bool_)) for v in values)
+
+
 @dataclass(frozen=True)
 class Well:
     center: tuple
@@ -33,11 +39,15 @@ class Well:
     width: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
+        center = np.atleast_1d(np.asarray(self.center, dtype=object))
+        if _boolean(*center):
+            raise InvalidInput(f"well center must be numbers, got {self.center!r}")
+        object.__setattr__(self, "center", tuple(float(c) for c in center))
         if any(math.isnan(c) for c in self.center):
             raise InvalidInput(f"well center must be a number, got {self.center}")
-        if not (self.depth > 0 and self.width > 0):  # NaN fails too
-            raise InvalidInput("well depth and width must be positive")
+        # NaN fails the comparison too
+        if _boolean(self.depth, self.width) or not (self.depth > 0 and self.width > 0):
+            raise InvalidInput("well depth and width must be positive numbers")
 
 
 @dataclass(frozen=True)
@@ -54,8 +64,8 @@ class PotentialSpec:
         d = len(self.wells[0].center)
         if any(len(w.center) != d for w in self.wells):
             raise InvalidInput("all well centers must share one dimension")
-        if not self.v_inf_level > 0:
-            raise InvalidInput(f"v_inf_level must be positive, got {self.v_inf_level}")
+        if _boolean(self.v_inf_level) or not self.v_inf_level > 0:
+            raise InvalidInput(f"v_inf_level must be positive, got {self.v_inf_level!r}")
 
     @property
     def d(self) -> int:
@@ -196,8 +206,8 @@ class NonlinearitySpec:
 
     @classmethod
     def saturable(cls, s: float, q: float = 2.5):
-        if not s > 0:
-            raise InvalidInput(f"saturation parameter must be positive, got {s}")
+        if _boolean(s) or not s > 0:
+            raise InvalidInput(f"saturation parameter must be positive, got {s!r}")
         # C0 = sup |f'| = 9/(8s), attained at s*t^2 = 3
         return cls("saturable", l0=1.0 / s, q=q, C0=9.0 / (8.0 * s), s=float(s))
 

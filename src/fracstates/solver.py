@@ -90,8 +90,8 @@ class SolveOptions:
         if (not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool)
                 or not self.max_iter >= 1):
             raise InvalidInput(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
-        if not self.tol_residual > 0:
-            raise InvalidInput("tol_residual must be positive")
+        if isinstance(self.tol_residual, (bool, np.bool_)) or not self.tol_residual > 0:
+            raise InvalidInput(f"tol_residual must be positive, got {self.tol_residual!r}")
 
 
 @dataclass

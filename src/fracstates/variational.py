@@ -108,11 +108,15 @@ def _ray(p: Problem, u: np.ndarray, direction: Optional[np.ndarray] = None, step
     """(a, r, sum V v^2, sum v^2) of v = u, or of the descent trial
     v = u - step * direction, with the pass arrays a = v+^2 and r = v+.
     v is written into r and squared into a for the two sums; r then turns
-    into v+ and a into its square. Raises ZeroField when v is zero."""
+    into v+ and a into its square. Raises ZeroField when v is zero, and
+    NonFinite when sum v^2 is not finite (a NaN or infinite sample), before
+    any pass could divide inf by inf."""
     r = _write_v(np.empty_like(u), u, direction, step)
     if not np.any(r):
         raise ZeroField("cannot project the zero field")
     mass = float(np.dot(r, r))
+    if not math.isfinite(mass):
+        raise NonFinite("field contains NaN or Inf")
     a = np.multiply(r, r)
     pot = float(np.dot(p.potential_field.values, a))
     np.maximum(r, 0.0, out=r)

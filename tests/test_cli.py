@@ -36,15 +36,13 @@ def canonical_config(**overrides):
 
 def python_config(cfg):
     """The ExperimentConfig of a canonical_config mapping, built from its
-    blocks in Python, without the YAML parser."""
-    from fracstates.config import (BoxesBlock, ExperimentConfig, LimitBlock, ProblemBlock,
-                                   SolveBlock, SweepBlock)
+    blocks in Python, without the YAML parser; lists are passed as lists."""
+    from fracstates.config import (BoxesBlock, ExperimentConfig, LimitBlock, OutputBlock,
+                                   ProblemBlock, SolveBlock, SweepBlock)
     from fracstates.models import NonlinearitySpec, PotentialSpec, Well
 
-    tuples = {"epsilons", "a_values"}
-
     def block(cls, name):
-        return cls(**{k: tuple(v) if k in tuples else v for k, v in cfg.get(name, {}).items()})
+        return cls(**cfg.get(name, {}))
 
     pot = cfg["potential"]
     return ExperimentConfig(
@@ -55,6 +53,8 @@ def python_config(cfg):
         sweep=block(SweepBlock, "sweep"),
         limit=block(LimitBlock, "limit"),
         solve=block(SolveBlock, "solve"),
+        output=block(OutputBlock, "output"),
+        rng_seed=cfg.get("rng_seed", 0),
     )
 
 
@@ -190,13 +190,12 @@ class TestCheck:
     )
     def test_bad_solver_knob_is_config_error(self, tmp_path, key, value):
         from fracstates.config import SweepBlock, parse_config
-        from fracstates.errors import InvalidInput
 
         # the block itself rejects the value, for library callers too
-        with pytest.raises(InvalidInput, match=key):
+        with pytest.raises(ConfigError, match=f"sweep.{key}: "):
             SweepBlock(epsilons=(0.5,), **{key: value})
         cfg = canonical_config(sweep={key: value})
-        with pytest.raises(ConfigError, match=f"sweep: {key}"):
+        with pytest.raises(ConfigError, match=f"sweep.{key}: "):
             parse_config(cfg)
         path = write_config(tmp_path, cfg)
         res = run_cli(["check", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -241,11 +240,18 @@ class TestCheck:
         pytest.param("solve", "branch", 0, id="branch-zero"),
         # NaN fails every range comparison
         pytest.param("sweep", "epsilons", [float("nan")], id="epsilons-nan"),
+        # every block parses its own values by type
+        pytest.param("solve", "branch", True, id="branch-bool"),
+        pytest.param("solve", "branch", 1.5, id="branch-fraction"),
+        pytest.param("boxes", "l", "x", id="l-text"),
+        pytest.param("limit", "n", 640.5, id="limit-n-fraction"),
+        pytest.param("output", "directory", ["a"], id="directory-list"),
     ]
-    # the rows a value of the right type breaks: those the constructors
-    # check, whichever way the config is built
-    _RANGE_ROWS = [row for row in _BAD_PROBLEM_NUMBERS
-                   if not row.id.endswith(("-text", "-fraction", "-bool"))]
+    # top-level keys, named without a block
+    _BAD_TOP_LEVEL = [
+        pytest.param("rng_seed", True, id="rng_seed-bool"),
+        pytest.param("rng_seed", "x", id="rng_seed-text"),
+    ]
 
     @pytest.mark.parametrize("block,key,value", _BAD_PROBLEM_NUMBERS)
     def test_bad_number_is_config_error(self, tmp_path, block, key, value):
@@ -257,10 +263,45 @@ class TestCheck:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("block,key,value", _RANGE_ROWS)
+    @pytest.mark.parametrize("block,key,value", _BAD_PROBLEM_NUMBERS)
     def test_bad_number_rejected_in_python(self, block, key, value):
         with pytest.raises(ConfigError, match=re.escape(f"{block}.{key}")):
             python_config(canonical_config(**{block: {key: value}}))
+
+    @pytest.mark.parametrize("key,value", _BAD_TOP_LEVEL)
+    def test_bad_top_level_value_is_config_error(self, tmp_path, key, value):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, canonical_config(**{key: value}))
+        res = run_cli(["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert f"error: {key}: " in res.output
+        assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            python_config(canonical_config(**{key: value}))
+
+    def test_blocks_parse_their_values(self):
+        from fracstates.config import LimitBlock, SolveBlock
+
+        limit = LimitBlock(a_values=[1, 2.5], R=80, n=640.0)
+        assert limit == LimitBlock(a_values=(1.0, 2.5), R=80.0, n=640)
+        assert type(limit.n) is int and type(limit.R) is float
+        # SolveBlock alone cannot know k, so a fraction must fail as a type
+        with pytest.raises(ConfigError, match=re.escape("solve.branch: expected an integer")):
+            SolveBlock(branch=1.5)
+
+    def test_python_config_equals_parsed(self):
+        from fracstates.config import parse_config
+
+        cfg = canonical_config(solve={"epsilon": 0.5, "branch": 1}, output={"directory": "o"})
+        parsed, built = parse_config(cfg), python_config(cfg)
+        # NonlinearitySpec compares by identity, so it is compared by its data
+        assert vars(built.nonlinearity) == vars(parsed.nonlinearity)
+        built.nonlinearity, built.raw = parsed.nonlinearity, parsed.raw
+        assert built == parsed
+        for config in (parsed, built):
+            assert type(config.problem.d) is int and type(config.limit.n) is int
+            assert type(config.sweep.max_iter) is int and type(config.rng_seed) is int
+            assert type(config.sweep.epsilons) is tuple and type(config.limit.a_values) is tuple
 
     def test_output_directory_must_be_string(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -393,11 +434,14 @@ class TestReadmeConfig:
 
         from fracstates import config
 
+        # the word of the type column each field annotation's parser reads
+        words = {"int": "integer", "float": "number", "Optional[float]": "number",
+                 "tuple": "list", "str": "string"}
         rows = {}
         for line in _readme_section("CLI").splitlines():
             cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
             if line.startswith("| `") and len(cells) == 4:
-                rows[(cells[0], cells[1])] = cells[3]
+                rows[(cells[0], cells[1])] = cells[2:]
         blocks = {"problem": config.ProblemBlock, "boxes": config.BoxesBlock,
                   "sweep": config.SweepBlock, "limit": config.LimitBlock,
                   "solve": config.SolveBlock, "output": config.OutputBlock}
@@ -407,11 +451,13 @@ class TestReadmeConfig:
             fields = dataclasses.fields(cls)
             assert {k for b, k in rows if b == block} == {f.name for f in fields}
             for f in fields:
-                cell = rows[(block, f.name)]
+                kind, cell = rows[(block, f.name)]
+                assert words[f.type] in kind, (block, f.name)
                 if f.default is dataclasses.MISSING:
                     assert cell == "required", (block, f.name)
                 else:
                     assert cell.split("` ")[0] == repr(f.default), (block, f.name)
+        assert "optional integer `rng_seed`" in _readme_section("CLI")
 
 
 class TestLimit:

@@ -286,8 +286,9 @@ INF = float("inf")
 def _nan_cases():
     """(id, call, error): each public range check given a NaN, which fails
     every comparison, so a check written as x <= 0 would let it through;
-    then points of the wrong dimension, non-integer iteration caps and
-    fields on another grid than the problem's."""
+    then points of the wrong dimension, non-integer iteration caps,
+    booleans given for numbers and fields on another grid than the
+    problem's."""
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
@@ -347,6 +348,15 @@ def _nan_cases():
         ("SolveOptions-max_iter-inf", lambda: SolveOptions(max_iter=INF), InvalidInput),
         ("SolveOptions-max_iter-nan", lambda: SolveOptions(max_iter=NAN), InvalidInput),
         ("SolveOptions-max_iter-bool", lambda: SolveOptions(max_iter=True), InvalidInput),
+        # a boolean, which float() and comparisons take as 0 or 1
+        ("Well-center-bool", lambda: Well((True,), 1.0, 2.0), InvalidInput),
+        ("Well-depth-bool", lambda: Well((0.0,), True, 2.0), InvalidInput),
+        ("Well-width-bool", lambda: Well((0.0,), 1.0, np.True_), InvalidInput),
+        ("PotentialSpec-v_inf_level-bool",
+         lambda: PotentialSpec(True, (Well((0.0,), 1.0, 2.0),)), InvalidInput),
+        ("saturable-s-bool", lambda: NonlinearitySpec.saturable(True), InvalidInput),
+        ("SolveOptions-tol_residual-bool", lambda: SolveOptions(tol_residual=True),
+         InvalidInput),
         # a field on another grid than the problem's
         ("energy-grid-size", lambda: energy(problem(), coarse), InvalidInput),
         ("energy-grid-R", lambda: energy(problem(), wide), InvalidInput),

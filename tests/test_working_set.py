@@ -213,6 +213,14 @@ class TestPeakMemory:
         assert _peak_fields(lambda: apply_frac_laplacian(u, 0.6), nbytes) <= 2.2
         assert _peak_fields(lambda: helmholtz_inverse(u, 0.6, 1.5), nbytes) <= 2.2
 
+    def test_translate(self, field_3d):
+        # the phase goes on as d per-axis factors, so the round trip holds
+        # the spectrum and the output and no phase array of spectrum size
+        u = field_3d
+        shift = (0.3, -0.1, 0.2)
+        _translate(u, shift)
+        assert _peak_fields(lambda: _translate(u, shift), u.values.nbytes) <= 2.2
+
     def test_gradient(self, problem_3d, field_3d):
         lu = apply_frac_laplacian(field_3d, problem_3d.alpha).values
         peak = _peak_fields(lambda: gradient(problem_3d, field_3d, lu=lu), lu.nbytes)
