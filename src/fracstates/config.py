@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import ConfigError, InvalidInput, SlopeOrdering
 from .localization import BoxFamily, build_boxes
-from .models import NonlinearitySpec, PotentialSpec, Well
+from .models import NonlinearitySpec, PotentialSpec, Well, _number as _model_number
 from .solver import SolveOptions, check_levels, grid_for_epsilon, limit_grid, validation_grid
 
 
@@ -37,14 +37,12 @@ def _require(mapping: dict, context: str, required, optional=()):
 
 
 def _number(value, name: str) -> float:
-    """value as a float; a boolean, or a value float rejects, is a
-    ConfigError naming the key."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    """value as a float by the models' number rule; a boolean, or a value
+    float rejects, is a ConfigError naming the key."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: expected a number, got {value!r}") from exc
+        return _model_number(value, name)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _integer(value, name: str) -> int:
@@ -182,7 +180,7 @@ class ExperimentConfig:
     output: OutputBlock = field(default_factory=OutputBlock)
     rng_seed: int = 0
     # the mapping parse_config read, for the manifest
-    raw: dict = field(default_factory=dict, init=False)
+    raw: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         self.rng_seed = _integer(self.rng_seed, "rng_seed")
@@ -220,13 +218,6 @@ class ExperimentConfig:
     def box_family(self) -> BoxFamily:
         return build_boxes(self.potential, self.boxes.l, self.boxes.L, self.boxes.nu)
 
-    def star_exponent(self) -> float:
-        """Critical exponent 2d/(d-2a) for d > 2a, +inf otherwise."""
-        d, a = self.problem.d, self.problem.alpha
-        if d > 2 * a:
-            return 2.0 * d / (d - 2.0 * a)
-        return float("inf")
-
 
 def _parse_potential(block, name: str) -> PotentialSpec:
     _require(block, name, ["v_inf_level", "wells"])
@@ -248,7 +239,7 @@ def _parse_potential(block, name: str) -> PotentialSpec:
 
 
 def _parse_nonlinearity(block, name: str) -> NonlinearitySpec:
-    _require(block, name, ["kind"], ["s", "q"])
+    _require(block, name, ["kind"], ["s"])
     kind = block["kind"]
     if kind != "saturable":
         raise ConfigError(
@@ -257,8 +248,7 @@ def _parse_nonlinearity(block, name: str) -> NonlinearitySpec:
         )
     if "s" not in block:
         raise ConfigError(f"{name}: saturable kind requires 's'")
-    kwargs = {"q": _number(block["q"], f"{name}.q")} if "q" in block else {}
-    return NonlinearitySpec.saturable(_number(block["s"], f"{name}.s"), **kwargs)
+    return NonlinearitySpec.saturable(_number(block["s"], f"{name}.s"))
 
 
 def _build(cls, mapping, path: str = ""):

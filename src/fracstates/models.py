@@ -26,10 +26,15 @@ from .grid import Field, Grid
 # --------------------------------------------------------------------------
 
 
-def _boolean(*values) -> bool:
-    """Whether a value is a boolean, which float() and comparisons would
-    take as the number 0 or 1."""
-    return any(isinstance(v, (bool, np.bool_)) for v in values)
+def _number(value, name: str) -> float:
+    """value as a float; a boolean, which float() and comparisons would take
+    as 0 or 1, or a value float() rejects is an InvalidInput naming it."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidInput(f"{name}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name}: expected a number, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -40,13 +45,13 @@ class Well:
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=object))
-        if _boolean(*center):
-            raise InvalidInput(f"well center must be numbers, got {self.center!r}")
-        object.__setattr__(self, "center", tuple(float(c) for c in center))
+        object.__setattr__(self, "center", tuple(_number(c, "well center") for c in center))
         if any(math.isnan(c) for c in self.center):
             raise InvalidInput(f"well center must be a number, got {self.center}")
+        for key in ("depth", "width"):
+            object.__setattr__(self, key, _number(getattr(self, key), f"well {key}"))
         # NaN fails the comparison too
-        if _boolean(self.depth, self.width) or not (self.depth > 0 and self.width > 0):
+        if not (self.depth > 0 and self.width > 0):
             raise InvalidInput("well depth and width must be positive numbers")
 
 
@@ -64,7 +69,8 @@ class PotentialSpec:
         d = len(self.wells[0].center)
         if any(len(w.center) != d for w in self.wells):
             raise InvalidInput("all well centers must share one dimension")
-        if _boolean(self.v_inf_level) or not self.v_inf_level > 0:
+        object.__setattr__(self, "v_inf_level", _number(self.v_inf_level, "v_inf_level"))
+        if not self.v_inf_level > 0:
             raise InvalidInput(f"v_inf_level must be positive, got {self.v_inf_level!r}")
 
     @property
@@ -128,23 +134,26 @@ _V2_ACHIEVE_FRAC = 0.01
 
 
 def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
-    """Check (V1) and (V2) on grid samples.
+    """Check (V1) and (V2) on grid samples and the declared centers.
 
-    V0 is the grid minimum; the liminf at infinity is proxied by the minimum
-    over the boundary shell {|x|_inf >= 0.9 R}, which must exceed V0 by
-    _V1_MARGIN_FRAC (V_inf - V0). (V2) passes when every declared center
-    achieves V0 within _V2_ACHIEVE_FRAC of the deepest well's depth and is
-    a strict minimum within its own well radius.
+    V0 is the minimum of V over the grid points and the declared centers,
+    so it is spec.v0_proxy unless a grid point lies lower. The liminf at
+    infinity is proxied by the minimum over the boundary shell
+    {|x|_inf >= 0.9 R}, which must exceed V0 by _V1_MARGIN_FRAC (V_inf - V0).
+    (V2) passes when every declared center achieves V0 within
+    _V2_ACHIEVE_FRAC of the deepest well's depth and is a strict minimum
+    within its own well radius.
     """
     vals = spec.evaluate_on_coords(grid.coords).ravel()
-    v0 = float(np.min(vals))
+    centers = spec.center_values()
+    v0 = float(np.minimum(np.min(vals), np.min(centers)))
     v_inf_proxy = float(np.min(vals[grid.boundary_shell()]))
     margin = _V1_MARGIN_FRAC * max(spec.v_inf_level - v0, 0.0)
     pass_v1 = (v0 > 0.0) and (v_inf_proxy > v0 + margin)
 
     msgs = []
     if v0 <= 0.0:
-        msgs.append(f"(V1) fail: grid minimum {v0:.6g} <= 0")
+        msgs.append(f"(V1) fail: minimum {v0:.6g} <= 0")
     if v_inf_proxy <= v0 + margin:
         msgs.append(
             f"(V1) fail: boundary-shell minimum {v_inf_proxy:.6g} is not above "
@@ -152,7 +161,6 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
         )
 
     achieve_tol = _V2_ACHIEVE_FRAC * max(w.depth for w in spec.wells)
-    centers = spec.center_values()
     pass_v2 = True
     for w, vc in zip(spec.wells, centers):
         achieves = bool(abs(vc - v0) <= achieve_tol)
@@ -182,34 +190,41 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class NonlinearitySpec:
     """Evaluable (f, f', F) triple with declared slope/growth data.
 
     All evaluation paths enforce f = f' = F = 0 for t <= 0 ((f1)). The
     saturable kind evaluates arrays with the numpy kernels of _kernels.
+    Specs compare by value: kind, s, l0, q, C0 and the custom callables.
     """
 
-    def __init__(self, kind, l0, q, C0, s=None, f=None, fprime=None, big_f=None):
-        self.kind = kind
-        self.l0 = float(l0)
-        self.q = float(q)
-        self.C0 = float(C0)
-        self.s = s
-        self._f = f
-        self._fprime = fprime
-        self._big_f = big_f
-        if not q > 2:
-            raise InvalidInput(f"growth exponent q must exceed 2, got {q}")
+    kind: str
+    l0: float
+    q: float
+    C0: float
+    s: Optional[float] = None
+    _f: Optional[Callable] = None
+    _fprime: Optional[Callable] = None
+    _big_f: Optional[Callable] = None
+
+    def __post_init__(self):
+        for key in ("l0", "q", "C0"):
+            object.__setattr__(self, key, _number(getattr(self, key), key))
+        if not self.q >= 2:
+            raise InvalidInput(f"growth exponent q must be at least 2, got {self.q}")
         # l0 may be inf (an unbounded declared slope), so only NaN is refused
         if math.isnan(self.l0) or math.isnan(self.C0):
-            raise InvalidInput(f"l0 and C0 must be numbers, got {l0} and {C0}")
+            raise InvalidInput(f"l0 and C0 must be numbers, got {self.l0} and {self.C0}")
 
     @classmethod
-    def saturable(cls, s: float, q: float = 2.5):
-        if _boolean(s) or not s > 0:
+    def saturable(cls, s: float):
+        s = _number(s, "saturation parameter")
+        if not s > 0:
             raise InvalidInput(f"saturation parameter must be positive, got {s!r}")
-        # C0 = sup |f'| = 9/(8s), attained at s*t^2 = 3
-        return cls("saturable", l0=1.0 / s, q=q, C0=9.0 / (8.0 * s), s=float(s))
+        # |f'| <= C0 = 9/(8s), attained at s*t^2 = 3, bounds C0 (1 + t^(q-2))
+        # for every q >= 2, so the law declares q = 2
+        return cls("saturable", l0=1.0 / s, q=2.0, C0=9.0 / (8.0 * s), s=s)
 
     @classmethod
     def custom(
@@ -221,7 +236,7 @@ class NonlinearitySpec:
         q: float,
         C0: float,
     ):
-        return cls("custom", l0=l0, q=q, C0=C0, f=f, fprime=fprime, big_f=big_f)
+        return cls("custom", l0=l0, q=q, C0=C0, _f=f, _fprime=fprime, _big_f=big_f)
 
     def _nehari_floor(self, a: np.ndarray, nsq: float, w: float, pos_mass: float) -> float:
         """A lower bound of the root tau of nsq = w psi(tau) on the ray of v,

@@ -60,7 +60,7 @@ from .errors import (
 )
 from . import _kernels
 from .grid import Field, Grid, apply_frac_laplacian, helmholtz_inverse, locate_max, make_grid
-from .models import NonlinearitySpec, sample_potential
+from .models import NonlinearitySpec, _number, sample_potential
 from .variational import (
     EnergyReport,
     Problem,
@@ -90,7 +90,8 @@ class SolveOptions:
         if (not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool)
                 or not self.max_iter >= 1):
             raise InvalidInput(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
-        if isinstance(self.tol_residual, (bool, np.bool_)) or not self.tol_residual > 0:
+        self.tol_residual = _number(self.tol_residual, "tol_residual")
+        if not self.tol_residual > 0:
             raise InvalidInput(f"tol_residual must be positive, got {self.tol_residual!r}")
 
 

@@ -140,8 +140,9 @@ class TestCheck:
         assert any("f3" in m for m in report["messages"])
 
     def test_unknown_key_is_hard_error(self, tmp_path):
-        # nonlinearity.C0 was removed: C0 = sup |f'| follows from s
-        for block, key in [("problem", "spacing"), ("nonlinearity", "C0")]:
+        # nonlinearity.C0 and .q were removed: C0 = sup |f'| and the growth
+        # exponent of (f2) follow from s
+        for block, key in [("problem", "spacing"), ("nonlinearity", "C0"), ("nonlinearity", "q")]:
             cfg = canonical_config()
             cfg[block][key] = 0.1
             path = write_config(tmp_path, cfg)
@@ -294,9 +295,6 @@ class TestCheck:
 
         cfg = canonical_config(solve={"epsilon": 0.5, "branch": 1}, output={"directory": "o"})
         parsed, built = parse_config(cfg), python_config(cfg)
-        # NonlinearitySpec compares by identity, so it is compared by its data
-        assert vars(built.nonlinearity) == vars(parsed.nonlinearity)
-        built.nonlinearity, built.raw = parsed.nonlinearity, parsed.raw
         assert built == parsed
         for config in (parsed, built):
             assert type(config.problem.d) is int and type(config.limit.n) is int
@@ -429,7 +427,7 @@ class TestReadmeConfig:
         python_loaded, c_loaded = both_loaders(block)
         assert c_loaded == python_loaded
 
-    def test_key_table_matches_blocks(self):
+    def test_key_table_matches_blocks(self, monkeypatch):
         import dataclasses
 
         from fracstates import config
@@ -458,6 +456,21 @@ class TestReadmeConfig:
                 else:
                     assert cell.split("` ")[0] == repr(f.default), (block, f.name)
         assert "optional integer `rng_seed`" in _readme_section("CLI")
+        # the model blocks' rows are the keys their parsers accept: those
+        # each gives _require first
+        accepted = {}
+        require = config._require
+
+        def recording(mapping, context, required, optional=()):
+            accepted.setdefault(context, set(required) | set(optional))
+            return require(mapping, context, required, optional)
+
+        monkeypatch.setattr(config, "_require", recording)
+        cfg = canonical_config()
+        for block, parse in (("potential", config._parse_potential),
+                             ("nonlinearity", config._parse_nonlinearity)):
+            parse(cfg[block], block)
+            assert {k for b, k in rows if b == block} == accepted[block], block
 
 
 class TestLimit:
@@ -471,6 +484,73 @@ class TestLimit:
         rows = [line.split(",") for line in lines[2:]]
         cs = [float(r[1]) for r in rows]
         assert cs[1] > cs[0]
+
+    def test_alpha_1_matches_first_integral(self, tmp_path):
+        # at alpha = 1 the limit state solves -w'' + a w = f(w), whose first
+        # integral w'^2 = a w^2 - 2F(w) gives c_a = int w'^2
+        # = 2 int_0^u_max sqrt(a u^2 - 2F(u)) du, u_max the root of a u^2 = 2F(u)
+        s = 0.4
+        cfg = canonical_config(problem={"alpha": 1.0, "h0": 0.125},
+                               sweep={"tol_residual": 1e-10},
+                               limit={"a_values": [0.5, 1.0, 2.0], "R": 40.0, "n": 640})
+        out = tmp_path / "out"
+        res = run_cli(["limit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        # Gauss-Legendre on u = u_max (1 - t^2), t in (0, 1), which makes the
+        # square-root endpoint at u_max smooth
+        t, wt = np.polynomial.legendre.leggauss(200)
+        t, wt = 0.5 * (t + 1.0), 0.5 * wt
+        for a, c_a in json.loads((out / "limit_curve.json").read_text())["curve"]:
+            # x = s u_max^2 is the positive root of log(1 + x) = (1 - a s) x;
+            # Newton from the right of the concave difference converges
+            b, x = 1.0 - a * s, 10.0 / (1.0 - a * s)
+            for _ in range(50):
+                x -= (np.log1p(x) - b * x) / (1.0 / (1.0 + x) - b)
+            u_max = np.sqrt(x / s)
+            u = u_max * (1.0 - t * t)
+            gap = a * u * u - (u * u / s - np.log1p(s * u * u) / (s * s))
+            exact = 2.0 * np.sum(wt * np.sqrt(gap) * 2.0 * u_max * t)
+            assert abs(c_a - exact) <= 1e-12 * exact, (
+                f"first integral: c_{a:g} = {c_a!r}, 2 int sqrt(a u^2 - 2F) du = {exact!r}")
+
+
+def paper_config(d, centers, alpha=0.5, h0=0.25, limit_R=16.0):
+    """Wells of width 0.5 at centers off the validation grid, on R0 = 8."""
+    return canonical_config(
+        problem={"d": d, "alpha": alpha, "R0": 8.0, "h0": h0},
+        potential={"v_inf_level": 2.0,
+                   "wells": [{"center": list(c), "depth": 1.0, "width": 0.5} for c in centers]},
+        limit={"R": limit_R, "n": round(2 * limit_R / h0)},
+    )
+
+
+# the settings of the paper's multiplicity in 2-D and 3-D
+PAPER_CONFIGS = {
+    "2d-well": paper_config(2, [(0.1, 0.07)]),
+    "2d-four-wells": paper_config(2, [(sx + 0.1, sy + 0.07) for sx in (-2, 2) for sy in (-2, 2)]),
+    "3d-well": paper_config(3, [(0.1, 0.07, 0.05)], alpha=0.25, h0=0.5, limit_R=12.0),
+}
+
+
+class TestPaperConfigs:
+    """Wells whose centers lie off the validation grid pass check: V0 is the
+    center level, not the lowest grid sample, and (f2) holds for any
+    alpha."""
+
+    @pytest.mark.parametrize("name", PAPER_CONFIGS)
+    def test_check_passes(self, tmp_path, name):
+        out = tmp_path / "out"
+        res = run_cli(["check", "--config", str(write_config(tmp_path, PAPER_CONFIGS[name])),
+                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "validation.json").read_text())
+        assert report["pass"] and report["messages"] == []
+        assert report["V0"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sweep_2d_well(self, tmp_path):
+        path = write_config(tmp_path, PAPER_CONFIGS["2d-well"])
+        res = run_cli(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
 
 
 @pytest.fixture(scope="module")

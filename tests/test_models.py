@@ -78,6 +78,13 @@ class TestEvaluate:
             expected = expected - w.depth * np.exp(-r2 / w.width)
         assert np.array_equal(spec.evaluate(pts), expected)
 
+    def test_integer_numbers_are_floats(self):
+        # an integer level would make np.full build an integer array, which
+        # cannot take the wells' float subtraction in place
+        spec = PotentialSpec(2, (Well((0,), 1, 1),))
+        assert spec == PotentialSpec(2.0, (Well((0.0,), 1.0, 1.0),))
+        assert spec.evaluate([[0.0], [1.0]]).tolist() == [1.0, 2.0 - np.exp(-1.0)]
+
 
 class TestValidatePotential:
     def test_symmetric_double_well_passes(self):
@@ -117,6 +124,31 @@ class TestValidatePotential:
         assert rep.pass_v1 and rep.pass_v2, rep.messages
         f = sample_potential(spec, g, 0.5)
         assert f.values[g.index_of((0.0,))[0]] == pytest.approx(1.0)
+
+    def test_off_grid_center_sets_v0(self):
+        # h = 0.25 puts no grid point on the center, so the grid alone reads
+        # V0 = 1.029 and would fail (V2) by 3% of the depth
+        spec = PotentialSpec(2.0, (Well((0.1, 0.07), 1.0, 0.5),))
+        rep = validate_potential(spec, make_grid(2, 8.0, 64))
+        assert rep.v0 == spec.v0_proxy == 1.0
+        assert rep.pass_v1 and rep.pass_v2, rep.messages
+
+    def test_deeper_grid_point_sets_v0(self):
+        # two overlapping wells sum to an undeclared minimum at 0, 0.13 below
+        # both centers, which the grid finds
+        spec = PotentialSpec(2.0, (Well((-0.3,), 1.0, 1.0), Well((0.3,), 1.0, 1.0)))
+        rep = validate_potential(spec, make_grid(1, 10.0, 512))
+        assert rep.v0 == pytest.approx(2.0 - 2.0 * np.exp(-0.09), abs=1e-3)
+        assert rep.v0 < spec.v0_proxy - 0.1
+        assert not rep.pass_v2
+        assert sum("attains" in m for m in rep.messages) == 2
+
+    def test_center_on_a_slope_fails_v2(self):
+        # a shallow narrow well on the flank of a wide one is no strict minimum
+        spec = PotentialSpec(2.0, (Well((0.0,), 1.0, 4.0), Well((1.0,), 0.001, 0.01)))
+        rep = validate_potential(spec, make_grid(1, 10.0, 512))
+        assert not rep.pass_v2
+        assert "(V2) fail: well at (1.0,) is not a strict minimum" in rep.messages
 
     def test_custom_expression_with_wrong_minimum_fails_v2(self):
         spec = expression_potential(
@@ -170,6 +202,40 @@ class TestValidateNonlinearity:
     def test_canonical_saturable_passes(self):
         rep = validate_nonlinearity(NonlinearitySpec.saturable(0.4), sup_v=2.0)
         assert all((rep.pass_f1, rep.pass_f2, rep.pass_f3, rep.pass_f4, rep.pass_f5)), rep.messages
+
+    def test_saturable_declares_q_2(self):
+        import inspect
+
+        spec = NonlinearitySpec.saturable(0.4)
+        assert list(inspect.signature(NonlinearitySpec.saturable).parameters) == ["s"]
+        assert spec.q == 2.0
+        # |f'| <= C0 bounds C0 (1 + t^(q-2)) for every q >= 2; a custom law
+        # may declare q = 2 too, but no less
+        f, fp, big = (lambda t, i=i: spec.triple(t)[i] for i in range(3))
+        assert validate_nonlinearity(NonlinearitySpec.custom(f, fp, big, 2.5, 2.0, spec.C0),
+                                     sup_v=2.0).pass_f2
+        with pytest.raises(InvalidInput, match="at least 2"):
+            NonlinearitySpec.custom(f, fp, big, 2.5, 1.9, spec.C0)
+
+    def test_specs_compare_by_value(self):
+        import dataclasses
+
+        assert NonlinearitySpec.saturable(0.4) == NonlinearitySpec.saturable(0.4)
+        assert NonlinearitySpec.saturable(0.4) != NonlinearitySpec.saturable(0.5)
+        assert hash(NonlinearitySpec.saturable(0.4)) == hash(NonlinearitySpec.saturable(0.4))
+
+        def cube(t):
+            return t**3
+
+        def law(f, q=4.0):
+            return NonlinearitySpec.custom(f, lambda t: 3 * t**2, lambda t: t**4 / 4,
+                                           l0=np.inf, q=q, C0=10.0)
+
+        assert law(cube) != law(lambda t: t**3)  # callables compare by identity
+        spec = law(cube)
+        assert dataclasses.replace(spec) == spec != dataclasses.replace(spec, q=5.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.q = 3.0
 
     def test_f3_fails_when_slope_below_potential(self):
         rep = validate_nonlinearity(NonlinearitySpec.saturable(1.0), sup_v=1.5)
@@ -287,8 +353,8 @@ def _nan_cases():
     """(id, call, error): each public range check given a NaN, which fails
     every comparison, so a check written as x <= 0 would let it through;
     then points of the wrong dimension, non-integer iteration caps,
-    booleans given for numbers and fields on another grid than the
-    problem's."""
+    booleans and strings given for numbers and fields on another grid than
+    the problem's."""
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
@@ -313,7 +379,6 @@ def _nan_cases():
         ("Well-width", lambda: Well((0.0,), 1.0, NAN), InvalidInput),
         ("PotentialSpec-v_inf_level", lambda: _single_well(v_inf=NAN), InvalidInput),
         ("saturable-s", lambda: NonlinearitySpec.saturable(NAN), InvalidInput),
-        ("saturable-q", lambda: NonlinearitySpec.saturable(0.4, q=NAN), InvalidInput),
         ("custom-q", lambda: NonlinearitySpec.custom(zero, zero, zero, l0=2.0, q=NAN, C0=1.0),
          InvalidInput),
         ("custom-l0", lambda: NonlinearitySpec.custom(zero, zero, zero, l0=NAN, q=3.0, C0=1.0),
@@ -356,6 +421,20 @@ def _nan_cases():
          lambda: PotentialSpec(True, (Well((0.0,), 1.0, 2.0),)), InvalidInput),
         ("saturable-s-bool", lambda: NonlinearitySpec.saturable(True), InvalidInput),
         ("SolveOptions-tol_residual-bool", lambda: SolveOptions(tol_residual=True),
+         InvalidInput),
+        ("custom-l0-bool", lambda: NonlinearitySpec.custom(zero, zero, zero, l0=True, q=3.0,
+                                                           C0=1.0), InvalidInput),
+        ("custom-C0-bool", lambda: NonlinearitySpec.custom(zero, zero, zero, l0=2.0, q=3.0,
+                                                           C0=True), InvalidInput),
+        # a string given for a number
+        ("Well-center-str", lambda: Well(("a",), 1.0, 2.0), InvalidInput),
+        ("Well-depth-str", lambda: Well((0.0,), "x", 2.0), InvalidInput),
+        ("PotentialSpec-v_inf_level-str",
+         lambda: PotentialSpec("x", (Well((0.0,), 1.0, 2.0),)), InvalidInput),
+        ("saturable-s-str", lambda: NonlinearitySpec.saturable("x"), InvalidInput),
+        ("custom-l0-str", lambda: NonlinearitySpec.custom(zero, zero, zero, l0="x", q=3.0,
+                                                          C0=1.0), InvalidInput),
+        ("SolveOptions-tol_residual-str", lambda: SolveOptions(tol_residual="x"),
          InvalidInput),
         # a field on another grid than the problem's
         ("energy-grid-size", lambda: energy(problem(), coarse), InvalidInput),
