@@ -16,7 +16,6 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__, _kernels
 from .config import ExperimentConfig, load_config
@@ -34,22 +33,10 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _write_json(path: Path, payload):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -322,8 +309,8 @@ def main():
 def _command(name: str, help_text: str):
     @main.command(name=name, help=help_text)
     @click.option("--config", "config_path", required=True, type=click.Path())
-    @click.option("--out", default=None, type=click.Path())
-    @click.option("--seed", default=None, type=int)
+    @click.option("--out", type=click.Path())
+    @click.option("--seed", type=int)
     def _cmd(config_path, out, seed):
         sys.exit(_dispatch(name, config_path, out, seed))
 

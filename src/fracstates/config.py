@@ -1,9 +1,10 @@
 """Experiment configuration: strict YAML parsing into validated blocks.
 
-The block dataclasses (ProblemBlock ... OutputBlock, and ExperimentConfig
-for the top level) are the schema: a field without a default is a required
-key, a field with one is optional, and its annotation says how the value is
-parsed. Unknown keys anywhere in the file are hard errors so typos in
+The block dataclasses (ProblemBlock ... OutputBlock, NonlinearityBlock,
+the models PotentialSpec and Well, and ExperimentConfig for the top level)
+are the schema, read by one reader (_build): a field without a default is a
+required key, a field with one is optional, and its annotation says how the
+value is parsed. Unknown keys anywhere in the file are hard errors so typos in
 hypothesis parameters cannot pass silently. Each block parses and checks its
 values on construction, and ExperimentConfig its rng_seed, the rules across
 blocks and every grid's point budget, so YAML and Python reach one code path.
@@ -55,10 +56,14 @@ def _integer(value, name: str) -> int:
     return int(value) if isinstance(value, int) else int(number)
 
 
-def _numbers(value, name: str) -> tuple:
+def _list(value, name: str):
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name}: expected a list, got {value!r}")
-    return tuple(_number(x, name) for x in value)
+    return value
+
+
+def _numbers(value, name: str) -> tuple:
+    return tuple(_number(x, name) for x in _list(value, name))
 
 
 def _text(value, name: str) -> str:
@@ -109,6 +114,22 @@ class ProblemBlock(_Block):
         for key in ("R0", "R_cap", "h0"):
             if not getattr(self, key) > 0:  # NaN fails too
                 raise ConfigError(f"problem.{key}: must be positive, got {getattr(self, key)}")
+
+
+@dataclass(frozen=True)
+class NonlinearityBlock(_Block):
+    """The configurable law, the saturable one of parameter s; custom
+    triples are library-level."""
+
+    kind: str
+    s: float
+
+    def _check(self):
+        if self.kind != "saturable":
+            raise ConfigError(
+                f"nonlinearity.kind: only 'saturable' is configurable, got {self.kind!r} "
+                "(custom triples are library-level)"
+            )
 
 
 @dataclass(frozen=True)
@@ -219,44 +240,13 @@ class ExperimentConfig:
         return build_boxes(self.potential, self.boxes.l, self.boxes.L, self.boxes.nu)
 
 
-def _parse_potential(block, name: str) -> PotentialSpec:
-    _require(block, name, ["v_inf_level", "wells"])
-    wells = []
-    if not isinstance(block["wells"], list) or not block["wells"]:
-        raise ConfigError(f"{name}.wells: expected a non-empty list")
-    for i, w in enumerate(block["wells"]):
-        ctx = f"{name}.wells[{i}]"
-        _require(w, ctx, ["center", "depth", "width"])
-        center = w["center"]
-        if not isinstance(center, (list, tuple)):
-            center = [center]
-        wells.append(Well(
-            tuple(_number(c, f"{ctx}.center") for c in center),
-            _number(w["depth"], f"{ctx}.depth"),
-            _number(w["width"], f"{ctx}.width"),
-        ))
-    return PotentialSpec(_number(block["v_inf_level"], f"{name}.v_inf_level"), tuple(wells))
-
-
-def _parse_nonlinearity(block, name: str) -> NonlinearitySpec:
-    _require(block, name, ["kind"], ["s"])
-    kind = block["kind"]
-    if kind != "saturable":
-        raise ConfigError(
-            f"{name}.kind: only 'saturable' is configurable, got {kind!r} "
-            "(custom triples are library-level)"
-        )
-    if "s" not in block:
-        raise ConfigError(f"{name}: saturable kind requires 's'")
-    return NonlinearitySpec.saturable(_number(block["s"], f"{name}.s"))
-
-
 def _build(cls, mapping, path: str = ""):
     """cls built from mapping through its dataclass fields, which are the
     schema: a field without a default is a required key, one with a default
     an optional key, any other key is unknown. A block or model value is
     built from its own mapping, a scalar is passed on for cls to parse. A
-    model constructor's InvalidInput becomes a ConfigError naming the key."""
+    model's InvalidInput becomes a ConfigError naming the key it was built
+    for, or, raised by cls itself, the block path (potential.wells[0])."""
     schema = {f.name: f for f in fields(cls) if f.init}
     required = [k for k, f in schema.items()
                 if f.default is MISSING and f.default_factory is MISSING]
@@ -268,14 +258,23 @@ def _build(cls, mapping, path: str = ""):
             values[key] = _PARTS.get(schema[key].type, lambda v, _: v)(value, name)
         except InvalidInput as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    return cls(**values)
+    try:
+        return cls(**values)
+    except InvalidInput as exc:
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
-# field annotation -> builder(mapping, key name) of the blocks and models;
+# field annotation -> builder(value, key name) of the blocks and models;
 # any other value goes to cls unparsed
-_PARTS = {"PotentialSpec": _parse_potential, "NonlinearitySpec": _parse_nonlinearity}
+_PARTS = {
+    "tuple[Well, ...]": lambda wells, name: tuple(
+        _build(Well, w, f"{name}[{i}]") for i, w in enumerate(_list(wells, name))),
+    "NonlinearitySpec": lambda block, name: NonlinearitySpec.saturable(
+        _build(NonlinearityBlock, block, name).s),
+}
 _PARTS.update({cls.__name__: partial(_build, cls) for cls in
-               (ProblemBlock, BoxesBlock, SweepBlock, LimitBlock, SolveBlock, OutputBlock)})
+               (PotentialSpec, ProblemBlock, BoxesBlock, SweepBlock, LimitBlock, SolveBlock,
+                OutputBlock)})
 
 
 def parse_config(data: dict) -> ExperimentConfig:

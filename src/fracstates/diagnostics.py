@@ -433,7 +433,7 @@ def build_sweep_record(problem, experiment, limit, potential: PotentialSpec) -> 
     )
 
 
-RECORDS_SCHEMA = "fracstates-records-v1"
+RECORDS_SCHEMA = "fracstates-records-v2"
 
 
 def branch_record(br: BranchResult, problem, w_limit: Field, potential: PotentialSpec) -> dict:
@@ -472,8 +472,6 @@ def records_payload(records: Sequence[SweepRecord]) -> dict:
     """The records.json payload of a sweep, one entry per epsilon."""
     return {
         "schema": RECORDS_SCHEMA,
-        "c_v0": records[0].c_v0,
-        "v0": records[0].v0,
         "records": [
             {
                 "eps": rec.eps,

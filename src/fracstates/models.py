@@ -60,7 +60,7 @@ class PotentialSpec:
     """V(x) = v_inf_level - sum_j depth_j * exp(-|x - center_j|^2 / width_j)."""
 
     v_inf_level: float
-    wells: tuple
+    wells: tuple[Well, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "wells", tuple(self.wells))
@@ -194,12 +194,12 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 class NonlinearitySpec:
     """Evaluable (f, f', F) triple with declared slope/growth data.
 
-    All evaluation paths enforce f = f' = F = 0 for t <= 0 ((f1)). The
-    saturable kind evaluates arrays with the numpy kernels of _kernels.
-    Specs compare by value: kind, s, l0, q, C0 and the custom callables.
+    All evaluation paths enforce f = f' = F = 0 for t <= 0 ((f1)). A law
+    carries either s, and is the saturable law, which evaluates arrays with
+    the numpy kernels of _kernels, or the three callables, and is custom.
+    Specs compare by value: s, l0, q, C0 and the custom callables.
     """
 
-    kind: str
     l0: float
     q: float
     C0: float
@@ -209,6 +209,10 @@ class NonlinearitySpec:
     _big_f: Optional[Callable] = None
 
     def __post_init__(self):
+        bare = [fn is None for fn in (self._f, self._fprime, self._big_f)]
+        if (self.s is None and any(bare)) or (self.s is not None and not all(bare)):
+            raise InvalidInput("a nonlinearity carries either s (the saturable law) or "
+                               "all three callables f, f', F (a custom law)")
         for key in ("l0", "q", "C0"):
             object.__setattr__(self, key, _number(getattr(self, key), key))
         if not self.q >= 2:
@@ -224,7 +228,7 @@ class NonlinearitySpec:
             raise InvalidInput(f"saturation parameter must be positive, got {s!r}")
         # |f'| <= C0 = 9/(8s), attained at s*t^2 = 3, bounds C0 (1 + t^(q-2))
         # for every q >= 2, so the law declares q = 2
-        return cls("saturable", l0=1.0 / s, q=2.0, C0=9.0 / (8.0 * s), s=s)
+        return cls(l0=1.0 / s, q=2.0, C0=9.0 / (8.0 * s), s=s)
 
     @classmethod
     def custom(
@@ -236,7 +240,7 @@ class NonlinearitySpec:
         q: float,
         C0: float,
     ):
-        return cls("custom", l0=l0, q=q, C0=C0, _f=f, _fprime=fprime, _big_f=big_f)
+        return cls(l0=l0, q=q, C0=C0, _f=f, _fprime=fprime, _big_f=big_f)
 
     def _nehari_floor(self, a: np.ndarray, nsq: float, w: float, pos_mass: float) -> float:
         """A lower bound of the root tau of nsq = w psi(tau) on the ray of v,
@@ -249,7 +253,7 @@ class NonlinearitySpec:
         least the root of that bound. m < 1 when the ray meets the Nehari
         manifold, but for rounding.
         """
-        if self.kind != "saturable":
+        if self.s is None:
             return 0.0
         m = nsq * self.s / (w * pos_mass)
         if not m < 1.0:
@@ -267,18 +271,18 @@ class NonlinearitySpec:
 
     def triple(self, t):
         """(f, f', F) elementwise on an array."""
-        if self.kind == "saturable":
+        if self.s is not None:
             return _kernels.saturable_triple(t, self.s)
         return self._custom(t, self._f, self._fprime, self._big_f)
 
     def f(self, t):
-        if self.kind == "saturable":
+        if self.s is not None:
             return _kernels.saturable_f(t, self.s)
         return self._custom(t, self._f)[0]
 
     def rate_sum(self, u_flat: np.ndarray, t: float) -> float:
         """sum f(t*u)*u / t, the scaled Nehari pairing."""
-        if self.kind == "saturable":
+        if self.s is not None:
             return _kernels.nehari_rate_sum(u_flat, t, self.s)
         return float(np.dot(self.f(t * u_flat), u_flat)) / t
 
@@ -292,7 +296,7 @@ class NonlinearitySpec:
         law's passes read v+ for v. Its psi' = (sum f'(tv)v^2 - psi)/(2 tau)
         at t = sqrt(tau), from f and f' only.
         """
-        if self.kind == "saturable":
+        if self.s is not None:
             return _kernels.nehari_pass(a, r, tau, self.s)
         t = math.sqrt(tau)
         fv, fpv = self._custom(t * r, self._f, self._fprime)
@@ -304,7 +308,7 @@ class NonlinearitySpec:
         rate_pair and the primitive sum of the energy, from f and F only.
         a and r are rate_pair's pass arrays, and each law treats them as
         rate_pair does; F(tv) = F(tv+) as F vanishes for t <= 0."""
-        if self.kind == "saturable":
+        if self.s is not None:
             return _kernels.nehari_final(a, r, tau, self.s)
         t = math.sqrt(tau)
         fv, big = self._custom(t * r, self._f, self._big_f)
@@ -341,7 +345,7 @@ def validate_nonlinearity(spec: NonlinearitySpec, sup_v: Optional[float] = None)
     rate = f / t
     zero_at_neg = not np.any(spec.triple(np.array([-1.0])))
     small_slope = rate[0] <= 1e-2 * np.max(rate)
-    pass_f1 = zero_at_neg and small_slope
+    pass_f1 = bool(zero_at_neg and small_slope)
     if not zero_at_neg:
         msgs.append("(f1) fail: triple does not vanish for t <= 0")
     if not small_slope:
@@ -373,7 +377,7 @@ def validate_nonlinearity(spec: NonlinearitySpec, sup_v: Optional[float] = None)
     ref = fbar[np.searchsorted(t, 1.0, side="left")]
     growing = bool(np.all(np.diff(fbar) >= -1e-12 * np.max(np.abs(fbar))))
     unbounded = bool(fbar[-1] >= 10.0 * max(ref, 0.0)) and fbar[-1] > 0
-    pass_f5 = growing and unbounded
+    pass_f5 = bool(growing and unbounded)
     if not growing:
         msgs.append("(f5) fail: f(t)t/2 - F(t) is not nondecreasing on samples")
     if not unbounded:

@@ -150,20 +150,27 @@ class TestCheck:
             assert res.exit_code == 1
             assert f"{block}: unknown keys ['{key}']" in res.output
 
-    @pytest.mark.parametrize("text", ["problem: {d: 1", "problem:\n\td: 1", "a: b: c"],
-                             ids=["unclosed-flow", "tab-indent", "nested-colon"])
-    def test_malformed_yaml_is_config_error(self, tmp_path, text):
+    _MALFORMED_YAML = [
+        pytest.param("problem: {d: 1", "is not valid YAML", id="unclosed-flow"),
+        pytest.param("problem:\n\td: 1", "is not valid YAML", id="tab-indent"),
+        pytest.param("a: b: c", "is not valid YAML", id="nested-colon"),
+        pytest.param("- problem\n- potential", "must be a mapping at top level",
+                     id="list-top-level"),
+    ]
+
+    @pytest.mark.parametrize("text,message", _MALFORMED_YAML)
+    def test_malformed_yaml_is_config_error(self, tmp_path, text, message):
         from fracstates.config import load_config
 
         path = tmp_path / "config.yaml"
         path.write_text(text)
-        with pytest.raises(ConfigError, match="is not valid YAML"):
+        with pytest.raises(ConfigError, match=message):
             load_config(path)
         out = tmp_path / "out"
         res = run_cli(["check", "--config", str(path), "--out", str(out)])
         assert res.exit_code == 1
         err = json.loads((out / "error.json").read_text())
-        assert err["error"] == "ConfigError" and "is not valid YAML" in err["message"]
+        assert err["error"] == "ConfigError" and message in err["message"]
 
     def test_config_parsed_by_libyaml(self, tmp_path, monkeypatch):
         from fracstates.config import load_config
@@ -241,6 +248,7 @@ class TestCheck:
         pytest.param("solve", "branch", 0, id="branch-zero"),
         # NaN fails every range comparison
         pytest.param("sweep", "epsilons", [float("nan")], id="epsilons-nan"),
+        pytest.param("sweep", "epsilons", 0.5, id="epsilons-scalar"),
         # every block parses its own values by type
         pytest.param("solve", "branch", True, id="branch-bool"),
         pytest.param("solve", "branch", 1.5, id="branch-fraction"),
@@ -342,19 +350,33 @@ class TestCheck:
         assert cfg.problem.d == 1 and isinstance(cfg.problem.d, int)
         assert cfg.sweep.max_iter == 300 and isinstance(cfg.sweep.max_iter, int)
 
+    # the message's leading path, and the blocks that replace canonical ones
     _OUT_OF_RANGE_MODELS = [
-        ("nonlinearity", {"nonlinearity": {"kind": "saturable", "s": -0.4}}),
-        ("potential", {"potential": {
+        pytest.param("nonlinearity", {"nonlinearity": {"kind": "saturable", "s": -0.4}},
+                     id="s-negative"),
+        pytest.param("potential.wells[0]", {"potential": {
             "v_inf_level": 2.0,
             "wells": [{"center": [1.0 / 3.0], "depth": -1.0, "width": 2.0}],
-        }}),
+        }}, id="depth-negative"),
+        # malformed blocks, before any model is built
+        pytest.param("problem", {"problem": 3}, id="problem-not-mapping"),
+        pytest.param("nonlinearity", {"nonlinearity": {"kind": "saturable"}}, id="s-missing"),
+        pytest.param("nonlinearity.kind", {"nonlinearity": {"kind": "kerr", "s": 0.4}},
+                     id="kind-kerr"),
+        pytest.param("potential.wells", {"potential": {"v_inf_level": 2.0, "wells": 3}},
+                     id="wells-not-list"),
+        pytest.param("potential", {"potential": {"v_inf_level": 2.0, "wells": []}},
+                     id="wells-empty"),
     ]
 
-    @pytest.mark.parametrize(
-        "block,overrides", _OUT_OF_RANGE_MODELS, ids=["s-negative", "depth-negative"]
-    )
+    @pytest.mark.parametrize("block,overrides", _OUT_OF_RANGE_MODELS)
     def test_model_range_error_is_config_error(self, tmp_path, block, overrides):
-        path = write_config(tmp_path, canonical_config(**overrides))
+        from fracstates.config import parse_config
+
+        cfg = {**canonical_config(), **overrides}
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{block}: ")):
+            parse_config(cfg)
+        path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         res = run_cli(["check", "--config", str(path), "--out", str(out)])
         assert res.exit_code == 1
@@ -427,20 +449,21 @@ class TestReadmeConfig:
         python_loaded, c_loaded = both_loaders(block)
         assert c_loaded == python_loaded
 
-    def test_key_table_matches_blocks(self, monkeypatch):
+    def test_key_table_matches_blocks(self):
         import dataclasses
 
-        from fracstates import config
+        from fracstates import config, models
 
         # the word of the type column each field annotation's parser reads
         words = {"int": "integer", "float": "number", "Optional[float]": "number",
-                 "tuple": "list", "str": "string"}
+                 "tuple": "list", "str": "string", "tuple[Well, ...]": "list"}
         rows = {}
         for line in _readme_section("CLI").splitlines():
             cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
             if line.startswith("| `") and len(cells) == 4:
                 rows[(cells[0], cells[1])] = cells[2:]
-        blocks = {"problem": config.ProblemBlock, "boxes": config.BoxesBlock,
+        blocks = {"problem": config.ProblemBlock, "potential": models.PotentialSpec,
+                  "nonlinearity": config.NonlinearityBlock, "boxes": config.BoxesBlock,
                   "sweep": config.SweepBlock, "limit": config.LimitBlock,
                   "solve": config.SolveBlock, "output": config.OutputBlock}
         top = {f.name for f in dataclasses.fields(config.ExperimentConfig) if f.init}
@@ -456,21 +479,11 @@ class TestReadmeConfig:
                 else:
                     assert cell.split("` ")[0] == repr(f.default), (block, f.name)
         assert "optional integer `rng_seed`" in _readme_section("CLI")
-        # the model blocks' rows are the keys their parsers accept: those
-        # each gives _require first
-        accepted = {}
-        require = config._require
-
-        def recording(mapping, context, required, optional=()):
-            accepted.setdefault(context, set(required) | set(optional))
-            return require(mapping, context, required, optional)
-
-        monkeypatch.setattr(config, "_require", recording)
-        cfg = canonical_config()
-        for block, parse in (("potential", config._parse_potential),
-                             ("nonlinearity", config._parse_nonlinearity)):
-            parse(cfg[block], block)
-            assert {k for b, k in rows if b == block} == accepted[block], block
+        # a well's keys are the fields of Well, all required
+        well = dataclasses.fields(models.Well)
+        assert all(f.default is dataclasses.MISSING for f in well)
+        kind, _ = rows[("potential", "wells")]
+        assert "{" + ", ".join(f.name for f in well) + "}" in kind
 
 
 class TestLimit:
@@ -628,7 +641,7 @@ class TestSolveCommand:
         stored = json.loads((swept / "records.json").read_text())
         (rec,) = stored["records"]
         (entry,) = rec["branches"]
-        assert payload == dict(entry, eps=rec["eps"], c_v0=stored["c_v0"])
+        assert payload == dict(entry, eps=rec["eps"], c_v0=rec["c_v0"])
         assert {"alpha_bar", "v_at_max", "profile_error", "decay_exponent", "decay_r2",
                 "boundary_mass"} <= set(payload)
 

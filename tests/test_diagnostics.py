@@ -408,7 +408,7 @@ class TestConcentrationReport:
 
         c_v0, v0, c_eps = 3.0, 1.0, 3.2
         stored = {
-            "schema": "fracstates-records-v1", "c_v0": c_v0, "v0": v0,
+            "schema": "fracstates-records-v2",
             "records": [{
                 "eps": 0.25, "c_eps": c_eps, "c_v0": c_v0, "v0": v0, "omega": 1.5,
                 "sigma_members": [1, 2], "trusted": True,

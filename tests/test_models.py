@@ -354,7 +354,8 @@ def _nan_cases():
     every comparison, so a check written as x <= 0 would let it through;
     then points of the wrong dimension, non-integer iteration caps,
     booleans and strings given for numbers and fields on another grid than
-    the problem's."""
+    the problem's, and laws that carry neither or both of s and the
+    callables."""
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
@@ -447,6 +448,14 @@ def _nan_cases():
         ("solve_constrained-grid-size", lambda: solve_constrained(problem(), coarse),
          InvalidInput),
         ("solve_constrained-grid-R", lambda: solve_constrained(problem(), wide), InvalidInput),
+        # a law is saturable when it carries s, custom when it carries f, f', F
+        ("NonlinearitySpec-neither", lambda: NonlinearitySpec(2.5, 2.0, 1.0), InvalidInput),
+        ("NonlinearitySpec-both", lambda: NonlinearitySpec(2.5, 2.0, 1.0, 0.4, zero, zero, zero),
+         InvalidInput),
+        ("NonlinearitySpec-two-callables",
+         lambda: NonlinearitySpec(2.5, 2.0, 1.0, None, zero, zero), InvalidInput),
+        ("NonlinearitySpec-kind-tag",
+         lambda: NonlinearitySpec("saturable", 2.5, 2.0, 1.0), InvalidInput),
     ]
 
 

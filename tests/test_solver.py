@@ -173,6 +173,45 @@ class TestSolveLimit:
         assert limit_state.negative_mass == pytest.approx(0.0, abs=1e-12)
 
 
+class TestBenjaminOno:
+    """The custom-law path against an exact solution: for d = 1, alpha = 1/2,
+    f(u) = u+^2 and V = a, the positive ground state is the Benjamin-Ono
+    soliton w_a(x) = 2a / (1 + a^2 x^2) (Amick & Toland, Acta Math. 167,
+    1991), with c_a = (pi/2) a^2, int f(w) = 2 pi a and a tail 2/(a x^2).
+    u^2 fails (f3), so this is a library test, not a config."""
+
+    LEVELS = (0.5, 1.0, 2.0)
+
+    def test_limit_states_match_soliton(self):
+        from math import inf, pi
+
+        from fracstates.diagnostics import DECAY_WINDOW_FRAC, decay_fit
+        from fracstates.models import NonlinearitySpec
+
+        law = NonlinearitySpec.custom(lambda t: t * t, lambda t: 2 * t, lambda t: t**3 / 3,
+                                      l0=inf, q=3.0, C0=2.0)
+        biases = []
+        for a in self.LEVELS:
+            R = 40.0 / a  # h = 0.125 / a: every level is the a = 1 solve rescaled
+            res = solve_limit(a, law, make_grid(1, R, 640), 0.5,
+                              SolveOptions(tol_residual=1e-10))
+            assert res.converged, a
+            g, u = res.u.grid, res.u.values
+            mass = g.h * float(np.sum(law.f(u)))
+            assert abs(mass / (2 * pi * a) - 1) <= 1e-9, f"int f(u) = 2 pi a at a = {a}: {mass}"
+            x = g.coords[0].ravel() - res.max_point[0]
+            err = float(np.max(np.abs(u - 2 * a / (1 + (a * x) ** 2))))
+            assert err <= 2e-3 * 2 * a, f"max |u - w_a| <= 2e-3 w_a(0) at a = {a}: {err}"
+            biases.append(res.energy / (pi / 2 * a * a) - 1)
+            fit = decay_fit(res.u, np.asarray(res.max_point),
+                            (DECAY_WINDOW_FRAC[0] * R, DECAY_WINDOW_FRAC[1] * R))
+            assert abs(fit.exponent + 2) <= 0.02, f"tail exponent -2 at a = {a}: {fit.exponent}"
+        # c_a = (pi/2) a^2 scales exactly with the box, so the relative error
+        # is one box bias at every level
+        assert max(biases) - min(biases) <= 1e-12, f"c_a / a^2 independent of a: {biases}"
+        assert all(-2.1e-3 <= b <= -2.0e-3 for b in biases), f"c_a = (pi/2) a^2 box bias: {biases}"
+
+
 class TestFirstAdmissibleSeed:
     """solve_limit returns the descent from the first admissible width."""
 
