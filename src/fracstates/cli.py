@@ -10,12 +10,11 @@ which for a config that fails to load is only --out.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
 from pathlib import Path
-
-import click
 
 from . import __version__, _kernels
 from .config import ExperimentConfig, load_config
@@ -163,9 +162,9 @@ def run_check(config: ExperimentConfig, out_dir: Path) -> int:
     payload = _hypotheses(config)
     _write_json(out_dir / "validation.json", payload)
     for name in _VERDICTS:
-        click.echo(f"{name}: {'pass' if payload[name] else 'FAIL'}")
+        print(f"{name}: {'pass' if payload[name] else 'FAIL'}")
     for m in payload["messages"]:
-        click.echo(f"  {m}")
+        print(f"  {m}")
     return EXIT_OK if payload["pass"] else EXIT_VALIDATION
 
 
@@ -189,7 +188,7 @@ def run_limit(config: ExperimentConfig, out_dir: Path) -> int:
                [{"a": a, "c_a": c} for a, c in curve])
     _write_json(out_dir / "limit_curve.json", {"curve": [[a, c] for a, c in curve]})
     for a, c in curve:
-        click.echo(f"a = {a:g}: c_a = {c:.10g}")
+        print(f"a = {a:g}: c_a = {c:.10g}")
     return EXIT_OK
 
 
@@ -210,7 +209,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> int:
             )
     _write_tables(out_dir)
     for rec in records:
-        click.echo(
+        print(
             f"eps = {rec.eps:g}: c_eps = {rec.c_eps:.8g} "
             f"(gap {rec.c_eps - c_v0:.3g}), sigma = {rec.sigma_members}, "
             f"trusted = {rec.trusted}"
@@ -235,7 +234,7 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
     res = br.result
     dump_field(out_dir / "fields", f"eps{eps:g}_branch{j}", res.u,
                {"eps": eps, "branch": j})
-    click.echo(
+    print(
         f"eps = {eps:g}, branch {j}: energy = {res.energy:.10g}, "
         f"label = {br.label.kind}, converged = {res.converged}"
     )
@@ -247,7 +246,7 @@ def run_report(config: ExperimentConfig, out_dir: Path) -> int:
     if not (out_dir / "records.json").exists():
         raise OSError(f"no records.json under {out_dir}; run sweep first")
     _write_tables(out_dir)
-    click.echo(f"regenerated {out_dir / 'summary.csv'}")
+    print(f"regenerated {out_dir / 'summary.csv'}")
     return EXIT_OK
 
 
@@ -266,7 +265,7 @@ def _dispatch(command: str, config_path: str, out, seed) -> int:
     try:
         config = load_config(config_path)
         if seed is not None:
-            config.rng_seed = int(seed)
+            config.rng_seed = seed
         if out_dir is None:
             out_dir = Path(config.output.directory)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,7 +277,7 @@ def _dispatch(command: str, config_path: str, out, seed) -> int:
             code, text = EXIT_SOLVER, f"{type(exc).__name__}: {exc}"
         else:
             code, text = EXIT_IO, str(exc)
-        click.echo(f"error: {text}", err=True)
+        print(f"error: {text}", file=sys.stderr)
         if out_dir is not None:
             _error_record(out_dir, command, exc)
         return code
@@ -300,28 +299,47 @@ def _dispatch(command: str, config_path: str, out, seed) -> int:
     return code
 
 
-@click.group()
-def main():
-    """Solvers and experiments for semiclassical fractional Schrodinger
-    ground states with saturable nonlinearity."""
+_COMMANDS = {
+    "check": "Run the hypothesis validators only.",
+    "limit": "Solve the autonomous limit problems (c_a curve).",
+    "solve": "Solve one (epsilon, branch) problem.",
+    "sweep": "Run the full multi-epsilon branch experiment.",
+    "report": "Regenerate tables from stored records.",
+}
 
 
-def _command(name: str, help_text: str):
-    @main.command(name=name, help=help_text)
-    @click.option("--config", "config_path", required=True, type=click.Path())
-    @click.option("--out", type=click.Path())
-    @click.option("--seed", type=int)
-    def _cmd(config_path, out, seed):
-        sys.exit(_dispatch(name, config_path, out, seed))
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Solvers and experiments for semiclassical fractional Schrodinger "
+                    "ground states with saturable nonlinearity.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, text in _COMMANDS.items():
+        cmd = commands.add_parser(name, help=text, description=text, allow_abbrev=False)
+        cmd.add_argument("--config", dest="config_path", metavar="PATH", required=True,
+                         help="the experiment's YAML config")
+        cmd.add_argument("--out", metavar="PATH",
+                         help="output directory (default: the config's output.directory)")
+        cmd.add_argument("--seed", metavar="S", type=int, help="override the config's rng_seed")
+    return parser
 
-    return _cmd
+
+class _Console:
+    """The console command: `fracstates COMMAND --config PATH [--out PATH]
+    [--seed S]`. The console script calls main(); main.main(args=...,
+    prog_name=..., standalone_mode=True) runs it in process on an argument
+    list (standalone_mode belongs to that call shape and changes nothing).
+    Either way it ends in SystemExit: 2 on a usage error, with the message
+    on stderr, and the command's own exit code otherwise."""
+
+    def main(self, args=None, prog_name="fracstates", standalone_mode=True):
+        ns = _parser(prog_name).parse_args(args)
+        sys.exit(_dispatch(ns.command, ns.config_path, ns.out, ns.seed))
+
+    __call__ = main
 
 
-check = _command("check", "Run the hypothesis validators only.")
-limit = _command("limit", "Solve the autonomous limit problems (c_a curve).")
-solve = _command("solve", "Solve one (epsilon, branch) problem.")
-sweep = _command("sweep", "Run the full multi-epsilon branch experiment.")
-report = _command("report", "Regenerate tables from stored records.")
+main = _Console()
 
 
 if __name__ == "__main__":

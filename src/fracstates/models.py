@@ -44,7 +44,13 @@ class Well:
     width: float
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=object))
+        # a number or a sequence of numbers; an item that is not a number,
+        # such as a nested list, is named as it was given
+        center = self.center
+        if isinstance(center, np.ndarray):
+            center = center.tolist()
+        if not isinstance(center, (list, tuple)):
+            center = (center,)
         object.__setattr__(self, "center", tuple(_number(c, "well center") for c in center))
         if any(math.isnan(c) for c in self.center):
             raise InvalidInput(f"well center must be a number, got {self.center}")
@@ -190,6 +196,14 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 # --------------------------------------------------------------------------
 
 
+def _saturation(s) -> float:
+    """The saturable law's s as a positive float; NaN fails too."""
+    s = _number(s, "saturation parameter")
+    if not s > 0:
+        raise InvalidInput(f"saturation parameter must be positive, got {s!r}")
+    return s
+
+
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Evaluable (f, f', F) triple with declared slope/growth data.
@@ -215,6 +229,11 @@ class NonlinearitySpec:
                                "all three callables f, f', F (a custom law)")
         for key in ("l0", "q", "C0"):
             object.__setattr__(self, key, _number(getattr(self, key), key))
+        if self.s is not None:
+            object.__setattr__(self, "s", _saturation(self.s))
+            if self.l0 != 1.0 / self.s:
+                raise InvalidInput(f"the saturable law's slope l0 is 1/s = {1.0 / self.s!r}, "
+                                   f"got {self.l0!r}")
         if not self.q >= 2:
             raise InvalidInput(f"growth exponent q must be at least 2, got {self.q}")
         # l0 may be inf (an unbounded declared slope), so only NaN is refused
@@ -223,9 +242,7 @@ class NonlinearitySpec:
 
     @classmethod
     def saturable(cls, s: float):
-        s = _number(s, "saturation parameter")
-        if not s > 0:
-            raise InvalidInput(f"saturation parameter must be positive, got {s!r}")
+        s = _saturation(s)
         # |f'| <= C0 = 9/(8s), attained at s*t^2 = 3, bounds C0 (1 + t^(q-2))
         # for every q >= 2, so the law declares q = 2
         return cls(l0=1.0 / s, q=2.0, C0=9.0 / (8.0 * s), s=s)

@@ -1,16 +1,40 @@
 """Shared fixtures: canonical problem families and cached expensive solves."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
+from fracstates.cli import main
 from fracstates.errors import InvalidInput
 from fracstates.grid import Field, gagliardo_sq, make_grid
 from fracstates.models import NonlinearitySpec, PotentialSpec, Well, sample_potential
 from fracstates.solver import SolveOptions, solve_limit
 from fracstates.variational import Problem
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, in the order they were written
+    exception: Exception | None  # what escaped the command, if anything
+
+
+def run_cli(args):
+    """Run the fracstates console command in process, the way the benchmark
+    harness does (main.main with standalone_mode), capturing its output."""
+    stream = io.StringIO()
+    code, exception = 0, None
+    with redirect_stdout(stream), redirect_stderr(stream):
+        try:
+            main.main(args=args, prog_name="fracstates", standalone_mode=True)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, stream.getvalue(), exception)
 
 
 CANON_S = 0.4  # saturable parameter: l0 = 2.5

@@ -12,16 +12,15 @@ import time
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from conftest import (
     CANON_ALPHA,
     double_well_potential,
     random_theta_field,
     ray_argmax_oracle,
+    run_cli,
     single_well_potential,
 )
-from fracstates.cli import main as cli_main
 from fracstates.config import (
     BoxesBlock,
     ExperimentConfig,
@@ -276,13 +275,10 @@ def test_criterion_10_reproducibility(tmp_path):
     }
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    runner = CliRunner()
     outs = []
     for name in ("run_a", "run_b"):
         out = tmp_path / name
-        res = runner.invoke(
-            cli_main, ["sweep", "--config", str(path), "--out", str(out), "--seed", "1234"]
-        )
+        res = run_cli(["sweep", "--config", str(path), "--out", str(out), "--seed", "1234"])
         assert res.exit_code == 0, res.output
         outs.append((out / "summary.csv").read_bytes())
     elapsed = time.perf_counter() - t0

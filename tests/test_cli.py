@@ -2,13 +2,17 @@
 regeneration, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
+from conftest import run_cli
 from fracstates.cli import main
 from fracstates.errors import ConfigError
 
@@ -72,10 +76,6 @@ def write_config(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return path
-
-
-def run_cli(args):
-    return CliRunner().invoke(main, args)
 
 
 def count_solves(monkeypatch):
@@ -358,6 +358,10 @@ class TestCheck:
             "v_inf_level": 2.0,
             "wells": [{"center": [1.0 / 3.0], "depth": -1.0, "width": 2.0}],
         }}, id="depth-negative"),
+        pytest.param("potential.wells[0]: well center", {"potential": {
+            "v_inf_level": 2.0,
+            "wells": [{"center": [[0.3]], "depth": 1.0, "width": 2.0}],
+        }}, id="center-nested"),
         # malformed blocks, before any model is built
         pytest.param("problem", {"problem": 3}, id="problem-not-mapping"),
         pytest.param("nonlinearity", {"nonlinearity": {"kind": "saturable"}}, id="s-missing"),
@@ -821,6 +825,67 @@ class TestExitCodes:
         assert res.exit_code == 1
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
+
+
+def usage(capsys, args):
+    """(exit code, stdout, stderr) of a console call that exits."""
+    with pytest.raises(SystemExit) as info:
+        main.main(args=args, prog_name="fracstates", standalone_mode=True)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+class TestUsage:
+    """The argument parser: usage errors exit 2 with their message on
+    stderr, before any config is read; --help exits 0."""
+
+    def test_missing_config_is_usage_error(self, capsys):
+        code, out, err = usage(capsys, ["sweep"])
+        assert code == 2 and out == ""
+        assert "--config" in err
+
+    @pytest.mark.parametrize("args", [["bogus", "--config", "c.yaml"], []],
+                             ids=["unknown", "missing"])
+    def test_bad_command_is_usage_error(self, capsys, args):
+        code, out, err = usage(capsys, args)
+        assert code == 2 and out == ""
+        assert "COMMAND" in err
+
+    @pytest.mark.parametrize("args", [["check", "--config", "c.yaml", "--seed", "1.5"],
+                                      ["check", "--conf", "c.yaml"],
+                                      ["check", "--config", "c.yaml", "extra"]],
+                             ids=["seed-not-int", "abbreviated-option", "extra-argument"])
+    def test_bad_option_is_usage_error(self, capsys, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = usage(capsys, args)
+        assert code == 2 and out == "" and err.startswith("usage: fracstates")
+        assert not list(tmp_path.iterdir())
+
+    def test_help_lists_commands(self, capsys):
+        code, out, err = usage(capsys, ["--help"])
+        assert code == 0 and err == ""
+        for name in ("check", "limit", "solve", "sweep", "report"):
+            assert re.search(rf"^\s+{name}\s", out, re.M), name
+
+    def test_command_help_lists_options(self, capsys):
+        code, out, err = usage(capsys, ["sweep", "--help"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: fracstates sweep")
+        for option in ("--config", "--out", "--seed"):
+            assert option in out
+
+    def test_runs_as_module(self, tmp_path):
+        # the sys.argv path, which the in-process runs above never take
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        config, out = write_config(tmp_path, canonical_config()), tmp_path / "out"
+        res = subprocess.run(
+            [sys.executable, "-m", "fracstates.cli", "check", "--config", str(config),
+             "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert json.loads((out / "validation.json").read_text())["pass"] is True
+        assert "V1: pass" in res.stdout
 
 
 class TestManifest:

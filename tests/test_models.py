@@ -1,6 +1,8 @@
 """Potential and nonlinearity specifications and their hypothesis validators,
 and the NaN guard of every public range check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,17 @@ class TestEvaluate:
         spec = PotentialSpec(2, (Well((0,), 1, 1),))
         assert spec == PotentialSpec(2.0, (Well((0.0,), 1.0, 1.0),))
         assert spec.evaluate([[0.0], [1.0]]).tolist() == [1.0, 2.0 - np.exp(-1.0)]
+
+    @pytest.mark.parametrize("center", [0.5, [0.5], (0.5,), np.array([0.5]), np.array(0.5),
+                                        np.float64(0.5)],
+                             ids=["number", "list", "tuple", "array", "array-0d", "numpy-scalar"])
+    def test_center_is_a_number_or_a_sequence(self, center):
+        assert Well(center, 1.0, 1.0).center == (0.5,)
+
+    def test_nested_center_is_named_as_given(self):
+        with pytest.raises(InvalidInput, match=re.escape("well center: expected a number, "
+                                                         "got [0.3]") + "$"):
+            Well([[0.3]], 1.0, 1.0)
 
 
 class TestValidatePotential:
@@ -456,6 +469,18 @@ def _nan_cases():
          lambda: NonlinearitySpec(2.5, 2.0, 1.0, None, zero, zero), InvalidInput),
         ("NonlinearitySpec-kind-tag",
          lambda: NonlinearitySpec("saturable", 2.5, 2.0, 1.0), InvalidInput),
+        # s built directly is checked as saturable() checks it, and l0 is 1/s
+        ("NonlinearitySpec-s", lambda: NonlinearitySpec(2.5, 2.0, 1.0, s=NAN), InvalidInput),
+        ("NonlinearitySpec-s-negative", lambda: NonlinearitySpec(2.5, 2.0, 1.0, s=-0.4),
+         InvalidInput),
+        ("NonlinearitySpec-s-zero", lambda: NonlinearitySpec(INF, 2.0, 1.0, s=0.0),
+         InvalidInput),
+        ("NonlinearitySpec-s-bool", lambda: NonlinearitySpec(1.0, 2.0, 1.0, s=True),
+         InvalidInput),
+        ("NonlinearitySpec-s-str", lambda: NonlinearitySpec(2.5, 2.0, 1.0, s="x"),
+         InvalidInput),
+        ("NonlinearitySpec-l0-not-slope", lambda: NonlinearitySpec(7.0, 2.0, 1.0, s=0.4),
+         InvalidInput),
     ]
 
 

@@ -44,9 +44,10 @@ HARNESS_NAMES = [
     ("grid", "helmholtz_inverse"),
     ("_kernels", "negative_sq_sum"),
     # classes the workloads read attributes of; what they call is in
-    # HARNESS_CALLS below (cli.main, a click group, is left out: its
-    # __module__ is click's)
+    # HARNESS_CALLS below
     ("models", "NonlinearitySpec"),
+    # the console command cli_2well runs in process
+    ("cli", "main"),
 ]
 
 # (module, name, positional count, keywords): the entry points
@@ -71,6 +72,7 @@ HARNESS_CALLS = [
     ("config", "LimitBlock", 0, ("a_values", "R", "n")),
     ("config", "ExperimentConfig", 0,
      ("problem", "potential", "nonlinearity", "boxes", "sweep", "limit")),
+    ("cli", "main.main", 0, ("args", "prog_name", "standalone_mode")),
 ]
 
 
@@ -138,20 +140,33 @@ def test_perfbench_selftest_passes():
     assert res.returncode == 0, res.stdout + res.stderr
 
 
+def _modules_loaded_by(imports):
+    """The sys.modules names of a fresh interpreter after `import <imports>`."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = f"import sys, {imports}; print(*sorted(sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
 def test_package_import_loads_traced_layers():
     # the limit_3d workload imports only fracstates before the tracer wraps
     # the layers already loaded: a lazy package import would leave them
     # unwrapped, and the run would record no op at all. The library
     # workloads import fracstates and fracstates.config only, and neither
-    # may load yaml or click (about 16 and 25 ms of set-up)
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    code = "import sys, fracstates, fracstates.config; print(*sorted(sys.modules))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
-    assert res.returncode == 0, res.stderr
-    loaded = set(res.stdout.split())
+    # may load yaml (15-19 ms of set-up)
+    loaded = _modules_loaded_by("fracstates, fracstates.config")
     layers = {f"fracstates.{m}" for m in ("_kernels", "grid", "models", "variational", "solver")}
     assert layers <= loaded, sorted(layers - loaded)
     assert not {"yaml", "click"} & loaded, sorted({"yaml", "click"} & loaded)
 
+
+def test_cli_import_loads_neither_yaml_nor_click():
+    # the console command parses its arguments with argparse, and
+    # load_config imports yaml only when it reads a file. click cost a
+    # fresh `import fracstates.cli` about 10 ms and 0.76 MB of peak RSS
+    # (medians of 11), and cli_2well 0.67 MB (BENCH_argparse.json)
+    loaded = _modules_loaded_by("fracstates.cli")
+    assert not {"yaml", "click"} & loaded, sorted({"yaml", "click"} & loaded)
