@@ -15,6 +15,7 @@ a model rejects; a grid over the point budget is a BudgetExceeded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Optional
@@ -155,9 +156,10 @@ class SweepBlock(_Block):
         eps = self.epsilons
         if not eps:
             raise ConfigError("sweep.epsilons: expected a non-empty list")
-        if not (all(e > 0 for e in eps) and all(b < a for a, b in zip(eps, eps[1:]))):
+        if not (all(0 < e < math.inf for e in eps) and all(b < a for a, b in zip(eps, eps[1:]))):
             raise ConfigError(
-                f"sweep.epsilons: must be positive and strictly decreasing, got {list(eps)}"
+                f"sweep.epsilons: must be positive and strictly decreasing finite numbers, "
+                f"got {list(eps)}"
             )
 
 
@@ -180,8 +182,8 @@ class SolveBlock(_Block):
     branch: int = 1
 
     def _check(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ConfigError(f"solve.epsilon: must be positive, got {self.epsilon}")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"solve.epsilon: must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

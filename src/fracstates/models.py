@@ -4,7 +4,8 @@ The potential is a positive background level minus a sum of Gaussian
 wells, which gives bounded continuous potentials with explicit strict
 minima; it is the one potential family, in the library as in a config.
 Nonlinearities are either the saturable optical-medium model
-f(t) = t^3/(1+s*t^2) (zero for t <= 0, asymptotic slope 1/s) or a custom
+f(t) = t^3/(1+s*t^2) (zero for t <= 0), which is its s alone, its slope
+l0 = 1/s and growth data q = 2, C0 = 9/(8s) following from it, or a custom
 (f, f', F) triple with declared slope and growth data.
 """
 
@@ -37,6 +38,15 @@ def _number(value, name: str) -> float:
         raise InvalidInput(f"{name}: expected a number, got {value!r}") from exc
 
 
+def _positive(value, name: str) -> float:
+    """value as a positive, finite float by _number's rule; NaN and +-inf
+    fail too, as an InvalidInput naming it."""
+    number = _number(value, name)
+    if not 0.0 < number < math.inf:
+        raise InvalidInput(f"{name} must be a positive, finite number, got {number!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Well:
     center: tuple
@@ -52,13 +62,10 @@ class Well:
         if not isinstance(center, (list, tuple)):
             center = (center,)
         object.__setattr__(self, "center", tuple(_number(c, "well center") for c in center))
-        if any(math.isnan(c) for c in self.center):
-            raise InvalidInput(f"well center must be a number, got {self.center}")
+        if not all(math.isfinite(c) for c in self.center):
+            raise InvalidInput(f"well center must be finite numbers, got {self.center}")
         for key in ("depth", "width"):
-            object.__setattr__(self, key, _number(getattr(self, key), f"well {key}"))
-        # NaN fails the comparison too
-        if not (self.depth > 0 and self.width > 0):
-            raise InvalidInput("well depth and width must be positive numbers")
+            object.__setattr__(self, key, _positive(getattr(self, key), f"well {key}"))
 
 
 @dataclass(frozen=True)
@@ -75,9 +82,7 @@ class PotentialSpec:
         d = len(self.wells[0].center)
         if any(len(w.center) != d for w in self.wells):
             raise InvalidInput("all well centers must share one dimension")
-        object.__setattr__(self, "v_inf_level", _number(self.v_inf_level, "v_inf_level"))
-        if not self.v_inf_level > 0:
-            raise InvalidInput(f"v_inf_level must be positive, got {self.v_inf_level!r}")
+        object.__setattr__(self, "v_inf_level", _positive(self.v_inf_level, "v_inf_level"))
 
     @property
     def d(self) -> int:
@@ -112,8 +117,8 @@ class PotentialSpec:
 
 def sample_potential(spec: PotentialSpec, grid: Grid, eps: float) -> Field:
     """Sample V(eps*x) on the grid; rejects nonpositive values ((V1))."""
-    if not eps > 0:
-        raise InvalidInput(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise InvalidInput(f"eps must be positive and finite, got {eps}")
     if spec.d != grid.d:
         raise InvalidInput(f"potential dimension {spec.d} != grid dimension {grid.d}")
     vals = spec.evaluate_on_coords(grid.coords, scale=eps)
@@ -196,44 +201,43 @@ def validate_potential(spec: PotentialSpec, grid: Grid) -> PotentialReport:
 # --------------------------------------------------------------------------
 
 
-def _saturation(s) -> float:
-    """The saturable law's s as a positive float; NaN fails too."""
-    s = _number(s, "saturation parameter")
-    if not s > 0:
-        raise InvalidInput(f"saturation parameter must be positive, got {s!r}")
-    return s
-
-
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Evaluable (f, f', F) triple with declared slope/growth data.
 
     All evaluation paths enforce f = f' = F = 0 for t <= 0 ((f1)). A law
-    carries either s, and is the saturable law, which evaluates arrays with
-    the numpy kernels of _kernels, or the three callables, and is custom.
-    Specs compare by value: s, l0, q, C0 and the custom callables.
+    carries either s alone, and is the saturable law, which evaluates
+    arrays with the numpy kernels of _kernels, or the three callables with
+    l0, q and C0, and is custom. The saturable law is its s: l0 = 1/s,
+    q = 2 and C0 = 9/(8s) are derived from it, never given. Specs compare
+    by value: s, l0, q, C0 and the custom callables.
     """
 
-    l0: float
-    q: float
-    C0: float
+    l0: Optional[float] = None
+    q: Optional[float] = None
+    C0: Optional[float] = None
     s: Optional[float] = None
     _f: Optional[Callable] = None
     _fprime: Optional[Callable] = None
     _big_f: Optional[Callable] = None
 
     def __post_init__(self):
-        bare = [fn is None for fn in (self._f, self._fprime, self._big_f)]
-        if (self.s is None and any(bare)) or (self.s is not None and not all(bare)):
+        callables = (self._f, self._fprime, self._big_f)
+        if self.s is not None:
+            if any(value is not None for value in (self.l0, self.q, self.C0, *callables)):
+                raise InvalidInput("a saturable law is its s alone: l0, q and C0 follow "
+                                   "from s, and the callables belong to a custom law")
+            s = _positive(self.s, "saturation parameter")
+            # |f'| <= C0 = 9/(8s), attained at s*t^2 = 3, bounds C0 (1 + t^(q-2))
+            # for every q >= 2, so the law declares q = 2
+            for key, value in (("s", s), ("l0", 1.0 / s), ("q", 2.0), ("C0", 9.0 / (8.0 * s))):
+                object.__setattr__(self, key, value)
+            return
+        if any(fn is None for fn in callables):
             raise InvalidInput("a nonlinearity carries either s (the saturable law) or "
                                "all three callables f, f', F (a custom law)")
         for key in ("l0", "q", "C0"):
             object.__setattr__(self, key, _number(getattr(self, key), key))
-        if self.s is not None:
-            object.__setattr__(self, "s", _saturation(self.s))
-            if self.l0 != 1.0 / self.s:
-                raise InvalidInput(f"the saturable law's slope l0 is 1/s = {1.0 / self.s!r}, "
-                                   f"got {self.l0!r}")
         if not self.q >= 2:
             raise InvalidInput(f"growth exponent q must be at least 2, got {self.q}")
         # l0 may be inf (an unbounded declared slope), so only NaN is refused
@@ -242,10 +246,7 @@ class NonlinearitySpec:
 
     @classmethod
     def saturable(cls, s: float):
-        s = _saturation(s)
-        # |f'| <= C0 = 9/(8s), attained at s*t^2 = 3, bounds C0 (1 + t^(q-2))
-        # for every q >= 2, so the law declares q = 2
-        return cls(l0=1.0 / s, q=2.0, C0=9.0 / (8.0 * s), s=s)
+        return cls(s=s)
 
     @classmethod
     def custom(

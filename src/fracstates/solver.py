@@ -392,9 +392,10 @@ def budgeted_grid(d: int, R: float, n: int, point_budget: int, name: str) -> Gri
 def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, point_budget: int) -> Grid:
     """Rescaled-box grid: half-width min(R0/eps, R_cap) at fixed spacing h0
     (half-width rounded up so n is even). InvalidInput unless eps, R0,
-    R_cap and h0 are all positive."""
-    if not (eps > 0 and R0 > 0 and R_cap > 0 and h0 > 0):
-        raise InvalidInput(f"eps, R0, R_cap and h0 must be positive, got {eps}, {R0}, {R_cap}, {h0}")
+    R_cap and h0 are all positive and eps is finite."""
+    if not (0 < eps < math.inf and R0 > 0 and R_cap > 0 and h0 > 0):
+        raise InvalidInput(f"eps, R0, R_cap and h0 must be positive, and eps finite, got "
+                           f"{eps}, {R0}, {R_cap}, {h0}")
     R = min(R0 / eps, R_cap)
     count = 2.0 * R / h0  # points per axis, before rounding
     if not math.isfinite(count):  # the integer count below would overflow

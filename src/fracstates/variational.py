@@ -49,8 +49,8 @@ class Problem:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidInput(f"alpha must lie in (0,1], got {self.alpha}")
-        if not self.eps > 0:
-            raise InvalidInput(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise InvalidInput(f"eps must be positive and finite, got {self.eps}")
         if self.potential_field.grid != self.grid:
             raise InvalidInput("potential field lives on a different grid")
         if not np.min(self.potential_field.values) > 0:  # a NaN sample fails too

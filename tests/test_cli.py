@@ -16,6 +16,8 @@ from conftest import run_cli
 from fracstates.cli import main
 from fracstates.errors import ConfigError
 
+INF = float("inf")
+
 
 def canonical_config(**overrides):
     cfg = {
@@ -36,6 +38,13 @@ def canonical_config(**overrides):
         else:
             cfg[key] = val
     return cfg
+
+
+def one_well(v_inf_level=2.0, **well):
+    """The canonical potential block as an override, with v_inf_level and
+    the keys of its one well replaced."""
+    return {"potential": {"v_inf_level": v_inf_level,
+                          "wells": [{"center": [1.0 / 3.0], "depth": 1.0, "width": 2.0, **well}]}}
 
 
 def python_config(cfg):
@@ -248,6 +257,10 @@ class TestCheck:
         pytest.param("solve", "branch", 0, id="branch-zero"),
         # NaN fails every range comparison
         pytest.param("sweep", "epsilons", [float("nan")], id="epsilons-nan"),
+        # an infinite epsilon samples V(eps x) as NaN, so it is refused as a value
+        pytest.param("sweep", "epsilons", [INF], id="epsilons-inf"),
+        pytest.param("sweep", "epsilons", [INF, 0.5], id="epsilons-inf-first"),
+        pytest.param("solve", "epsilon", INF, id="solve-epsilon-inf"),
         pytest.param("sweep", "epsilons", 0.5, id="epsilons-scalar"),
         # every block parses its own values by type
         pytest.param("solve", "branch", True, id="branch-bool"),
@@ -354,14 +367,17 @@ class TestCheck:
     _OUT_OF_RANGE_MODELS = [
         pytest.param("nonlinearity", {"nonlinearity": {"kind": "saturable", "s": -0.4}},
                      id="s-negative"),
-        pytest.param("potential.wells[0]", {"potential": {
-            "v_inf_level": 2.0,
-            "wells": [{"center": [1.0 / 3.0], "depth": -1.0, "width": 2.0}],
-        }}, id="depth-negative"),
-        pytest.param("potential.wells[0]: well center", {"potential": {
-            "v_inf_level": 2.0,
-            "wells": [{"center": [[0.3]], "depth": 1.0, "width": 2.0}],
-        }}, id="center-nested"),
+        pytest.param("potential.wells[0]", one_well(depth=-1.0), id="depth-negative"),
+        pytest.param("potential.wells[0]: well center", one_well(center=[[0.3]]),
+                     id="center-nested"),
+        # infinite model numbers, refused where the model parses them
+        pytest.param("nonlinearity", {"nonlinearity": {"kind": "saturable", "s": INF}},
+                     id="s-inf"),
+        pytest.param("potential.wells[0]", one_well(center=[INF]), id="center-inf"),
+        pytest.param("potential.wells[0]", one_well(center=[-INF]), id="center-minus-inf"),
+        pytest.param("potential.wells[0]", one_well(depth=INF), id="depth-inf"),
+        pytest.param("potential.wells[0]", one_well(width=INF), id="width-inf"),
+        pytest.param("potential", one_well(v_inf_level=INF), id="v_inf_level-inf"),
         # malformed blocks, before any model is built
         pytest.param("problem", {"problem": 3}, id="problem-not-mapping"),
         pytest.param("nonlinearity", {"nonlinearity": {"kind": "saturable"}}, id="s-missing"),

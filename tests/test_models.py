@@ -216,6 +216,18 @@ class TestValidateNonlinearity:
         rep = validate_nonlinearity(NonlinearitySpec.saturable(0.4), sup_v=2.0)
         assert all((rep.pass_f1, rep.pass_f2, rep.pass_f3, rep.pass_f4, rep.pass_f5)), rep.messages
 
+    def test_saturable_law_is_its_s(self):
+        direct = NonlinearitySpec(s=0.4)
+        assert direct == NonlinearitySpec.saturable(0.4)
+        assert hash(direct) == hash(NonlinearitySpec.saturable(0.4))
+        assert (direct.l0, direct.q, direct.C0) == (2.5, 2.0, 9.0 / 3.2)
+        rep = validate_nonlinearity(direct, sup_v=2.0)
+        assert all((rep.pass_f1, rep.pass_f2, rep.pass_f3, rep.pass_f4, rep.pass_f5))
+        assert rep.messages == []
+        # growth data that fail (f2) cannot be declared beside s
+        with pytest.raises(InvalidInput, match="its s alone"):
+            NonlinearitySpec(2.5, 7.0, 0.01, s=0.4)
+
     def test_saturable_declares_q_2(self):
         import inspect
 
@@ -365,10 +377,10 @@ INF = float("inf")
 def _nan_cases():
     """(id, call, error): each public range check given a NaN, which fails
     every comparison, so a check written as x <= 0 would let it through;
-    then points of the wrong dimension, non-integer iteration caps,
-    booleans and strings given for numbers and fields on another grid than
-    the problem's, and laws that carry neither or both of s and the
-    callables."""
+    then infinite model numbers and epsilons, points of the wrong
+    dimension, non-integer iteration caps, booleans and strings given for
+    numbers and fields on another grid than the problem's, and laws that
+    carry neither or both of s and the callables, or s and declared data."""
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
@@ -469,17 +481,28 @@ def _nan_cases():
          lambda: NonlinearitySpec(2.5, 2.0, 1.0, None, zero, zero), InvalidInput),
         ("NonlinearitySpec-kind-tag",
          lambda: NonlinearitySpec("saturable", 2.5, 2.0, 1.0), InvalidInput),
-        # s built directly is checked as saturable() checks it, and l0 is 1/s
-        ("NonlinearitySpec-s", lambda: NonlinearitySpec(2.5, 2.0, 1.0, s=NAN), InvalidInput),
-        ("NonlinearitySpec-s-negative", lambda: NonlinearitySpec(2.5, 2.0, 1.0, s=-0.4),
+        # the saturable law is its s, a positive finite number
+        ("NonlinearitySpec-s", lambda: NonlinearitySpec(s=NAN), InvalidInput),
+        ("NonlinearitySpec-s-negative", lambda: NonlinearitySpec(s=-0.4), InvalidInput),
+        ("NonlinearitySpec-s-zero", lambda: NonlinearitySpec(s=0.0), InvalidInput),
+        ("NonlinearitySpec-s-inf", lambda: NonlinearitySpec(s=INF), InvalidInput),
+        ("NonlinearitySpec-s-bool", lambda: NonlinearitySpec(s=True), InvalidInput),
+        ("NonlinearitySpec-s-str", lambda: NonlinearitySpec(s="x"), InvalidInput),
+        # l0, q and C0 follow from s, so none is given with it, even its own value
+        ("NonlinearitySpec-s-with-l0", lambda: NonlinearitySpec(l0=2.5, s=0.4), InvalidInput),
+        ("NonlinearitySpec-s-with-q", lambda: NonlinearitySpec(q=2.0, s=0.4), InvalidInput),
+        ("NonlinearitySpec-s-with-C0", lambda: NonlinearitySpec(C0=9.0 / 3.2, s=0.4),
          InvalidInput),
-        ("NonlinearitySpec-s-zero", lambda: NonlinearitySpec(INF, 2.0, 1.0, s=0.0),
+        ("NonlinearitySpec-s-with-data", lambda: NonlinearitySpec(2.5, 7.0, 0.01, s=0.4),
          InvalidInput),
-        ("NonlinearitySpec-s-bool", lambda: NonlinearitySpec(1.0, 2.0, 1.0, s=True),
-         InvalidInput),
-        ("NonlinearitySpec-s-str", lambda: NonlinearitySpec(2.5, 2.0, 1.0, s="x"),
-         InvalidInput),
-        ("NonlinearitySpec-l0-not-slope", lambda: NonlinearitySpec(7.0, 2.0, 1.0, s=0.4),
+        # an infinite model number or eps is refused where it is parsed
+        ("Well-center-inf", lambda: Well((INF,), 1.0, 1.0), InvalidInput),
+        ("Well-center-minus-inf", lambda: Well((0.0, -INF), 1.0, 1.0), InvalidInput),
+        ("Well-depth-inf", lambda: Well((0.0,), INF, 1.0), InvalidInput),
+        ("Well-width-inf", lambda: Well((0.0,), 1.0, INF), InvalidInput),
+        ("PotentialSpec-v_inf_level-inf", lambda: _single_well(v_inf=INF), InvalidInput),
+        ("Problem-eps-inf", lambda: problem(eps=INF), InvalidInput),
+        ("sample_potential-eps-inf", lambda: sample_potential(_single_well(), g, INF),
          InvalidInput),
     ]
 

@@ -532,9 +532,9 @@ class TestGridForEpsilon:
             grid_for_epsilon(1, 1e-3, 16.0, 1e6, 0.25, 10**5)
 
     @pytest.mark.parametrize("bad", [
-        {"eps": -0.25}, {"eps": 0.0}, {"eps": float("nan")}, {"R0": -16.0},
-        {"R_cap": -400.0}, {"h0": float("nan")}, {"h0": 0.0},
-    ], ids=["eps-negative", "eps-zero", "eps-nan", "R0-negative", "R_cap-negative",
+        {"eps": -0.25}, {"eps": 0.0}, {"eps": float("nan")}, {"eps": float("inf")},
+        {"R0": -16.0}, {"R_cap": -400.0}, {"h0": float("nan")}, {"h0": 0.0},
+    ], ids=["eps-negative", "eps-zero", "eps-nan", "eps-inf", "R0-negative", "R_cap-negative",
             "h0-nan", "h0-zero"])
     def test_bad_argument_rejected(self, bad):
         args = dict(d=1, eps=0.25, R0=16.0, R_cap=400.0, h0=0.25, point_budget=10**7)
