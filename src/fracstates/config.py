@@ -115,6 +115,9 @@ class ProblemBlock(_Block):
         for key in ("R0", "R_cap", "h0"):
             if not getattr(self, key) > 0:  # NaN fails too
                 raise ConfigError(f"problem.{key}: must be positive, got {getattr(self, key)}")
+        # an infinite R0 or R_cap is a point count over the budget (BudgetExceeded)
+        if self.h0 == math.inf:
+            raise ConfigError(f"problem.h0: must be finite, got {self.h0}")
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,8 @@ class LimitBlock(_Block):
     n: int = 640
 
     def _check(self):
-        if not self.R > 0:
-            raise ConfigError(f"limit.R: must be positive, got {self.R}")
+        if not 0 < self.R < math.inf:
+            raise ConfigError(f"limit.R: must be positive and finite, got {self.R}")
         if not self.n >= 8 or self.n % 2:
             raise ConfigError(f"limit.n: must be even and >= 8, got {self.n}")
 

@@ -170,8 +170,8 @@ def locate_max(u: Field) -> np.ndarray:
 def make_grid(d: int, R: float, n: int) -> Grid:
     if d not in (1, 2, 3):
         raise InvalidGrid(f"dimension must be 1, 2 or 3, got {d}")
-    if not R > 0:  # NaN fails too
-        raise InvalidGrid(f"half-width must be positive, got {R}")
+    if not 0 < R < np.inf:  # NaN fails too
+        raise InvalidGrid(f"half-width must be positive and finite, got {R}")
     if n < 8 or n % 2 != 0:
         raise InvalidGrid(f"points per axis must be even and >= 8, got {n}")
     return Grid(d=int(d), R=float(R), n=int(n))

@@ -68,15 +68,16 @@ def build_boxes(spec: PotentialSpec, l: float, L: float, nu: Optional[float] = N
     (-L, L)^d, the 2l <= L constraint, and that the potential rises above
     V0 + _BOX_MARGIN_FRAC (V_inf - V0) on every sampled box boundary.
     nu, the classification band, defaults to l/10 and must be nonnegative.
+    l, L and nu are finite: a length is, so inf is an InvalidInput.
     """
-    if not (l > 0 and L > 0):
-        raise InvalidInput("box sizes l and L must be positive")
+    if not (0 < l < math.inf and 0 < L < math.inf):
+        raise InvalidInput(f"box sizes l and L must be positive and finite, got l={l}, L={L}")
     if 2.0 * l > L:
         raise InvalidInput(f"need 2l <= L, got l={l}, L={L}")
     if nu is None:
         nu = 0.1 * l
-    if not nu >= 0:
-        raise InvalidInput(f"classification band nu must be nonnegative, got {nu}")
+    if not 0 <= nu < math.inf:
+        raise InvalidInput(f"classification band nu must be nonnegative and finite, got {nu}")
     centers = tuple(np.asarray(w.center, dtype=float) for w in spec.wells)
     d = spec.d
     for i in range(len(centers)):

@@ -209,8 +209,11 @@ class NonlinearitySpec:
     carries either s alone, and is the saturable law, which evaluates
     arrays with the numpy kernels of _kernels, or the three callables with
     l0, q and C0, and is custom. The saturable law is its s: l0 = 1/s,
-    q = 2 and C0 = 9/(8s) are derived from it, never given. Specs compare
-    by value: s, l0, q, C0 and the custom callables.
+    q = 2 and C0 = 9/(8s) are derived from it, never given. So
+    dataclasses.replace(spec, s=...) raises InvalidInput, since replace
+    passes the derived l0, q and C0 back: build the new law as
+    NonlinearitySpec(s=...). Specs compare by value: s, l0, q, C0 and the
+    custom callables.
     """
 
     l0: Optional[float] = None

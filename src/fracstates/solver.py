@@ -60,7 +60,7 @@ from .errors import (
 )
 from . import _kernels
 from .grid import Field, Grid, apply_frac_laplacian, helmholtz_inverse, locate_max, make_grid
-from .models import NonlinearitySpec, _number, sample_potential
+from .models import NonlinearitySpec, _number, _positive, sample_potential
 from .variational import (
     EnergyReport,
     Problem,
@@ -90,9 +90,7 @@ class SolveOptions:
         if (not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool)
                 or not self.max_iter >= 1):
             raise InvalidInput(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
-        self.tol_residual = _number(self.tol_residual, "tol_residual")
-        if not self.tol_residual > 0:
-            raise InvalidInput(f"tol_residual must be positive, got {self.tol_residual!r}")
+        self.tol_residual = _positive(self.tol_residual, "tol_residual")
 
 
 @dataclass
@@ -115,19 +113,12 @@ def _l2(grid: Grid, values: np.ndarray) -> float:
     return math.sqrt(grid.weight * float(np.dot(values, values)))
 
 
-def _finish(p: Problem, u: Field, semi, iterations, converged, residual, e_hist) -> SolveResult:
-    rep = energy(p, u, semi=semi)
-    neg = p.grid.weight * _kernels.negative_sq_sum(u.values)
-    return SolveResult(
-        u=u,
-        report=rep,
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        energy_history=e_hist,
-        max_point=tuple(float(x) for x in locate_max(u)),
-        negative_mass=neg,
-    )
+def _certify(p: Problem, u: Field):
+    """(Lu, g, residual) of u with Lu = (-Lap)^a u freshly transformed: the
+    certificate, free of the carried Lu's recurrence drift."""
+    lu = apply_frac_laplacian(u, p.alpha).values
+    grad = gradient(p, u, lu=lu)
+    return lu, grad, _l2(p.grid, grad.values) / _l2(p.grid, u.values)
 
 
 def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = None) -> SolveResult:
@@ -170,7 +161,6 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     lu *= t0
     e_hist = [rep.total]
     best_u, low = u, rep.total
-    residual = math.inf
 
     # between iterations the loop holds u, lu and the last direction d; last
     # holds the scalars of the step along d: <u, g> and <g, d> at its start,
@@ -184,9 +174,7 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
             # if that fails, descend on from the fresh one. The carried Lu
             # and g are dropped first, so the transform does not hold them
             lu = grad = None
-            lu = apply_frac_laplacian(u, p.alpha).values
-            grad = gradient(p, u, lu=lu)
-            residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
+            lu, grad, residual = _certify(p, u)
             if residual <= opts.tol_residual:
                 iterations = it - 1
                 break
@@ -223,7 +211,6 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         a2 = w * (gd - shift * float(np.dot(dv, dv)))
         # g is not needed again, so it becomes (-Lap)^a d for the Lu update
         gv -= shift * dv
-        accepted = False
         # near the minimum the Armijo decrease drops below the rounding
         # noise of the energy sums; the floor keeps steps acceptable there
         floor = 1e-13 * (1.0 + abs(rep.total))
@@ -249,11 +236,10 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
                     best_u = u
                 low = min(low, rep.total)
                 e_hist.append(rep.total)
-                accepted = True
                 break
             proj = None  # a rejected projection goes before the next trial
             sigma *= _STEP_SHRINK
-        if not accepted:
+        else:
             raise Diverged(
                 f"line search failed {_MAX_BACKTRACKS} times at iteration "
                 f"{it} (residual {residual:.3g})"
@@ -264,16 +250,22 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
         # max_iter ran out: certify the kept iterate afresh
         iterations, u = opts.max_iter, best_u
         lu = direction = None
-        lu = apply_frac_laplacian(u, p.alpha).values
-        grad = gradient(p, u, lu=lu)
-        residual = _l2(p.grid, grad.values) / _l2(p.grid, u.values)
+        lu, grad, residual = _certify(p, u)
 
     # the final report takes its seminorm from the certificate's Lu and
     # needs u alone, so the loop's arrays are dropped before it is formed
     semi = w * float(np.dot(u.values, lu))
     lu = grad = direction = best_u = None
-    converged = residual <= opts.tol_residual
-    return _finish(p, u, semi, iterations, converged, residual, e_hist)
+    return SolveResult(
+        u=u,
+        report=energy(p, u, semi=semi),
+        iterations=iterations,
+        converged=residual <= opts.tol_residual,
+        residual=residual,
+        energy_history=e_hist,
+        max_point=tuple(float(x) for x in locate_max(u)),
+        negative_mass=w * _kernels.negative_sq_sum(u.values),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -341,11 +333,12 @@ def solve_limit(
     and a = 2.47 the width 24.0, while a = 2.49 needs about 40.8 (R/2),
     beyond the defaults.
     Raises InvalidInput for an empty width list or a width that is not
-    positive, and SeedNotInTheta when no width is admissible.
+    positive and finite, and SeedNotInTheta when no width is admissible.
     """
     seed_widths = tuple(seed_widths)
-    if not seed_widths or not all(width > 0 for width in seed_widths):
-        raise InvalidInput(f"seed_widths must be one or more positive widths, got {seed_widths}")
+    if not seed_widths or not all(0 < width < math.inf for width in seed_widths):
+        raise InvalidInput(
+            f"seed_widths must be one or more positive widths, each finite, got {seed_widths}")
     p = limit_problem(a, nonlinearity, grid, alpha)
     for width in seed_widths:
         try:
@@ -392,10 +385,10 @@ def budgeted_grid(d: int, R: float, n: int, point_budget: int, name: str) -> Gri
 def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, point_budget: int) -> Grid:
     """Rescaled-box grid: half-width min(R0/eps, R_cap) at fixed spacing h0
     (half-width rounded up so n is even). InvalidInput unless eps, R0,
-    R_cap and h0 are all positive and eps is finite."""
-    if not (0 < eps < math.inf and R0 > 0 and R_cap > 0 and h0 > 0):
-        raise InvalidInput(f"eps, R0, R_cap and h0 must be positive, and eps finite, got "
-                           f"{eps}, {R0}, {R_cap}, {h0}")
+    R_cap and h0 are all positive and eps and h0 are finite."""
+    if not (0 < eps < math.inf and R0 > 0 and R_cap > 0 and 0 < h0 < math.inf):
+        raise InvalidInput(f"eps, R0, R_cap and h0 must be positive, and eps and h0 finite, "
+                           f"got {eps}, {R0}, {R_cap}, {h0}")
     R = min(R0 / eps, R_cap)
     count = 2.0 * R / h0  # points per axis, before rounding
     if not math.isfinite(count):  # the integer count below would overflow

@@ -162,6 +162,44 @@ def ray_argmax_oracle(p, u, t_max, steps):
     return RayScan(float(ts[k]), bool(0 < k < steps - 1))
 
 
+def dense_newton(p, seed):
+    """A 1-D critical point of I by Newton's method on
+    F(u) = (-Lap)^a u + V u - f(u), from seed: the reference of the
+    descent's states, sharing no code with it, its Nehari projection or its
+    preconditioner. The Jacobian L + diag(V - f'(u)) is dense, L being the
+    multiplier |xi|^(2a) applied by FFT to the identity; each step is
+    solved by LAPACK and halved until ||F|| falls, and the iteration stops
+    at ||F|| <= 1e-13 ||u|| or where no halving lowers ||F||. Returns the
+    state and its relative residual ||F|| / ||u||."""
+    g = p.grid
+    if g.d != 1:
+        raise InvalidInput(f"the dense oracle is 1-D, got d = {g.d}")
+    xi = 2.0 * np.pi * np.fft.rfftfreq(g.n, d=g.h)
+    lap = np.fft.irfft((xi ** (2.0 * p.alpha))[:, None] * np.fft.rfft(np.eye(g.n), axis=0),
+                       n=g.n, axis=0)
+    v = p.potential_field.values
+
+    def residual(u):
+        return lap @ u + v * u - p.nonlinearity.triple(u)[0]
+
+    u = np.array(seed.values)
+    res = residual(u)
+    norm = np.linalg.norm(res)
+    for _ in range(30):
+        if norm <= 1e-13 * np.linalg.norm(u):
+            break
+        step = np.linalg.solve(lap + np.diag(v - p.nonlinearity.triple(u)[1]), -res)
+        for halvings in range(40):
+            trial = u + 0.5**halvings * step
+            trial_res = residual(trial)
+            if np.linalg.norm(trial_res) < norm:
+                break
+        else:
+            break  # at the rounding floor no step lowers ||F||
+        u, res, norm = trial, trial_res, np.linalg.norm(trial_res)
+    return Field(g, u), float(norm / np.linalg.norm(u))
+
+
 def image_sum_oracle(delta, period):
     """The periodized tail model S_p(delta) = sum_k |delta + period k|^p at
     every row of delta (N, d), as a function of p < -d, summed point by

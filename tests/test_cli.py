@@ -203,7 +203,8 @@ class TestCheck:
         assert res.exit_code == 1
 
     @pytest.mark.parametrize(
-        "key,value", [("max_iter", 0), ("tol_residual", 0.0), ("tol_residual", float("nan"))]
+        "key,value", [("max_iter", 0), ("tol_residual", 0.0), ("tol_residual", float("nan")),
+                      ("tol_residual", INF)]
     )
     def test_bad_solver_knob_is_config_error(self, tmp_path, key, value):
         from fracstates.config import SweepBlock, parse_config
@@ -246,6 +247,9 @@ class TestCheck:
         pytest.param("problem", "R_cap", -400.0, id="R_cap-negative"),
         pytest.param("problem", "h0", -0.25, id="h0-negative"),
         pytest.param("limit", "R", -5.0, id="limit-R-negative"),
+        # a length is finite: only R0 and R_cap read inf, as a point count over budget
+        pytest.param("limit", "R", INF, id="limit-R-inf"),
+        pytest.param("problem", "h0", INF, id="h0-inf"),
         pytest.param("limit", "n", 0, id="limit-n-zero"),
         pytest.param("limit", "n", 161, id="limit-n-odd"),
         # levels the limit solve rejects (l0 = 2.5 for s = 0.4)
@@ -404,7 +408,7 @@ class TestCheck:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"{block}: ")
 
-    @pytest.mark.parametrize("nu", [-0.5, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("nu", [-0.5, float("nan"), INF], ids=["negative", "nan", "inf"])
     def test_bad_nu_fails_boxes(self, tmp_path, nu):
         path = write_config(tmp_path, canonical_config(boxes={"nu": nu}))
         out = tmp_path / "out"
@@ -688,8 +692,12 @@ _BAD_BOXES = [
     ({"l": 0.05, "L": 4.0}, "does not rise above the well level"),
     ({"l": 1.0, "L": 4.0, "nu": -0.5}, "must be nonnegative"),
     ({"l": 0.0, "L": 4.0}, "must be positive"),
+    # a box size and a band are finite
+    ({"l": 1.0, "L": INF}, "box sizes l and L must be positive and finite"),
+    ({"l": 1.0, "L": 4.0, "nu": INF}, "must be nonnegative and finite"),
 ]
-_BAD_BOX_IDS = ["l-above-half-L", "overlap", "not-separating", "nu-negative", "l-zero"]
+_BAD_BOX_IDS = ["l-above-half-L", "overlap", "not-separating", "nu-negative", "l-zero",
+                "L-inf", "nu-inf"]
 
 
 class TestBoxGate:

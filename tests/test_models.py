@@ -16,7 +16,7 @@ from fracstates.errors import (
     NonpositiveTail,
 )
 from fracstates.grid import Field, helmholtz_inverse, make_grid
-from fracstates.localization import barycenter_h, seed_field, truncated_coordinate
+from fracstates.localization import barycenter_h, build_boxes, seed_field, truncated_coordinate
 from fracstates.models import (
     NonlinearitySpec,
     PotentialSpec,
@@ -377,10 +377,11 @@ INF = float("inf")
 def _nan_cases():
     """(id, call, error): each public range check given a NaN, which fails
     every comparison, so a check written as x <= 0 would let it through;
-    then infinite model numbers and epsilons, points of the wrong
-    dimension, non-integer iteration caps, booleans and strings given for
-    numbers and fields on another grid than the problem's, and laws that
-    carry neither or both of s and the callables, or s and declared data."""
+    then infinite model numbers, epsilons, tolerances and lengths, points
+    of the wrong dimension, non-integer iteration caps, booleans and
+    strings given for numbers and fields on another grid than the
+    problem's, and laws that carry neither or both of s and the callables,
+    or s and declared data."""
     g = make_grid(1, 8.0, 64)
     ones = Field(g, np.ones(g.size))
     with_nan = Field(g, np.where(np.arange(g.size) == 5, NAN, 1.0))
@@ -503,6 +504,13 @@ def _nan_cases():
         ("PotentialSpec-v_inf_level-inf", lambda: _single_well(v_inf=INF), InvalidInput),
         ("Problem-eps-inf", lambda: problem(eps=INF), InvalidInput),
         ("sample_potential-eps-inf", lambda: sample_potential(_single_well(), g, INF),
+         InvalidInput),
+        # a tolerance and a length are finite
+        ("SolveOptions-tol_residual-inf", lambda: SolveOptions(tol_residual=INF), InvalidInput),
+        ("make_grid-R-inf", lambda: make_grid(1, INF, 8), InvalidGrid),
+        ("build_boxes-l-inf", lambda: build_boxes(_single_well(), INF, 4.0), InvalidInput),
+        ("build_boxes-L-inf", lambda: build_boxes(_single_well(), 1.0, INF), InvalidInput),
+        ("build_boxes-nu-inf", lambda: build_boxes(_single_well(), 1.0, 4.0, INF),
          InvalidInput),
     ]
 

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_field, ray_argmax_oracle, single_well_potential
+from conftest import (
+    CANON_ALPHA,
+    dense_newton,
+    double_well_potential,
+    gaussian_field,
+    ray_argmax_oracle,
+    single_well_potential,
+)
 from fracstates import solver
 from fracstates.errors import (
     BudgetExceeded,
@@ -13,7 +20,7 @@ from fracstates.errors import (
     SlopeOrdering,
 )
 from fracstates.grid import Field, make_grid
-from fracstates.localization import build_boxes, solve_branches
+from fracstates.localization import build_boxes, seed_field, solve_branches
 from fracstates.models import PotentialSpec, Well, sample_potential
 from fracstates.solver import (
     DEFAULT_SEED_WIDTHS,
@@ -22,12 +29,13 @@ from fracstates.solver import (
     energy_curve,
     grid_for_epsilon,
     limit_problem,
+    problem_for_epsilon,
     solve_constrained,
     solve_limit,
     sweep_epsilon,
     validation_grid,
 )
-from fracstates.variational import Problem
+from fracstates.variational import Problem, energy
 
 
 @pytest.fixture(scope="module")
@@ -272,8 +280,9 @@ class TestFirstAdmissibleSeed:
         with pytest.raises(SeedNotInTheta, match="no Gaussian seed width"):
             solve_limit(2.0, saturable, g, 0.5, self.OPTS, seed_widths=(1.0,))
 
-    @pytest.mark.parametrize("widths", [(), (1.0, 0.0), (1.0, -1.0)],
-                             ids=["empty", "zero", "negative"])
+    @pytest.mark.parametrize("widths", [(), (1.0, 0.0), (1.0, -1.0), (float("inf"),),
+                                        (1.0, float("nan"))],
+                             ids=["empty", "zero", "negative", "inf", "nan"])
     def test_bad_widths_rejected(self, saturable, widths):
         with pytest.raises(InvalidInput, match="positive widths"):
             solve_limit(1.0, saturable, make_grid(1, 20.0, 128), 0.5, seed_widths=widths)
@@ -534,8 +543,9 @@ class TestGridForEpsilon:
     @pytest.mark.parametrize("bad", [
         {"eps": -0.25}, {"eps": 0.0}, {"eps": float("nan")}, {"eps": float("inf")},
         {"R0": -16.0}, {"R_cap": -400.0}, {"h0": float("nan")}, {"h0": 0.0},
+        {"h0": float("inf")},
     ], ids=["eps-negative", "eps-zero", "eps-nan", "eps-inf", "R0-negative", "R_cap-negative",
-            "h0-nan", "h0-zero"])
+            "h0-nan", "h0-zero", "h0-inf"])
     def test_bad_argument_rejected(self, bad):
         args = dict(d=1, eps=0.25, R0=16.0, R_cap=400.0, h0=0.25, point_budget=10**7)
         with pytest.raises(InvalidInput, match="must be positive"):
@@ -571,3 +581,52 @@ class TestValidationGrid:
         config = SimpleNamespace(problem=SimpleNamespace(d=1, R0=1e300, h0=0.25),
                                  sweep=SimpleNamespace(point_budget=4_000_000))
         assert validation_grid(config).n == 4096
+
+
+class TestDenseOracle:
+    """Branch states of V(eps x) against dense_newton, which shares no code
+    with the descent: the canonical single well (criteria 5 and 9) at
+    eps = 0.5, 0.25 and 0.125 (n = 256, 512, 1024), and both wells of the
+    two-well config at eps = 0.5. Each run is seeded as the sweep seeds
+    it, by seed_field of the limit state (a = V0 = 1 on the R = 80 box).
+    At the default tolerance the product's energies read within 2e-15 of
+    Newton's and its profiles within 1.5e-7 in the max norm."""
+
+    CASES = [
+        pytest.param(single_well_potential, 0.5, 1, id="one-well-0.5"),
+        pytest.param(single_well_potential, 0.25, 1, id="one-well-0.25"),
+        pytest.param(single_well_potential, 0.125, 1, id="one-well-0.125"),
+        pytest.param(double_well_potential, 0.5, 1, id="two-wells-0.5-branch-1"),
+        pytest.param(double_well_potential, 0.5, 2, id="two-wells-0.5-branch-2"),
+    ]
+
+    @staticmethod
+    def _config(potential, eps, nonlinearity):
+        from fracstates.config import (
+            BoxesBlock,
+            ExperimentConfig,
+            LimitBlock,
+            ProblemBlock,
+            SweepBlock,
+        )
+
+        return ExperimentConfig(
+            problem=ProblemBlock(d=1, alpha=CANON_ALPHA, R0=16.0, R_cap=400.0, h0=0.25),
+            potential=potential,
+            nonlinearity=nonlinearity,
+            boxes=BoxesBlock(1.0, 4.0, None),
+            sweep=SweepBlock(epsilons=(eps,), max_iter=20000),
+            limit=LimitBlock(R=80.0, n=640),
+        )
+
+    @pytest.mark.parametrize("potential,eps,j", CASES)
+    def test_branch_state_matches_newton(self, saturable, limit_state, potential, eps, j):
+        config = self._config(potential(), eps, saturable)
+        p = problem_for_epsilon(config, eps)
+        seed = seed_field(limit_state.u, config.potential.wells[j - 1].center, p)
+        res = solve_constrained(p, seed, config.solve_options())
+        assert res.converged
+        u, residual = dense_newton(p, seed)
+        assert residual <= 1e-12
+        assert res.energy == pytest.approx(energy(p, u).total, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(res.u.values - u.values)) <= 1e-6
