@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import __version__, _kernels
 from .config import ExperimentConfig, load_config
-from .diagnostics import branch_record, concentration_table, record_rows, records_payload
+from .diagnostics import (RECORDS_SCHEMA, branch_record, concentration_table, record_rows,
+                          records_payload)
 from .errors import ConfigError, FracstatesError
 from .grid import Field
 from .localization import solve_branch
@@ -106,11 +107,25 @@ def write_summary_csv(path: Path, stored: dict):
 
 def _write_tables(out_dir: Path):
     """summary.csv and concentration.json from records.json, for both sweep
-    and report."""
-    with open(out_dir / "records.json") as fh:
-        stored = json.load(fh)
+    and report; an OSError naming the file when it is not a JSON object or
+    names a schema other than RECORDS_SCHEMA (one that names none is read)."""
+    path = out_dir / "records.json"
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise OSError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(stored, dict) or stored.get("schema", RECORDS_SCHEMA) != RECORDS_SCHEMA:
+        raise OSError(f"{path} is not a {RECORDS_SCHEMA} payload")
     write_summary_csv(out_dir / "summary.csv", stored)
     _write_json(out_dir / "concentration.json", concentration_table(stored))
+
+
+def _eps_name(eps: float) -> str:
+    """eps as file names spell it: its %g form where that reads back as
+    eps, its repr otherwise, so distinct epsilons never share a name."""
+    short = f"{eps:g}"
+    return short if float(short) == eps else repr(float(eps))
 
 
 def dump_field(out_dir: Path, name: str, field: Field, extra: dict):
@@ -203,7 +218,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> int:
         for br in rec.branches:
             dump_field(
                 fields_dir,
-                f"eps{rec.eps:g}_branch{br.j}",
+                f"eps{_eps_name(rec.eps)}_branch{br.j}",
                 br.result.u,
                 {"eps": rec.eps, "branch": br.j},
             )
@@ -230,10 +245,10 @@ def run_solve(config: ExperimentConfig, out_dir: Path) -> int:
     w_res = limit_state(config)
     br = solve_branch(p, boxes, w_res.u, j, config.solve_options())
     payload = dict(branch_record(br, p, w_res.u, config.potential), eps=eps, c_v0=w_res.energy)
-    _write_json(out_dir / f"solve_eps{eps:g}_branch{j}.json", payload)
+    name = f"eps{_eps_name(eps)}_branch{j}"
+    _write_json(out_dir / f"solve_{name}.json", payload)
     res = br.result
-    dump_field(out_dir / "fields", f"eps{eps:g}_branch{j}", res.u,
-               {"eps": eps, "branch": j})
+    dump_field(out_dir / "fields", name, res.u, {"eps": eps, "branch": j})
     print(
         f"eps = {eps:g}, branch {j}: energy = {res.energy:.10g}, "
         f"label = {br.label.kind}, converged = {res.converged}"

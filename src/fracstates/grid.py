@@ -37,11 +37,22 @@ from .errors import GridMismatch, InvalidGrid, InvalidInput, NonFinite, Nonposit
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic tensor grid on [-R, R)^d."""
+    """Uniform periodic tensor grid on [-R, R)^d: d in {1, 2, 3}, R positive
+    and finite, n even and at least 8 (stored as int, float, int), or InvalidGrid."""
 
     d: int
     R: float
     n: int
+
+    def __post_init__(self):
+        if self.d not in (1, 2, 3):
+            raise InvalidGrid(f"dimension must be 1, 2 or 3, got {self.d}")
+        if not 0 < self.R < np.inf:  # NaN fails too
+            raise InvalidGrid(f"half-width must be positive and finite, got {self.R}")
+        if self.n < 8 or self.n % 2 != 0:
+            raise InvalidGrid(f"points per axis must be even and >= 8, got {self.n}")
+        for key, kind in (("d", int), ("R", float), ("n", int)):
+            object.__setattr__(self, key, kind(getattr(self, key)))
 
     @property
     def h(self) -> float:
@@ -124,11 +135,16 @@ class Grid:
             mask |= np.abs(c) >= 0.9 * self.R
         return mask.ravel()
 
+    def point(self, value, name: str = "point") -> np.ndarray:
+        """value as d finite coordinates; InvalidInput naming it otherwise."""
+        point = np.atleast_1d(np.asarray(value, dtype=float))
+        if point.shape != (self.d,) or not np.all(np.isfinite(point)):
+            raise InvalidInput(f"{name} {point} is not a finite point in {self.d} dimensions")
+        return point
+
     def index_of(self, point) -> tuple:
         """Grid index of a point that must lie on the grid (within 1e-9*h)."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.shape != (self.d,) or not np.all(np.isfinite(point)):
-            raise InvalidInput(f"point {point} is not a grid point")
+        point = self.point(point)
         idx = (point + self.R) / self.h
         rounded = np.rint(idx)
         if not np.max(np.abs(idx - rounded)) <= 1e-9:
@@ -167,14 +183,8 @@ def locate_max(u: Field) -> np.ndarray:
     return np.array([u.grid.axis[i] for i in idx])
 
 
-def make_grid(d: int, R: float, n: int) -> Grid:
-    if d not in (1, 2, 3):
-        raise InvalidGrid(f"dimension must be 1, 2 or 3, got {d}")
-    if not 0 < R < np.inf:  # NaN fails too
-        raise InvalidGrid(f"half-width must be positive and finite, got {R}")
-    if n < 8 or n % 2 != 0:
-        raise InvalidGrid(f"points per axis must be even and >= 8, got {n}")
-    return Grid(d=int(d), R=float(R), n=int(n))
+# the grid's own constructor: Grid checks its d, R and n
+make_grid = Grid
 
 
 def _check_finite(u: Field, what: str = "field"):

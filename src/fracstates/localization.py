@@ -26,7 +26,7 @@ from .errors import (
 )
 from . import _kernels
 from .grid import Field, _translate, resample_field
-from .models import PotentialSpec
+from .models import PotentialSpec, _positive
 from .solver import SolveOptions, SolveResult, solve_constrained
 from .variational import Problem, project_to_nehari
 
@@ -129,9 +129,7 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
     arrays beside the translate."""
     g = problem.grid
     eps = problem.eps
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (g.d,) or not np.all(np.isfinite(y)):
-        raise InvalidInput(f"seed center {y} must be a finite point in {g.d} dimensions")
+    y = g.point(y, "seed center")
     vals = _translate(resample_field(w_limit, g), y / eps).shaped
     tau = np.zeros(g.shape)
     for c, yi in zip(g.coords, y):
@@ -150,9 +148,8 @@ def seed_field(w_limit: Field, y, problem: Problem) -> Field:
 
 
 def truncated_coordinate(t, eps: float, L: float):
-    """Coordinate clamp to [-2L/eps, 2L/eps]."""
-    if not (eps > 0 and L > 0):
-        raise InvalidInput("eps and L must be positive")
+    """Coordinate clamp to [-2L/eps, 2L/eps]; eps and L positive and finite."""
+    eps, L = _positive(eps, "eps"), _positive(L, "L")
     bound = 2.0 * L / eps
     return np.clip(t, -bound, bound)
 

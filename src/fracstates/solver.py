@@ -59,8 +59,8 @@ from .errors import (
     ZeroField,
 )
 from . import _kernels
-from .grid import Field, Grid, apply_frac_laplacian, helmholtz_inverse, locate_max, make_grid
-from .models import NonlinearitySpec, _number, _positive, sample_potential
+from .grid import Field, Grid, apply_frac_laplacian, helmholtz_inverse, locate_max
+from .models import NonlinearitySpec, _positive, sample_potential
 from .variational import (
     EnergyReport,
     Problem,
@@ -132,7 +132,8 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     FFT, and their energies from the projection's report; convergence is
     certified with a freshly transformed (-Lap)^a u, which also gives the
     returned report its seminorm.
-    Raises SeedNotInTheta when the seed's ray never meets the Nehari
+    Raises ZeroField for a zero seed (its projection has no ray),
+    SeedNotInTheta when the seed's ray never meets the Nehari
     manifold (nonnegative defect, or too little positive mass), Diverged
     when the backtracking line search cannot find any decrease while the
     residual is still above tolerance. Hitting max_iter returns, with
@@ -145,8 +146,6 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
     seed's array itself is never written to.
     """
     opts = opts or SolveOptions()
-    if not np.any(seed.values):
-        raise ZeroField("seed is identically zero")
     shift = float(np.mean(p.potential_field.values))
     w = p.grid.weight
 
@@ -374,12 +373,22 @@ def energy_curve(
 
 
 def budgeted_grid(d: int, R: float, n: int, point_budget: int, name: str) -> Grid:
-    """make_grid(d, R, n) for the grid called name, once its n^d points fit
+    """Grid(d, R, n) for the grid called name, once its n^d points fit
     the point budget; BudgetExceeded, before any array exists, otherwise.
     Every grid a config run builds comes from here."""
     if n**d > point_budget:
         raise BudgetExceeded(f"{name} grid {n}^{d} exceeds the point budget {point_budget}")
-    return make_grid(d, R, n)
+    return Grid(d, R, n)
+
+
+def _point_count(R: float, h: float, point_budget: int, name: str) -> float:
+    """2R/h, the unrounded points per axis of the grid called name at the
+    spacing h; BudgetExceeded when it is not finite, as no integer count is."""
+    count = 2.0 * R / h
+    if not math.isfinite(count):
+        raise BudgetExceeded(f"{name} grid of {count:g} points per axis exceeds the point "
+                             f"budget {point_budget}")
+    return count
 
 
 def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, point_budget: int) -> Grid:
@@ -390,15 +399,8 @@ def grid_for_epsilon(d: int, eps: float, R0: float, R_cap: float, h0: float, poi
         raise InvalidInput(f"eps, R0, R_cap and h0 must be positive, and eps and h0 finite, "
                            f"got {eps}, {R0}, {R_cap}, {h0}")
     R = min(R0 / eps, R_cap)
-    count = 2.0 * R / h0  # points per axis, before rounding
-    if not math.isfinite(count):  # the integer count below would overflow
-        raise BudgetExceeded(
-            f"eps={eps} grid of {count:g} points per axis exceeds the point budget {point_budget}"
-        )
-    n = int(math.ceil(count))
-    if n % 2:
-        n += 1
-    n = max(n, 8)
+    n = int(math.ceil(_point_count(R, h0, point_budget, f"eps={eps}")))
+    n = max(n + n % 2, 8)
     return budgeted_grid(d, n * h0 / 2.0, n, point_budget, f"eps={eps}")
 
 
@@ -406,12 +408,7 @@ def validation_grid(config) -> Grid:
     """The grid [-R0, R0]^d the hypothesis validators sample V on, at about
     the spacing h0 with 64 to 4096 points per axis, within the point budget."""
     pb = config.problem
-    count = 2 * pb.R0 / pb.h0  # points per axis at the spacing h0
-    if not math.isfinite(count):  # no number of points samples it at h0
-        raise BudgetExceeded(
-            f"validation grid of {count:g} points per axis exceeds the point budget "
-            f"{config.sweep.point_budget}"
-        )
+    count = _point_count(pb.R0, pb.h0, config.sweep.point_budget, "validation")
     n = min(max(int(count), 64), 4096)
     return budgeted_grid(pb.d, pb.R0, n + n % 2, config.sweep.point_budget, "validation")
 

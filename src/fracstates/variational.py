@@ -32,8 +32,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInput, NonFinite, NonpositivePotential, NotInTheta, ZeroField
-from .grid import Field, Grid, apply_frac_laplacian, gagliardo_sq
-from .models import NonlinearitySpec
+from .grid import Field, Grid, _check_alpha, apply_frac_laplacian, gagliardo_sq
+from .models import NonlinearitySpec, _positive
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,8 @@ class Problem:
     nonlinearity: NonlinearitySpec
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidInput(f"alpha must lie in (0,1], got {self.alpha}")
-        if not 0 < self.eps < math.inf:
-            raise InvalidInput(f"eps must be positive and finite, got {self.eps}")
+        _check_alpha(self.alpha)
+        _positive(self.eps, "eps")
         if self.potential_field.grid != self.grid:
             raise InvalidInput("potential field lives on a different grid")
         if not np.min(self.potential_field.values) > 0:  # a NaN sample fails too

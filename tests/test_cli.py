@@ -334,6 +334,14 @@ class TestCheck:
         assert "output.directory: expected a string" in res.output
         assert not (tmp_path / "['a', 'b']").exists()
 
+    def test_output_directory_is_the_default_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, canonical_config(output={"directory": "dest"}))
+        res = run_cli(["check", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "dest" / "validation.json").exists()
+        assert (tmp_path / "dest" / "manifest.json").exists()
+
     def test_center_length_must_match_d(self, tmp_path):
         cfg = canonical_config(potential={
             "v_inf_level": 2.0,
@@ -522,6 +530,16 @@ class TestLimit:
         cs = [float(r[1]) for r in rows]
         assert cs[1] > cs[0]
 
+    def test_empty_levels_are_a_validation_error(self, tmp_path):
+        path = write_config(tmp_path, canonical_config(limit={"a_values": []}))
+        out = tmp_path / "out"
+        res = run_cli(["limit", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert err["message"] == "limit.a_values is empty; nothing to solve"
+        assert not (out / "limit_curve.csv").exists()
+
     def test_alpha_1_matches_first_integral(self, tmp_path):
         # at alpha = 1 the limit state solves -w'' + a w = f(w), whose first
         # integral w'^2 = a w^2 - 2F(w) gives c_a = int w'^2
@@ -643,6 +661,21 @@ class TestSweep:
         res = run_cli(["sweep", "--config", str(path), "--out", str(out2)])
         assert res.exit_code == 0
         assert (out2 / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+
+def test_close_epsilons_write_separate_fields(tmp_path):
+    # 0.5000004 and 0.5000003 agree to the 6 digits of %g: each keeps its
+    # own field files, named by its repr
+    epsilons = [0.5000004, 0.5000003]
+    path = write_config(tmp_path, canonical_config(sweep={"epsilons": epsilons}))
+    out = tmp_path / "out"
+    res = run_cli(["sweep", "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    stored = json.loads((out / "records.json").read_text())
+    for eps, rec in zip(epsilons, stored["records"]):
+        meta = json.loads((out / "fields" / f"eps{eps!r}_branch1.json").read_text())
+        assert meta["eps"] == rec["eps"] == eps
+    assert not (out / "fields" / "eps0.5_branch1.f64").exists()
 
 
 class TestSolveCommand:
@@ -830,6 +863,23 @@ class TestExitCodes:
         assert res.exit_code == 3
         err = json.loads((out / "error.json").read_text())
         assert "records.json" in err["message"]
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": "fracstates-records-v1", "records": []}', "not json {", "[1, 2]",
+    ], ids=["other-schema", "not-json", "not-an-object"])
+    def test_report_on_unreadable_records_is_io_error(self, tmp_path, text):
+        path = write_config(tmp_path, canonical_config())
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "records.json").write_text(text)
+        res = run_cli(["report", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert res.exception is None
+        assert "Traceback" not in res.output
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "report"
+        assert str(out / "records.json") in err["message"]
+        assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize(
         "command, overrides",

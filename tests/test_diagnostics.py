@@ -147,6 +147,24 @@ class TestDecayFit:
         with pytest.raises(NonpositiveTail):
             decay_fit(u, (0.0,), (0.2 * g.R, 0.4 * g.R))
 
+    def test_growing_tail_meets_the_scan_edge(self, monkeypatch):
+        # the image model fits best at the scan's first depth, the edge
+        # p -> -d where the image sum is no model, so the plain fit is kept
+        import fracstates.diagnostics as diagnostics
+
+        fits = []
+        fit_image_sum = diagnostics._fit_image_sum
+
+        def recording(*args):
+            fits.append(fit_image_sum(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(diagnostics, "_fit_image_sum", recording)
+        g = make_grid(1, 40.0, 1024)
+        fit = decay_fit(Field(g, 1.0 + np.abs(g.axis)), (0.0,), (0.2 * g.R, 0.5 * g.R))
+        assert fits == [None]
+        assert fit.exponent == fit.slope > 0
+
 
 class TestDecayFitOracle:
     """decay_fit against the direct per-point fit of conftest: the same
@@ -363,6 +381,35 @@ class TestBoundaryMass:
         g = make_grid(1, 40.0, 512)
         u = gaussian_field(g, 2.0, center=(39.0,))
         assert boundary_mass_fraction(u) > 0.5
+
+
+class TestBranchRecord:
+    def test_unusable_window_leaves_decay_cells_empty(self, tmp_path):
+        from fracstates.cli import write_summary_csv
+        from fracstates.diagnostics import branch_record
+        from fracstates.models import NonlinearitySpec, PotentialSpec, Well, sample_potential
+        from fracstates.solver import SolveResult
+        from fracstates.variational import Problem
+
+        g = make_grid(1, 8.0, 64)
+        potential = PotentialSpec(2.0, (Well((0.0,), 1.0, 1.0),))
+        p = Problem(grid=g, alpha=0.5, eps=0.5, potential_field=sample_potential(potential, g, 0.5),
+                    nonlinearity=NonlinearitySpec.saturable(0.4))
+        # a tent on |x| < 1: zero on the tail window [0.2R, 0.35R] = [1.6, 2.8]
+        u = Field(g, np.maximum(1.0 - np.abs(g.axis), 0.0))
+        res = SolveResult(u=u, report=_fake_report(1.0, 0.0), iterations=1, converged=True,
+                          residual=0.0, max_point=(0.0,))
+        br = BranchResult(j=1, result=res, label=BranchLabel("interior", 1), alpha_energy=1.0,
+                          alpha_bar=None, barycenter=np.zeros(1), center=(0.0,), eps=0.5, l=1.0)
+        entry = branch_record(br, p, u, potential)
+        assert entry["decay_exponent"] is None and entry["decay_r2"] is None
+        stored = {"records": [{"eps": 0.5, "c_eps": 1.0, "c_v0": 1.0, "v0": 1.0,
+                               "sigma_members": [1], "trusted": True, "branches": [entry]}]}
+        write_summary_csv(tmp_path / "summary.csv", stored)
+        header, row = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["decay_exponent"] == cells["decay_r2"] == ""
+        assert cells["profile_error"] == "0.0"
 
 
 def _fake_record(eps, c_gap, v_gap, perr, c_v0=3.0, v0=1.0, bmass=1e-8):

@@ -8,11 +8,13 @@ from conftest import gaussian_field
 from fracstates.errors import (
     GridMismatch,
     InvalidGrid,
+    InvalidInput,
     NonFinite,
     NonpositiveShift,
 )
 from fracstates.grid import (
     Field,
+    Grid,
     _translate,
     apply_frac_laplacian,
     gagliardo_sq,
@@ -51,6 +53,70 @@ class TestMakeGrid:
     def test_bad_dimension_rejected(self):
         with pytest.raises(InvalidGrid):
             make_grid(4, 1.0, 16)
+
+
+    def test_make_grid_is_grid(self):
+        assert make_grid is Grid
+
+    @pytest.mark.parametrize("d, R, n", [
+        (1, np.inf, 8), (1, np.nan, 8), (1, 1.0, 7), (4, 1.0, 8), (0, 1.0, 8), (1, -1.0, 8),
+        (1, 1.0, 6),
+    ], ids=["R-inf", "R-nan", "n-odd", "d-4", "d-0", "R-negative", "n-6"])
+    def test_grid_checks_itself(self, d, R, n):
+        # the rules bind every constructor call, not only make_grid's callers
+        with pytest.raises(InvalidGrid):
+            Grid(d, R, n)
+        with pytest.raises(InvalidGrid):
+            Grid(d=d, R=R, n=n)
+
+    def test_grid_stores_int_float_int(self):
+        g = Grid(np.int64(2), 4, 16.0)
+        assert (type(g.d), type(g.R), type(g.n)) == (int, float, int)
+        assert g == Grid(2, 4.0, 16)
+
+
+class TestGridInputs:
+    """The typed failures of points, field lengths, orders and pairings."""
+
+    @pytest.mark.parametrize("value", [(np.nan,), (np.inf,), (0.0, 0.0), ()],
+                             ids=["nan", "inf", "two-coordinates", "empty"])
+    def test_point_names_its_argument(self, value):
+        g = make_grid(1, 4.0, 16)
+        with pytest.raises(InvalidInput, match=r"^eta \[.*\] is not a finite point in 1 "):
+            g.point(value, "eta")
+
+    def test_point_returns_coordinates(self):
+        g = make_grid(2, 4.0, 16)
+        assert np.array_equal(g.point([0.5, -1]), np.array([0.5, -1.0]))
+
+    def test_index_of_off_grid_point(self):
+        g = make_grid(1, 4.0, 16)  # h = 0.5
+        assert g.index_of((0.5,)) == (9,)
+        with pytest.raises(InvalidInput, match="is not a grid point"):
+            g.index_of((0.2,))
+
+    def test_field_length_must_match_grid(self):
+        g = make_grid(1, 4.0, 16)
+        with pytest.raises(InvalidGrid, match="field length 15 != grid size 16"):
+            Field(g, np.ones(15))
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, np.nan])
+    def test_order_outside_unit_interval(self, alpha):
+        g = make_grid(1, 4.0, 16)
+        with pytest.raises(InvalidInput, match="order alpha must lie in"):
+            apply_frac_laplacian(Field(g, np.ones(g.size)), alpha)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_inner_product_of_nonfinite_field(self, bad):
+        g = make_grid(1, 4.0, 16)
+        ones = Field(g, np.ones(g.size))
+        with pytest.raises(NonFinite):
+            inner_l2(Field(g, np.where(np.arange(g.size) == 3, bad, 1.0)), ones)
+
+    def test_resample_across_dimensions(self):
+        u = Field(make_grid(1, 4.0, 16), np.ones(16))
+        with pytest.raises(GridMismatch, match="dimension mismatch"):
+            resample_field(u, make_grid(2, 4.0, 16))
 
 
 class TestFracLaplacian:

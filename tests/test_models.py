@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 
 from conftest import expression_potential
-from fracstates.diagnostics import decay_fit, profile_error, sigma_membership
+from fracstates.diagnostics import (boundary_mass_fraction, decay_fit, profile_error,
+                                    sigma_membership)
 from fracstates.errors import (
+    FracstatesError,
     InvalidGrid,
     InvalidInput,
+    NonFinite,
     NonpositivePotential,
     NonpositiveShift,
     NonpositiveTail,
+    WindowTooSmall,
+    ZeroField,
 )
-from fracstates.grid import Field, helmholtz_inverse, make_grid
+from fracstates.grid import Field, Grid, helmholtz_inverse, make_grid
 from fracstates.localization import barycenter_h, build_boxes, seed_field, truncated_coordinate
 from fracstates.models import (
     NonlinearitySpec,
@@ -126,6 +131,11 @@ class TestValidatePotential:
         rep = validate_potential(spec, make_grid(1, 10.0, 256))
         assert not rep.pass_v1
 
+    def test_nonpositive_minimum_fails_v1(self):
+        rep = validate_potential(_single_well(v_inf=0.5), make_grid(1, 10.0, 256))
+        assert not rep.pass_v1
+        assert "(V1) fail: minimum -0.5 <= 0" in rep.messages
+
     def test_custom_expression_validated_numerically(self):
         spec = expression_potential(
             lambda pts: 2.0 - 1.0 / np.cosh(pts[:, 0]) ** 2,
@@ -187,6 +197,22 @@ class TestNonlinEval:
             ),
         ):
             assert nonlin_eval(spec, -1.0) == (0.0, 0.0, 0.0)
+
+    def test_custom_law_vanishes_for_nonpositive_t(self):
+        # (f1)'s t <= 0 half holds by construction: callables that are
+        # nonzero there read 0 through every evaluation path
+        def one(t):
+            return 1.0 + 0.0 * t
+
+        spec = NonlinearitySpec.custom(one, one, one, l0=2.0, q=3.0, C0=1.0)
+        t = np.array([-2.0, -0.5, 0.0])
+        assert all(np.array_equal(part, np.zeros(3)) for part in spec.triple(t))
+        assert np.array_equal(spec.f(t), np.zeros(3))
+        assert spec.rate_sum(t, 2.0) == 0.0
+        r = np.array([-1.0, -0.25, 0.0])
+        assert spec.rate_pair(r * r, r, 4.0) == (0.0, 0.0)
+        assert spec.rate_primitive(r * r, r, 4.0) == (0.0, 0.0)
+        assert validate_nonlinearity(NonlinearitySpec.saturable(0.5)).pass_f1
 
     def test_antiderivative_against_quadrature(self):
         # F(1) for s=0.5 equals the integral of f over [0,1]
@@ -286,6 +312,22 @@ class TestValidateNonlinearity:
             "(f3) fail: declared asymptotic slope is not finite"
         ]
 
+    @pytest.mark.parametrize("law, message", [
+        (lambda sat: NonlinearitySpec.custom(lambda t: t**3, lambda t: 3 * t**2,
+                                             lambda t: t**4 / 4, l0=np.inf, q=3.0, C0=0.1),
+         "(f2) fail: |f'| exceeds C0*(1+t^(q-2)) on samples"),
+        (lambda sat: NonlinearitySpec.custom(sat.f, lambda t: sat.triple(t)[1],
+                                             lambda t: sat.triple(t)[2], l0=5.0, q=2.0,
+                                             C0=sat.C0),
+         "(f3) fail: f(T)/T = 2.49999 not within 5% of l0 = 5"),
+        (lambda sat: NonlinearitySpec.custom(lambda t: t**3, lambda t: 3 * t**2,
+                                             lambda t: t**4, l0=np.inf, q=4.0, C0=10.0),
+         "(f5) fail: f(t)t/2 - F(t) is not nondecreasing on samples"),
+    ], ids=["f2", "f3-slope", "f5-decreasing"])
+    def test_failure_message(self, law, message):
+        rep = validate_nonlinearity(law(NonlinearitySpec.saturable(0.4)))
+        assert message in rep.messages
+
     def test_linear_fails_f1(self):
         spec = NonlinearitySpec.custom(
             lambda t: 2.0 * t, lambda t: 2.0 + 0.0 * t, lambda t: t**2,
@@ -330,6 +372,13 @@ class TestSaturableInvariants:
         t = np.geomspace(1e-2, 50, 200)
         f, fp, _ = spec.triple(t)
         assert np.all(t * fp > f)
+
+    def test_nehari_floor_needs_a_sub_unit_ratio(self):
+        # nsq s / (w sum a) = 1: the Jensen bound gives no positive floor
+        a = np.ones(4)
+        spec = NonlinearitySpec.saturable(0.4)
+        assert spec._nehari_floor(a, 10.0, 1.0, 4.0) == 0.0
+        assert spec._nehari_floor(a, 5.0, 1.0, 4.0) > 0.0
 
     def test_f_alone_matches_triple_bit_for_bit(self):
         spec = NonlinearitySpec.saturable(0.4)
@@ -512,6 +561,36 @@ def _nan_cases():
         ("build_boxes-L-inf", lambda: build_boxes(_single_well(), 1.0, INF), InvalidInput),
         ("build_boxes-nu-inf", lambda: build_boxes(_single_well(), 1.0, 4.0, INF),
          InvalidInput),
+        # a grid checks its own R, and an infinite clamp length is refused
+        ("Grid-R-inf", lambda: Grid(1, INF, 8), InvalidGrid),
+        ("Grid-R-nan", lambda: Grid(1, NAN, 8), InvalidGrid),
+        ("truncated_coordinate-L-inf", lambda: truncated_coordinate(np.array([1e9]), 0.5, INF),
+         InvalidInput),
+        ("truncated_coordinate-eps-inf", lambda: truncated_coordinate(np.array([1.0]), INF, 4.0),
+         InvalidInput),
+        ("barycenter_h-L-inf", lambda: barycenter_h(ones, 0.5, INF), InvalidInput),
+        # an order outside (0, 1], and inputs of another dimension or grid
+        ("Problem-alpha", lambda: Problem(grid=g, alpha=NAN, eps=1.0, potential_field=ones,
+                                          nonlinearity=sat), InvalidInput),
+        ("Problem-potential-grid", lambda: Problem(grid=g, alpha=0.5, eps=1.0,
+                                                   potential_field=wide, nonlinearity=sat),
+         InvalidInput),
+        ("PotentialSpec-mixed-dim",
+         lambda: PotentialSpec(2.0, (Well((0.0,), 1.0, 1.0), Well((0.0, 0.0), 1.0, 1.0))),
+         InvalidInput),
+        ("sample_potential-grid-dim",
+         lambda: sample_potential(_single_well(), make_grid(2, 8.0, 16), 1.0), InvalidInput),
+        ("build_boxes-outside", lambda: build_boxes(_single_well(center=(3.5,)), 1.0, 4.0),
+         InvalidInput),
+        # a non-finite seminorm or Lu, the zero field, and a window with no point
+        ("energy-semi-inf", lambda: energy(problem(), ones, semi=INF), NonFinite),
+        ("gradient-lu-nan", lambda: gradient(problem(), ones, lu=with_nan.values), NonFinite),
+        ("boundary_mass_fraction-zero", lambda: boundary_mass_fraction(Field(g, np.zeros(64))),
+         ZeroField),
+        # unit spacing puts the points at |x| = 0, 1, 2, ..., none in [0.8, 0.9]
+        ("decay_fit-empty-window",
+         lambda: decay_fit(Field(make_grid(1, 4.0, 8), np.ones(8)), (0.0,), (0.8, 0.9)),
+         WindowTooSmall),
     ]
 
 
@@ -520,3 +599,48 @@ def test_nan_is_rejected(call, error):
     with pytest.raises(error):
         call()
 
+
+
+def _message_cases():
+    """(id, call, error, message) of the rules each written once: a point
+    (Grid.point), a positive finite number (models._positive), the order
+    (grid._check_alpha) and the zero field (variational._ray)."""
+    g = make_grid(1, 8.0, 64)
+    ones = Field(g, np.ones(g.size))
+    sat = NonlinearitySpec.saturable(0.4)
+
+    def problem(eps=1.0, alpha=0.5):
+        return Problem(grid=g, alpha=alpha, eps=eps, potential_field=ones, nonlinearity=sat)
+
+    return [
+        ("seed_field-center", lambda: seed_field(ones, (NAN,), problem()), InvalidInput,
+         "seed center [nan] is not a finite point in 1 dimensions"),
+        ("decay_fit-eta", lambda: decay_fit(ones, (0.0, 0.0), (1.6, 4.0)), InvalidInput,
+         "eta [0. 0.] is not a finite point in 1 dimensions"),
+        ("index_of-point", lambda: g.index_of((INF,)), InvalidInput,
+         "point [inf] is not a finite point in 1 dimensions"),
+        ("Problem-eps", lambda: problem(eps=0.0), InvalidInput,
+         "eps must be a positive, finite number, got 0.0"),
+        ("sample_potential-eps", lambda: sample_potential(_single_well(), g, -1.0), InvalidInput,
+         "eps must be a positive, finite number, got -1.0"),
+        ("Problem-eps-bool", lambda: problem(eps=True), InvalidInput,
+         "eps: expected a number, got True"),
+        ("Problem-alpha", lambda: problem(alpha=1.5), InvalidInput,
+         "order alpha must lie in (0, 1], got 1.5"),
+        ("truncated_coordinate-eps", lambda: truncated_coordinate(0.0, 0.0, 4.0), InvalidInput,
+         "eps must be a positive, finite number, got 0.0"),
+        ("truncated_coordinate-L", lambda: truncated_coordinate(0.0, 0.5, INF), InvalidInput,
+         "L must be a positive, finite number, got inf"),
+        ("solve_constrained-zero-seed",
+         lambda: solve_constrained(problem(), Field(g, np.zeros(g.size))), ZeroField,
+         "cannot project the zero field"),
+    ]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [pytest.param(c, e, m, id=i) for i, c, e, m in _message_cases()])
+def test_rule_message(call, error, message):
+    with pytest.raises(FracstatesError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

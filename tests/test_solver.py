@@ -540,6 +540,11 @@ class TestGridForEpsilon:
         with pytest.raises(BudgetExceeded):
             grid_for_epsilon(1, 1e-3, 16.0, 1e6, 0.25, 10**5)
 
+    def test_odd_count_rounds_up(self):
+        # 2 R0 / h0 = 9 points: the grid takes 10 and widens to R = 2.5
+        g = grid_for_epsilon(1, 1.0, 2.25, 400.0, 0.5, 10**7)
+        assert (g.n, g.R, g.h) == (10, 2.5, 0.5)
+
     @pytest.mark.parametrize("bad", [
         {"eps": -0.25}, {"eps": 0.0}, {"eps": float("nan")}, {"eps": float("inf")},
         {"R0": -16.0}, {"R_cap": -400.0}, {"h0": float("nan")}, {"h0": 0.0},
