@@ -107,18 +107,21 @@ def write_summary_csv(path: Path, stored: dict):
 
 def _write_tables(out_dir: Path):
     """summary.csv and concentration.json from records.json, for both sweep
-    and report; an OSError naming the file when it is not a JSON object or
-    names a schema other than RECORDS_SCHEMA (one that names none is read)."""
+    and report; an OSError naming the file unless it holds a JSON object
+    naming RECORDS_SCHEMA with every key the tables read."""
     path = out_dir / "records.json"
     try:
         with open(path) as fh:
             stored = json.load(fh)
     except ValueError as exc:  # not JSON, or not text
         raise OSError(f"{path} is not JSON: {exc}") from exc
-    if not isinstance(stored, dict) or stored.get("schema", RECORDS_SCHEMA) != RECORDS_SCHEMA:
+    if not isinstance(stored, dict) or stored.get("schema") != RECORDS_SCHEMA:
         raise OSError(f"{path} is not a {RECORDS_SCHEMA} payload")
-    write_summary_csv(out_dir / "summary.csv", stored)
-    _write_json(out_dir / "concentration.json", concentration_table(stored))
+    try:
+        write_summary_csv(out_dir / "summary.csv", stored)
+        _write_json(out_dir / "concentration.json", concentration_table(stored))
+    except KeyError as exc:
+        raise OSError(f"{path} lacks the key {exc} of a {RECORDS_SCHEMA} payload") from exc
 
 
 def _eps_name(eps: float) -> str:

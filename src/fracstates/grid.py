@@ -102,8 +102,8 @@ class Grid:
         zero mode 0; built once per alpha and read-only."""
         mult = self._multipliers.get(alpha)
         if mult is None:
-            parts = np.meshgrid(*self._wavenumbers, indexing="ij")
-            xi_sq = np.zeros_like(parts[0])
+            parts = np.meshgrid(*self._wavenumbers, indexing="ij", sparse=True)
+            xi_sq = np.zeros(np.broadcast_shapes(*(p.shape for p in parts)))
             for p in parts:
                 xi_sq += p * p
             mult = xi_sq**alpha

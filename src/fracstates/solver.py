@@ -9,18 +9,16 @@ points, the free-gradient norm is the convergence certificate.
 The monotone Armijo search starts from the Barzilai-Borwein (BB2) step in
 the preconditioned metric, sigma = <s, y> / <y, P^-1 y> with s and y the
 differences of the last two projected iterates and of their gradients
-(Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988). The loop keeps neither
-the previous iterate nor its gradient: since u = t* (u_prev - sigma d_prev)
-and P^-1 is symmetric, the pairings follow from the carried last direction
-d_prev, the scalars <u_prev, g_prev>, <g_prev, d_prev>, sigma and t* of the
-last step, and one dot product <d_prev, g>. The step is clamped to
-[1e-3, 1e3] times the unit first step _STEP_INIT; the first iteration, and
-any iteration where a pairing is not positive, starts from _STEP_INIT
-instead. A unit-step start contracts the soft translational mode of
-V(eps x) by only 1 - O(eps^2) per iteration, so the BB2 start is what keeps
-small-eps solves short. Branch seeds are exact sub-cell translates centred
-at the well minimum (localization.seed_field), which removes most of that
-translational transient before the descent starts.
+(Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988), taken as it is: the
+backtracking (reach 2^50) is its only safeguard, and the unit step
+_STEP_INIT stands in only at the first iteration, or where a pairing is not
+positive or the ratio overflows. The pairings need neither the previous
+iterate nor its gradient (see the loop). Along the soft translational mode
+of V(eps x) the ratio reaches 1e4-1e6 unit steps, and a unit step
+contracts that mode by only 1 - O(eps^2) per iteration, so the BB2 start
+is what keeps small-eps solves short. Branch seeds are exact sub-cell
+translates centred at the well minimum (localization.seed_field), which
+removes most of that translational transient before the descent starts.
 
 The loop carries Lu = (-Lap)^a u across iterations instead of transforming
 u again: the gradient is Lu + V u - f(u), and the preconditioned direction
@@ -31,8 +29,8 @@ coefficients are dot products formed once per iteration, and the ray
 scaling [t v]^2 = t^2 [v]^2 carries it through the projection. The
 projection also returns the energy report of the projected trial, scaled
 from its own sums and final pass, so a trial costs no energy evaluation of
-its own. A trial is passed to it as u, d and sigma, and under the
-saturable law it is never formed as a field of its own. Once those dot
+its own. A trial is passed to it as u, d, sigma and its seminorm, and it
+is never formed as a field of its own. Once those dot
 products are taken, g is overwritten with (-Lap)^a d = g - c d, and an
 accepted step updates Lu <- t* (Lu - sigma (-Lap)^a d). Between
 iterations the loop holds u, Lu and d only. No certificate rests on the
@@ -70,15 +68,12 @@ from .variational import (
 )
 
 
-# Armijo line search: the first trial step, which also scales the BB2
-# step's clamp, the backtracking factor, the sufficient-decrease constant
-# and the number of trials before Diverged is raised
+# Armijo line search: the first step where no BB2 step is known, the
+# backtracking factor, the sufficient-decrease constant, the trials allowed
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 50
-# range of the Barzilai-Borwein initial step, in units of _STEP_INIT
-_BB_CLAMP = (1e-3, 1e3)
 
 
 @dataclass
@@ -124,10 +119,10 @@ def _certify(p: Problem, u: Field):
 def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = None) -> SolveResult:
     """Descend I on the Nehari manifold starting from an admissible seed.
 
-    Each line search starts at the clamped BB2 step of the two latest
-    iterates (_STEP_INIT at the first iteration or when a BB2 pairing is
-    not positive) and shrinks it by _STEP_SHRINK until the Armijo test
-    holds. The preconditioner shift is the grid mean of the potential.
+    Each line search starts at the BB2 step of the two latest iterates
+    (_STEP_INIT at the first iteration, or when a pairing is not positive
+    or the ratio overflows) and shrinks it by _STEP_SHRINK until the Armijo
+    test holds. The preconditioner shift is the grid mean of the potential.
     Trials take their seminorms from the carried (-Lap)^a u and make no
     FFT, and their energies from the projection's report; convergence is
     certified with a freshly transformed (-Lap)^a u, which also gives the
@@ -201,8 +196,8 @@ def solve_constrained(p: Problem, seed: Field, opts: Optional[SolveOptions] = No
             pu_g = ug / pt + psigma * dg
             sy = ug - u_pg - pu_g + pug
             yy = gd - 2.0 * dg + pgd
-            if sy > 0 and yy > 0:
-                sigma = min(max(sy / yy, _BB_CLAMP[0] * sigma), _BB_CLAMP[1] * sigma)
+            if sy > 0 and yy > 0 and sy / yy < math.inf:  # an overflow keeps _STEP_INIT
+                sigma = sy / yy
         # (-Lap)^a d = g - c d exactly, so the trial seminorm is the
         # quadratic [u - sigma d]^2 = a0 - 2 sigma a1 + sigma^2 a2
         a0 = w * float(np.dot(uv, lu))

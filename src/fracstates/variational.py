@@ -18,9 +18,9 @@ makes that pass at tau = 1; the projection makes it at the root and
 returns the energy report of the projected field. Which law runs is the
 nonlinearity's concern alone.
 
-The projection also takes a descent trial v = u - step * direction. _ray
-writes v into r, takes its sums there and turns it into the pass arrays,
-so the trial is never held as a field beside them.
+The projection also takes a descent trial v = u - step * direction with
+its seminorm. _ray writes v into r, takes its sums there and turns it into
+the pass arrays, so the trial is never held as a field beside them.
 """
 
 from __future__ import annotations
@@ -188,10 +188,9 @@ def project_to_nehari(
     the known seminorm [u]^2, which spares the FFT.
 
     With a direction the ray is that of the descent trial
-    v = u - step * direction instead, and semi, if given, is [v]^2. The
-    result equals that of a call on the field v bit for bit. _ray builds v
-    in the pass arrays, and t* v is formed in r once a is freed. v is held
-    as a field of its own only when semi is not given, for the FFT.
+    v = u - step * direction instead, and semi must be given as [v]^2
+    (InvalidInput otherwise). The result equals that of a call on the field
+    v bit for bit; v is built in the pass arrays, never as a field.
 
     With tau = t^2 the root solves G(tau) = |u|^2_eps - h^d psi(tau) = 0,
     psi(tau) = int f(tu)u/t. Safeguarded Newton, one fused (psi, psi') pass
@@ -211,12 +210,13 @@ def project_to_nehari(
     _check_grid(p, u)
     w = p.grid.weight
     nl = p.nonlinearity
+    if direction is not None and semi is None:
+        raise InvalidInput("a descent trial needs its seminorm [u - step * direction]^2")
     uv, dv = u.values, None
     if direction is not None:
         _check_grid(p, direction)
         dv = direction.values
-    if semi is None:
-        semi = gagliardo_sq(u if dv is None else Field(p.grid, uv - step * dv), p.alpha)
+    semi = gagliardo_sq(u, p.alpha) if semi is None else semi
     a, r, pot, mass = _ray(p, uv, dv, step)
     nsq = semi + w * pot
     if nsq - nl.l0 * w * mass >= 0:

@@ -866,7 +866,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", [
         '{"schema": "fracstates-records-v1", "records": []}', "not json {", "[1, 2]",
-    ], ids=["other-schema", "not-json", "not-an-object"])
+        '{"records": []}',
+        '{"schema": "fracstates-records-v2", "records": [{"eps": 0.5}]}',
+    ], ids=["other-schema", "not-json", "not-an-object", "missing-schema", "missing-key"])
     def test_report_on_unreadable_records_is_io_error(self, tmp_path, text):
         path = write_config(tmp_path, canonical_config())
         out = tmp_path / "out"
@@ -971,12 +973,17 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rng_seed"] == 11
 
-    def test_no_manifest_when_command_raises(self, tmp_path):
+    def test_no_manifest_when_command_raises(self, tmp_path, monkeypatch):
+        from fracstates import cli
+
         path = write_config(tmp_path, canonical_config())
         out = tmp_path / "out"
-        out.mkdir()
-        # a hand-edited records.json without its branches
-        (out / "records.json").write_text('{"c_v0": 1.0, "v0": 1.0, "records": [{"eps": 0.5}]}')
+
+        def broken(config, out_dir):
+            raise RuntimeError("stage failed")
+
+        # an exception that is neither a FracstatesError nor an OSError escapes
+        monkeypatch.setitem(cli.STAGES, "report", broken)
         res = run_cli(["report", "--config", str(path), "--out", str(out)])
-        assert isinstance(res.exception, KeyError)
+        assert isinstance(res.exception, RuntimeError)
         assert not (out / "manifest.json").exists()

@@ -443,6 +443,39 @@ class TestBarzilaiBorweinStep:
         assert np.all(np.diff(e) <= 1e-12 * (1 + np.abs(e[:-1])))
 
 
+class TestSoftTranslationalMode:
+    """Off-grid wells at small eps leave a soft translational mode, along
+    which the BB2 ratio reaches far beyond the unit step; the descent
+    starts each line search at that ratio as it is."""
+
+    @staticmethod
+    def _solve(saturable, alpha, eps, potential, opts):
+        limit = solve_limit(1.0, saturable, make_grid(1, 80.0, 640), alpha,
+                            SolveOptions(max_iter=20000, tol_residual=1e-10))
+        g = grid_for_epsilon(1, eps, 16.0, 400.0, 0.25, 10**6)
+        p = Problem(grid=g, alpha=alpha, eps=eps, potential_field=potential(g, eps),
+                    nonlinearity=saturable)
+        return solve_constrained(p, seed_field(limit.u, (1.0 / 3.0,), p), opts)
+
+    def test_quartic_well_at_tight_tolerance(self, saturable):
+        # V = 2 - exp(-((eps x - 1/3)^2 / 2)^2), flatter than Gaussian at its
+        # minimum: 183 iterations, 3115 with BB2 capped at 1e3 unit steps
+        def quartic(g, eps):
+            return Field(g, 2.0 - np.exp(-(((eps * g.axis - 1.0 / 3.0) ** 2) / 2.0) ** 2))
+
+        res = self._solve(saturable, 0.5, 1.0 / 16.0, quartic,
+                          SolveOptions(max_iter=1000, tol_residual=1e-10))
+        assert res.converged
+
+    def test_low_alpha_canonical_well(self, saturable):
+        # 301 iterations, 738 with BB2 capped at 1e3 unit steps
+        def canonical(g, eps):
+            return sample_potential(single_well_potential(), g, eps)
+
+        res = self._solve(saturable, 0.3, 1.0 / 16.0, canonical, SolveOptions(max_iter=500))
+        assert res.converged
+
+
 class TestCarriedOperator:
     """The descent carries (-Lap)^a u instead of transforming every trial."""
 

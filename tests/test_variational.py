@@ -428,9 +428,8 @@ class TestProjection:
 
 
 class TestProjectionAlongDirection:
-    """A trial given as u - step * direction projects as the formed field
-    does, bit for bit, whether the projection forms it (custom law, or no
-    seminorm given) or not."""
+    """A trial given as u - step * direction with its seminorm projects as
+    the formed field does, bit for bit, under either law."""
 
     @pytest.mark.parametrize("law", ["saturable", "custom"])
     def test_matches_formed_trial(self, small_problem, law):
@@ -442,12 +441,12 @@ class TestProjectionAlongDirection:
         d = Field(p.grid, 0.3 * u.values * rng.uniform(-1.0, 1.0, p.grid.size))
         for step in (0.5, 2.0):
             v = Field(p.grid, u.values - step * d.values)
-            for semi in (gagliardo_sq(v, p.alpha), None):
-                ref = project_to_nehari(p, v, semi=semi)
-                out = project_to_nehari(p, u, semi=semi, direction=d, step=step)
-                assert out.t_star == ref.t_star
-                assert np.array_equal(out.projected.values, ref.projected.values)
-                assert out.report == ref.report
+            semi = gagliardo_sq(v, p.alpha)
+            ref = project_to_nehari(p, v, semi=semi)
+            out = project_to_nehari(p, u, semi=semi, direction=d, step=step)
+            assert out.t_star == ref.t_star
+            assert np.array_equal(out.projected.values, ref.projected.values)
+            assert out.report == ref.report
 
     @pytest.mark.parametrize("law", ["saturable", "custom"])
     def test_leaves_inputs_unchanged(self, small_problem, law):
@@ -462,9 +461,19 @@ class TestProjectionAlongDirection:
         before = u.values.tobytes(), d.values.tobytes()
         energy(p, u)
         project_to_nehari(p, u)
-        for semi in (gagliardo_sq(Field(p.grid, u.values - 0.5 * d.values), p.alpha), None):
-            project_to_nehari(p, u, semi=semi, direction=d, step=0.5)
+        semi = gagliardo_sq(Field(p.grid, u.values - 0.5 * d.values), p.alpha)
+        project_to_nehari(p, u, semi=semi, direction=d, step=0.5)
         assert (u.values.tobytes(), d.values.tobytes()) == before
+
+    def test_trial_without_seminorm_is_refused(self, small_problem):
+        # a trial is never formed as a field, so its seminorm cannot be
+        # transformed here: the caller's quadratic gives it
+        p = small_problem
+        rng = np.random.default_rng(45)
+        u = random_theta_field(p, rng)
+        d = Field(p.grid, 0.3 * u.values * rng.uniform(-1.0, 1.0, p.grid.size))
+        with pytest.raises(InvalidInput, match="seminorm"):
+            project_to_nehari(p, u, direction=d, step=0.5)
 
     def test_failures_match_formed_trial(self, small_problem):
         p = small_problem

@@ -191,6 +191,36 @@ class TestBitIdentity:
         assert "coords" not in g.__dict__  # no meshgrid was cached on the grid
 
 
+def _dense_multiplier(g, alpha):
+    """|xi|^(2 alpha) summed over full meshgrid arrays of the wavenumbers."""
+    parts = np.meshgrid(*g._wavenumbers, indexing="ij")
+    xi_sq = np.zeros_like(parts[0])
+    for p in parts:
+        xi_sq += p * p
+    mult = xi_sq**alpha
+    mult.flat[0] = 0.0
+    return mult
+
+
+class TestMultiplier:
+    """The multiplier sums the squares of a sparse wavenumber mesh into one
+    spectrum-size array, in the dense mesh's order."""
+
+    @pytest.mark.parametrize("d,n", GRIDS)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0])
+    def test_matches_dense_mesh(self, d, n, alpha):
+        g = make_grid(d, 3.0, n)
+        assert np.array_equal(g._multiplier(alpha), _dense_multiplier(g, alpha))
+
+    def test_build_holds_no_dense_mesh(self):
+        # |xi|^2 and the result, 2 spectra; the dense mesh's d parts, their
+        # sum and one squared part hold about 5
+        make_grid(3, 8.0, 8)._multiplier(0.5)  # first-call allocations of numpy
+        spectrum = 32 * 32 * 17 * 8
+        assert _peak_fields(lambda: make_grid(3, 8.0, 32)._multiplier(0.5), spectrum) <= 2.2
+        assert _peak_fields(lambda: _dense_multiplier(make_grid(3, 8.0, 32), 0.5), spectrum) > 2.2
+
+
 class TestPeakMemory:
     """numpy reports its data buffers to tracemalloc, so the traced peak
     counts every array a call holds at once."""
